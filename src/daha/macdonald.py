@@ -432,24 +432,6 @@ def sym_p(rs: RootSystem, lam: Weight) -> QTLaurent:
     return f
 
 
-def sym_p_specialized(rs: RootSystem, lam: Weight) -> QTLaurent:
-    """The t = q slice of sym_p, computed in the substituted (univariate) ring.
-
-    Substitution commutes with the leading-coefficient normalization, so this
-    equals sym_p(rs, lam).subs_t_eq_q() while avoiding bivariate reduction
-    against the large symmetrized leading coefficient.
-    """
-    lam = tuple(lam)
-    if not rs.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
-    r = nonsym_e(rs, lam)
-    f = symmetrizer(rs, r.cleared if r.cleared is not None else r.e_poly).subs_t_eq_q()
-    lead = f.coeff(lam)
-    if lead.is_zero():
-        raise AssertionError("symmetrization lost the leading weight")
-    return f.scale(lead.inverse())
-
-
 def monomial_expand(f: QTLaurent) -> list[tuple[Weight, RatQT]]:
     """Expansion of a W-invariant element in the orbit-sum basis."""
     rs = f.rs

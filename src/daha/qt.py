@@ -16,6 +16,27 @@ Canonical form of a fraction:
     positive coefficient.
 
 All values are immutable; operations are pure.
+
+The gcd behind every reduction (`poly_gcd`) is exact on every path.  After the
+monomial and integer content are split off, the primitive gcd G of a and b is
+found in three steps:
+
+  1. Degree certificate.  Fixing t = t0 mod a large prime p maps a and b to
+     F_p[q].  At a t0 where the q-leading coefficient of a survives, the image
+     of G keeps its q-degree (lc(G) divides lc(a)) and divides both images, so
+     deg_q G <= deg of the image gcd; likewise with q and t swapped.  Bounds
+     (0, 0) prove G = 1.
+  2. Heuristic candidate (GCDHEU, Char, Geddes & Gonnet 1989).  Evaluate t and
+     then q at large integers, take the integer gcd, and read a candidate H
+     back from its digits with symmetric residues.  H is accepted only if it
+     divides a and b exactly and meets both degree bounds of step 1; then H
+     divides G with deg H >= deg G, so H = G up to sign.
+  3. Fallback.  Any input the first two steps leave open (unlucky evaluation
+     points, or a candidate never accepted) goes to the primitive PRS over
+     Z[t][q].
+
+The prime and the evaluation points are fixed, and the result is brought to
+the same canonical form on every path, so outputs do not depend on the path.
 """
 
 from __future__ import annotations
@@ -392,7 +413,17 @@ def _primitive(g: QTPoly) -> QTPoly:
 
 
 def poly_gcd(a: QTPoly, b: QTPoly) -> QTPoly:
-    """gcd of two Laurent polynomials, canonical up to units (monomials stripped)."""
+    """gcd of two Laurent polynomials, canonical up to units (monomials stripped).
+
+    After the monomial and integer content are split off, the primitive gcd G
+    is found in three steps, each exact:
+
+    1. the images of a and b in F_p[q] (t fixed) and F_p[t] (q fixed) bound the
+       degrees of G (`_image_gcd_degree`); bounds (0, 0) prove G = 1;
+    2. a GCDHEU candidate H that divides both operands and reaches both
+       degree bounds is G (`_heu_gcd`);
+    3. otherwise the primitive PRS over Z[t][q] computes G (`_prs_gcd`).
+    """
     if a.is_zero():
         return _canon_unit(b)
     if b.is_zero():
@@ -408,11 +439,140 @@ def poly_gcd(a: QTPoly, b: QTPoly) -> QTPoly:
     mq, mt = b.min_exps()
     b = b.shift(-mq, -mt)
     a, b = _primitive(a), _primitive(b)
+    dq, dt = _image_gcd_degree(a, b, 0), _image_gcd_degree(a, b, 1)
+    if dq == 0 and dt == 0:
+        return QTPoly.const(icont)
+    g = None
+    if dq is not None and dt is not None:
+        g = _heu_gcd(a, b, (dq, dt))
+    if g is None:
+        g = _prs_gcd(a, b)
+    return _canon_unit(g).scale(icont)
+
+
+# Step 1 (see the module docstring): degree bounds from images mod a prime.
+# The prime and the points are fixed, so every run takes the same path.
+
+_PRIME = 2**31 - 1
+_CERT_POINTS = (1_234_567, 76_543_211, 987_654_319)
+
+
+def _image(p: QTPoly, var: int, x0: int, deg: int) -> list[int]:
+    """p mod _PRIME with the other variable at x0, dense in `var` (index = degree)."""
+    out = [0] * (deg + 1)
+    for k, c in p.terms.items():
+        out[k[var]] += c * pow(x0, k[1 - var], _PRIME)
+    return [v % _PRIME for v in out]
+
+
+def _gf_gcd_degree(f: list[int], g: list[int]) -> int:
+    """Degree of gcd(f, g) in F_p[x], f nonzero; lists are dense, lowest degree first."""
+    while f and not f[-1]:
+        f = f[:-1]
+    while g and not g[-1]:
+        g = g[:-1]
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        # f <- f mod g, then swap
+        f = list(f)
+        dg = len(g) - 1
+        inv = pow(g[-1], -1, _PRIME)
+        for i in range(len(f) - 1, dg - 1, -1):
+            c = f[i] * inv % _PRIME
+            if c:
+                s = i - dg
+                for j in range(dg):
+                    f[s + j] = (f[s + j] - c * g[j]) % _PRIME
+        f = f[:dg]
+        while f and not f[-1]:
+            f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+def _image_gcd_degree(a: QTPoly, b: QTPoly, var: int) -> int | None:
+    """An upper bound on deg_var gcd(a, b), or None if lc(a) vanishes at every point."""
+    da, db = a.max_exps()[var], b.max_exps()[var]
+    for x0 in _CERT_POINTS:
+        fa = _image(a, var, x0, da)
+        if fa[da]:
+            return _gf_gcd_degree(fa, _image(b, var, x0, db))
+    return None
+
+
+# Step 2 (see the module docstring): the heuristic gcd (Char, Geddes & Gonnet,
+# GCDHEU, JSC 1989).  Put t = xi, then q = xi2, take the integer gcd and read
+# the candidate back as digits with symmetric residues.  A common factor of the
+# cofactor values multiplies the integer gcd and can push its digits out of
+# range, so each retry doubles the margin of xi2 as well as raising xi.
+
+_HEU_TRIES = 4
+
+
+def _sym_digits(n: int, x: int) -> dict[int, int]:
+    """The digits d_i of n = sum d_i x^i with -x/2 < d_i <= x/2 (x >= 3)."""
+    out = {}
+    i = 0
+    half = x // 2
+    while n:
+        n, d = divmod(n, x)
+        if d > half:
+            d -= x
+            n += 1
+        if d:
+            out[i] = d
+        i += 1
+    return out
+
+
+def _eval_t(p: QTPoly, xi: int) -> dict[int, int]:
+    """p at t = xi, as a polynomial in q (exponent -> integer coefficient)."""
+    out: dict[int, int] = {}
+    for (i, j), c in p.terms.items():
+        out[i] = out.get(i, 0) + c * xi**j
+    return out
+
+
+def _heu_gcd(a: QTPoly, b: QTPoly, bounds: Term) -> QTPoly | None:
+    """gcd of primitive a, b by GCDHEU, proven against the degree bounds; None if every try fails."""
+    xi = 2 * min(max(map(abs, a.terms.values())), max(map(abs, b.terms.values()))) + 2
+    for k in range(_HEU_TRIES):
+        ea, eb = _eval_t(a, xi), _eval_t(b, xi)
+        na, nb = max(map(abs, ea.values())), max(map(abs, eb.values()))
+        if na and nb:
+            xi2 = (2 * min(na, nb) + 2) << k
+            gamma = _igcd(sum(c * xi2**i for i, c in ea.items()), sum(c * xi2**i for i, c in eb.items()))
+            # gcd in Z[q] of the images: the primitive part of the digits times
+            # the gcd of the contents, which drops a spurious factor of gamma
+            hq = _sym_digits(gamma, xi2)
+            scale, cont = _igcd(*ea.values(), *eb.values()), _igcd(*hq.values())
+            h = {
+                (i, j): d
+                for i, c in hq.items()
+                for j, d in _sym_digits(c // cont * scale, xi).items()
+            }
+            cand = _canon_unit(_primitive(QTPoly(h)))
+            if (
+                cand.max_exps() == bounds
+                and div_exact(a, cand) is not None
+                and div_exact(b, cand) is not None
+            ):
+                return cand
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _prs_gcd(a: QTPoly, b: QTPoly) -> QTPoly:
+    """Primitive gcd of primitive a, b with nonnegative exponents: primitive PRS over Z[t][q].
+
+    The fallback of `poly_gcd`, and the oracle its fast path is tested against.
+    """
     qa, qb = _to_q_coeffs(a), _to_q_coeffs(b)
     only_t = max(qa) == 0 and max(qb) == 0
     if only_t:
         g = _uv_gcd(qa[0], qb[0])
-        return _canon_unit(_primitive(_from_q_coeffs({0: g}))).scale(icont)
+        return _primitive(_from_q_coeffs({0: g}))
     # contents with respect to q
     ca = {}
     for row in qa.values():
@@ -449,7 +609,9 @@ def poly_gcd(a: QTPoly, b: QTPoly) -> QTPoly:
             r = {k: _uv_div_exact(row, cr) for k, row in r.items()}
         pa, pb = pb, r
     g = _from_q_coeffs({k: _uv_mul(row, cont) for k, row in pa.items()})
-    return _canon_unit(_primitive(g)).scale(icont)
+    return _primitive(g)
+
+
 
 
 def poly_lcm(a: QTPoly, b: QTPoly) -> QTPoly:

@@ -452,20 +452,21 @@ class RootSystem:
     # -- affine Weyl group words ---------------------------------------------------
 
     def translation_word(self, mu: CorootVec) -> WeylWord:
-        """Reduced word over {0..r} for the translation by a dominant coroot vector."""
-        if len(mu) != self.rank:
-            raise ValueError("coroot vector has wrong rank")
-        pr = self.positive_roots()
-        pairings = [self.coroot_pair(mu, wc) for _, wc in pr]
-        if any(p < 0 for p in pairings):
-            raise ValueError(f"{mu} is not dominant")
-        expected_len = sum(pairings)
-        if expected_len == 0:
-            return ()
-        word = _affine_greedy_word(self, mu)
-        if len(word) != expected_len:
-            raise AssertionError("translation word has wrong length")
-        return word
+        """Reduced word over {0..r} for the translation by a dominant coroot vector (memoized per mu)."""
+        key = ("translation", tuple(mu))
+        if key not in self._caches:
+            if len(mu) != self.rank:
+                raise ValueError("coroot vector has wrong rank")
+            pr = self.positive_roots()
+            pairings = [self.coroot_pair(mu, wc) for _, wc in pr]
+            if any(p < 0 for p in pairings):
+                raise ValueError(f"{mu} is not dominant")
+            expected_len = sum(pairings)
+            word = _affine_greedy_word(self, mu) if expected_len else ()
+            if len(word) != expected_len:
+                raise AssertionError("translation word has wrong length")
+            self._caches[key] = word
+        return self._caches[key]
 
 
 @lru_cache(maxsize=None)

@@ -38,7 +38,6 @@ from daha.macdonald import (
     mu_star,
     nonsym_e,
     sym_p,
-    sym_p_specialized,
     weyl_character,
 )
 from daha.orders import verify_order
@@ -226,9 +225,7 @@ def test_criterion_9_weyl_specialization():
     """sym_p coefficients at t = q equal the Weyl-character coefficients for
     A1 and A2 with lam_i <= 3 (independent classical-Demazure oracle).
 
-    The substitution commutes with the leading normalization, so the slice is
-    computed in the univariate ring; on small weights this is cross-checked
-    against substituting into the exact sym_p output.
+    The slice is taken from the exact bivariate sym_p output.
     """
     t0 = time.time()
     ok = True
@@ -237,7 +234,7 @@ def test_criterion_9_weyl_specialization():
         rs = root_system(name)
         doms = [lam for lam in _box(rs, 3) if rs.is_dominant(lam)]
         for lam in doms:
-            got = sym_p_specialized(rs, lam)
+            got = sym_p(rs, lam).subs_t_eq_q()
             want = weyl_character(rs, lam)
             if got != want:
                 ok, detail = False, f"{name} lam={lam}"
@@ -248,14 +245,12 @@ def test_criterion_9_weyl_specialization():
                 if chi.get(w) != c:
                     ok, detail = False, f"{name} lam={lam} coefficient at {w}"
                     break
-            if sum(lam) <= 3 and sym_p(rs, lam).subs_t_eq_q() != got:
-                ok, detail = False, f"{name} lam={lam}: slice disagrees with exact sym_p"
-                break
         if not ok:
             break
     elapsed = time.time() - t0
-    _report(9, ok, detail or "A1, A2 dominant weights up to 3", elapsed, 120)
+    _report(9, ok and elapsed < 30, detail or "A1, A2 dominant weights up to 3", elapsed, 30)
     assert ok, detail
+    assert elapsed < 30
 
 
 @pytest.mark.skipif("not __import__('os').environ.get('RUN_K4')", reason="optional k=4 target")

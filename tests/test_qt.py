@@ -10,6 +10,11 @@ from daha.qt import (
     QTPoly,
     RatQT,
     ZERO_P,
+    _canon_unit,
+    _heu_gcd,
+    _image_gcd_degree,
+    _primitive,
+    _prs_gcd,
     div_exact,
     poly_gcd,
     poly_lcm,
@@ -80,6 +85,31 @@ class TestGcd:
 
     def test_gcd_integer_content(self):
         assert poly_gcd(ONE_MINUS_T.scale(2), ONE_MINUS_T.scale(4)) == ONE_MINUS_T.scale(2)
+
+    def test_fast_path_finds_common_factor(self):
+        a = ONE_MINUS_QT * ONE_MINUS_T
+        b = ONE_MINUS_QT * P(c=1, q=1)
+        bounds = (_image_gcd_degree(a, b, 0), _image_gcd_degree(a, b, 1))
+        assert bounds == (1, 1)
+        assert _canon_unit(_heu_gcd(a, b, bounds)) == ONE_MINUS_QT
+
+    def test_certificate_proves_coprime(self):
+        a, b = ONE_MINUS_T * P(c=2, q=1), ONE_MINUS_QT * P(c=1, q2t=-3)
+        assert (_image_gcd_degree(a, b, 0), _image_gcd_degree(a, b, 1)) == (0, 0)
+
+    def test_heuristic_rejects_candidate_below_bounds(self):
+        # 1 - q t divides both, but bounds above its degrees cannot be met
+        a = ONE_MINUS_QT * ONE_MINUS_T
+        b = ONE_MINUS_QT * P(c=1, q=1)
+        assert _heu_gcd(a, b, (2, 1)) is None
+
+    def test_prs_fallback(self, monkeypatch):
+        import daha.qt
+
+        monkeypatch.setattr(daha.qt, "_heu_gcd", lambda a, b, bounds: None)
+        a = ONE_MINUS_QT * ONE_MINUS_T * P(c=3, t=1)
+        b = ONE_MINUS_QT * ONE_MINUS_T * P(c=1, q=1)
+        assert poly_gcd(a, b) == ONE_MINUS_QT * ONE_MINUS_T
 
     def test_div_exact(self):
         num = P(c=1, q2t2=-1)
@@ -208,3 +238,66 @@ def test_json_round_trip():
     data = ratqt_to_json(f)
     assert ratqt_from_json(data) == f
     assert data["num"] == sorted(data["num"], key=lambda e: (e[1], e[2]))
+
+
+# differential tests: sympy is an independent oracle (test-only) -------------
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _sym(sympy, p: QTPoly):
+    """p as a sympy Poly in q, t, shifted to nonnegative exponents (a unit)."""
+    mq, mt = p.min_exps()
+    return sympy.Poly.from_dict(p.shift(-mq, -mt).terms or {(0, 0): 0}, sympy.symbols("q t"))
+
+
+def _from_sym(sympy, e) -> QTPoly:
+    return QTPoly({k: int(c) for k, c in sympy.Poly(e, *sympy.symbols("q t"), domain="ZZ").terms()})
+
+
+@st.composite
+def gcd_pairs(draw):
+    """(g u, g v): a shared factor g, so both the candidate and the certificate run."""
+    g, u, v = draw(polys), draw(polys), draw(polys)
+    return g * u, g * v
+
+
+@settings(max_examples=60, deadline=None)
+@given(gcd_pairs())
+def test_poly_gcd_matches_sympy(sympy, pair):
+    a, b = pair
+    want = sympy.gcd(_sym(sympy, a), _sym(sympy, b))
+    assert poly_gcd(a, b) == _canon_unit(_from_sym(sympy, want.as_expr()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gcd_pairs().filter(lambda pair: not pair[1].is_zero()))
+def test_ratqt_matches_sympy_cancel(sympy, pair):
+    n, d = pair
+    r = RatQT(n, d)
+    num, den = sympy.cancel(_sym(sympy, n).as_expr() / _sym(sympy, d).as_expr()).as_numer_denom()
+    num, den = _from_sym(sympy, num), _from_sym(sympy, den)
+    # equal up to a unit +-q^a t^b, which the canonical form fixes; _sym
+    # shifted n and d to nonnegative exponents, so undo that in the cross product
+    assert r.den == _canon_unit(den)
+    (nq, nt), (dq, dt) = n.min_exps(), d.min_exps()
+    assert r.num * den == r.den * num.shift(nq - dq, nt - dt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gcd_pairs())
+def test_fast_path_matches_prs(pair):
+    a, b = (_primitive(_canon_unit(p)) for p in pair)
+    if a.is_zero() or b.is_zero() or a.is_monomial() or b.is_monomial():
+        return
+    want = _canon_unit(_prs_gcd(a, b))
+    bounds = (_image_gcd_degree(a, b, 0), _image_gcd_degree(a, b, 1))
+    # the image degrees bound the true ones
+    assert bounds[0] >= want.max_exps()[0] and bounds[1] >= want.max_exps()[1]
+    if bounds == (0, 0):
+        assert want == ONE_P
+    else:
+        got = _heu_gcd(a, b, bounds)
+        assert got is None or _canon_unit(got) == want

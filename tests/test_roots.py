@@ -231,6 +231,13 @@ class TestTranslationWords:
     def test_not_dominant_rejected(self):
         with pytest.raises(ValueError):
             A2.translation_word((1, -1))
+        with pytest.raises(ValueError):
+            A2.translation_word((1, -1))
+
+    def test_memoized_per_mu(self):
+        w = B2.translation_word((1, 1))
+        assert isinstance(w, tuple)
+        assert B2.translation_word([1, 1]) is w
 
     @pytest.mark.parametrize(
         "rs,mu",
