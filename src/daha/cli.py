@@ -20,6 +20,8 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from multiprocessing import get_context
 
 from .roots import root_system
 from .polyring import (
@@ -53,51 +55,31 @@ def _emit(f: QTLaurent, fmt: str) -> str:
     return laurent_to_text(f)
 
 
-def _cmd_e(args) -> int:
+def _weight_line(job) -> tuple[str, str | None]:
+    """One weight of `e` or `p`: its output line and its stderr note, if any."""
+    args, weight = job
     rs = root_system(args.type)
-    for weight in args.weight:
-        lam = _parse_weight(weight)
-        res = macdonald.nonsym_e(rs, lam)
-        poly = res.e_poly
-        if args.integral:
-            poly = integral_form(poly, lam)
-        line = _emit(poly, args.format)
-        if len(args.weight) > 1:
-            line = f"{weight}: {line}"
-        print(line)
-        if res.conjectural and args.format == "text":
-            print(
-                f"# note: {lam} is not dominant; the eigenvalue formula is conjecture-level",
-                file=sys.stderr,
-            )
-    return 0
-
-
-def _e_one(payload):
-    type_name, weight, do_integral, fmt = payload
-    rs = root_system(type_name)
     lam = _parse_weight(weight)
-    poly = macdonald.nonsym_e(rs, lam).e_poly
-    if do_integral:
-        poly = integral_form(poly, lam)
-    return weight, _emit(poly, fmt)
+    note = None
+    if args.verb == "p":
+        poly = macdonald.sym_p(rs, lam)
+    else:
+        res = macdonald.nonsym_e(rs, lam)
+        poly = integral_form(res.e_poly, lam) if args.integral else res.e_poly
+        if res.conjectural and args.format == "text":
+            note = f"# note: {lam} is not dominant; the eigenvalue formula is conjecture-level"
+    line = _emit(poly, args.format)
+    return (f"{weight}: {line}" if len(args.weight) > 1 else line), note
 
 
-def _cmd_e_parallel(args) -> int:
-    payloads = [(args.type, w, args.integral, args.format) for w in args.weight]
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        for weight, line in pool.map(_e_one, payloads):
-            print(f"{weight}: {line}" if len(args.weight) > 1 else line)
-    return 0
-
-
-def _cmd_p(args) -> int:
-    rs = root_system(args.type)
-    for weight in args.weight:
-        lam = _parse_weight(weight)
-        f = macdonald.sym_p(rs, lam)
-        line = _emit(f, args.format)
-        print(f"{weight}: {line}" if len(args.weight) > 1 else line)
+def _cmd_weights(args) -> int:
+    """`e` and `p`: one line per weight, in order; --jobs > 1 spreads the weights over processes."""
+    parallel = args.jobs > 1 and len(args.weight) > 1
+    with ProcessPoolExecutor(args.jobs, mp_context=get_context("spawn")) if parallel else nullcontext() as pool:
+        for line, note in (pool.map if parallel else map)(_weight_line, [(args, w) for w in args.weight]):
+            print(line)
+            if note:
+                print(note, file=sys.stderr)
     return 0
 
 
@@ -117,14 +99,8 @@ def _cmd_verify(args) -> int:
     rs = root_system(args.type)
     if args.subject == "hecke":
         report = verify_relations(rs, args.bound)
-    elif args.subject == "braid":
-        full = verify_relations(rs, args.bound)
-        report = type(full)(full.title)
-        report.checks = [c for c in full.checks if c[0].startswith("braid")]
-    elif args.subject == "xcommute":
-        full = verify_relations(rs, args.bound)
-        report = type(full)(full.title)
-        report.checks = [c for c in full.checks if c[0].startswith("x-")]
+    elif args.subject in ("braid", "xcommute"):
+        report = verify_relations(rs, args.bound, (args.subject,))
     elif args.subject == "symmetrizer":
         report = verify_symmetrizer(rs, args.bound)
     elif args.subject == "demazure":
@@ -241,12 +217,8 @@ def run(argv: list[str] | None = None) -> int:
         ap.print_usage()
         return 2
     try:
-        if args.verb == "e":
-            if getattr(args, "jobs", 1) > 1 and len(args.weight) > 1:
-                return _cmd_e_parallel(args)
-            return _cmd_e(args)
-        if args.verb == "p":
-            return _cmd_p(args)
+        if args.verb in ("e", "p"):
+            return _cmd_weights(args)
         if args.verb == "y":
             return _cmd_y(args)
         if args.verb == "verify":

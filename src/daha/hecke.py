@@ -12,32 +12,32 @@ s_0 . e^mu = q^{<theta^vee, mu>} e^{s_theta mu}.
 Y-operators for coroot-lattice vectors come from reduced words of translation
 elements; the composition order is "first letter outermost", which for A1
 makes Y^{alpha^vee} = T_0 T_1.
+
+Coefficient ring.  T_i, T_i^{-1}, Y and the symmetrizer map Z[q^±, t^±][P]
+into itself, so they run on one integer kernel: an element is a dict
+{weight: {(dq, dt): int}}, and T_i only adds integer coefficients at shifted
+exponents.  The public operators take and return QTLaurent and convert once
+per call.  An input with a non-polynomial coefficient is first multiplied by
+the lcm D of its denominators; the operators are Q(q, t)-linear, so the image
+is the kernel image divided by D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .qt import QTPoly, RatQT
+from .qt import ONE_P, QTPoly, RatQT, Term, div_exact, poly_lcm
 from .polyring import QTLaurent, orbit_sum
-from .roots import RootSystem, Weight, WeylWord, CorootVec
+from .roots import RootSystem, Weight, WeylWord, CorootVec, weight_box
 
 R_T = RatQT.monomial(1, 0, 1)
-R_T1 = RatQT(QTPoly({(0, 1): 1, (0, 0): -1}))          # t - 1
-R_TINV = RatQT.monomial(1, 0, -1)                      # t^-1
-R_TINV1 = RatQT(QTPoly({(0, -1): 1, (0, 0): -1}))      # t^-1 - 1
+
+Kernel = dict[Weight, dict[Term, int]]
 
 
 def _pairing(rs: RootSystem, i: int, mu: Weight) -> int:
     """<alpha_i^vee, mu>, with the level-zero convention at i = 0."""
     return -rs.theta_pair(mu) if i == 0 else mu[i - 1]
-
-
-def _si_mono(rs: RootSystem, i: int, mu: Weight) -> tuple[Weight, int]:
-    """s_i . e^mu as (weight, power of q)."""
-    if i == 0:
-        return rs.s_theta(mu), rs.theta_pair(mu)
-    return rs.reflect(i, mu), 0
 
 
 def _alpha_step(rs: RootSystem, i: int) -> tuple[Weight, int]:
@@ -47,63 +47,107 @@ def _alpha_step(rs: RootSystem, i: int) -> tuple[Weight, int]:
     return rs.simple_root(i), 0
 
 
+# ---------------------------------------------------------------------------
+# the integer kernel
+# ---------------------------------------------------------------------------
+
+def _acc(out: Kernel, w: Weight, c: dict[Term, int], dq: int, dt: int, c0: int, c1: int):
+    """out[w] += q^dq t^dt (c0 + c1 t) c."""
+    d = out.get(w)
+    if d is None:
+        d = out[w] = {}
+    for (a, b), v in c.items():
+        if c0:
+            k = (a + dq, b + dt)
+            d[k] = d.get(k, 0) + c0 * v
+        if c1:
+            k = (a + dq, b + dt + 1)
+            d[k] = d.get(k, 0) + c1 * v
+
+
+def _pruned(out: Kernel) -> Kernel:
+    return {w: d for w, c in out.items() if (d := {k: v for k, v in c.items() if v})}
+
+
+def _t(rs: RootSystem, i: int, f: Kernel) -> Kernel:
+    """T_i on the kernel form.  With m = <alpha_i^vee, mu>, s_i e^mu = X^{-m alpha_i} e^mu and
+    T_i e^mu = t X^{-m alpha_i} e^mu + (1 - t) sum_{k=1..m} X^{-k alpha_i} e^mu (the k = m terms
+    add up to X^{-m alpha_i} e^mu), or + (t - 1) sum_{k=0..-m-1} X^{k alpha_i} e^mu when m <= 0.
+    A shift (k, c0, c1) stands for (c0 + c1 t) X^{k alpha_i} e^mu."""
+    out: Kernel = {}
+    step_w, step_q = _alpha_step(rs, i)
+    for mu, c in f.items():
+        m = _pairing(rs, i, mu)
+        shifts = ([(-k, 1, -1) for k in range(1, m)] + [(-m, 1, 0)] if m > 0
+                  else [(-m, 0, 1)] + [(k, -1, 1) for k in range(-m)])
+        for k, c0, c1 in shifts:
+            _acc(out, tuple(a + k * b for a, b in zip(mu, step_w)), c, k * step_q, 0, c0, c1)
+    return _pruned(out)
+
+
+def _t_inv(rs: RootSystem, i: int, f: Kernel) -> Kernel:
+    """T_i^{-1} = t^{-1} T_i + t^{-1} - 1 on the kernel form."""
+    out: Kernel = {}
+    for w, c in _t(rs, i, f).items():
+        _acc(out, w, c, 0, -1, 1, 0)
+    for w, c in f.items():
+        _acc(out, w, c, 0, -1, 1, -1)
+    return _pruned(out)
+
+
+def _word(rs: RootSystem, word: WeylWord, f: Kernel) -> Kernel:
+    for i in reversed(word):
+        f = _t(rs, i, f)
+    return f
+
+
+def _y(rs: RootSystem, mu: CorootVec, f: Kernel) -> Kernel:
+    if len(mu) != rs.rank:
+        raise ValueError("coroot vector has wrong rank")
+    plus, minus = _dominant_decomposition(rs, mu)
+    for i in rs.translation_word(minus) if any(minus) else ():
+        f = _t_inv(rs, i, f)
+    return _word(rs, rs.translation_word(plus), f) if any(plus) else f
+
+
+def _kernel(f: QTLaurent) -> tuple[Kernel, QTPoly]:
+    """(k, D) with f = k / D and D the lcm of the coefficient denominators."""
+    den = ONE_P
+    for c in f.terms.values():
+        if not c.is_polynomial():
+            den = poly_lcm(den, c.den)
+    return {w: c.num.terms if c.den == den else (c.num * div_exact(den, c.den)).terms
+            for w, c in f.terms.items()}, den
+
+
+def _lifted(rs: RootSystem, op, f: QTLaurent) -> QTLaurent:
+    """Run a kernel operator on a QTLaurent, converting once each way."""
+    k, den = _kernel(f)
+    return QTLaurent(rs, {w: RatQT(QTPoly(c), den, _reduced=den.is_one()) for w, c in op(k).items()})
+
+
+# ---------------------------------------------------------------------------
+# the operators
+# ---------------------------------------------------------------------------
+
 def dl_op(rs: RootSystem, i: int, f: QTLaurent) -> QTLaurent:
     """Apply T_i, i in 0..rank."""
-    out: dict[Weight, RatQT] = {}
-
-    def bump(w: Weight, c: RatQT):
-        s = out.get(w)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = s
-
-    step_w, step_q = _alpha_step(rs, i)
-    for mu, c in f.terms.items():
-        m = _pairing(rs, i, mu)
-        sw, sq = _si_mono(rs, i, mu)
-        bump(sw, c * RatQT.monomial(1, sq, 1))
-        if m > 0:
-            # -(t-1) sum_{k=1..m} e^mu X^{-k alpha_i}
-            cc = c * R_T1
-            for k in range(1, m + 1):
-                w = tuple(a - k * b for a, b in zip(mu, step_w))
-                bump(w, -(cc * RatQT.monomial(1, -k * step_q, 0)))
-        elif m < 0:
-            cc = c * R_T1
-            for k in range(0, -m):
-                w = tuple(a + k * b for a, b in zip(mu, step_w))
-                bump(w, cc * RatQT.monomial(1, k * step_q, 0))
-    return QTLaurent(rs, out)
+    return _lifted(rs, lambda k: _t(rs, i, k), f)
 
 
 def dl_inv(rs: RootSystem, i: int, f: QTLaurent) -> QTLaurent:
     """T_i^{-1} = t^{-1} T_i + t^{-1} - 1."""
-    return dl_op(rs, i, f).scale(R_TINV) + f.scale(R_TINV1)
+    return _lifted(rs, lambda k: _t_inv(rs, i, k), f)
 
 
 def word_op(rs: RootSystem, word: WeylWord, f: QTLaurent) -> QTLaurent:
     """T_{i_1} ... T_{i_k} f, first letter outermost."""
-    for i in reversed(word):
-        f = dl_op(rs, i, f)
-    return f
-
-
-def word_op_inv(rs: RootSystem, word: WeylWord, f: QTLaurent) -> QTLaurent:
-    """(T_{i_1} ... T_{i_k})^{-1} f."""
-    for i in word:
-        f = dl_inv(rs, i, f)
-    return f
+    return _lifted(rs, lambda k: _word(rs, word, k), f)
 
 
 def y_op(rs: RootSystem, mu: CorootVec, f: QTLaurent) -> QTLaurent:
     """Y^mu for mu in the coroot lattice, via dominant decomposition mu = mu_+ - mu_-."""
-    if len(mu) != rs.rank:
-        raise ValueError("coroot vector has wrong rank")
-    plus, minus = _dominant_decomposition(rs, mu)
-    f = word_op_inv(rs, rs.translation_word(minus), f) if any(minus) else f
-    return word_op(rs, rs.translation_word(plus), f) if any(plus) else f
+    return _lifted(rs, lambda k: _y(rs, mu, k), f)
 
 
 def _dominant_decomposition(rs: RootSystem, mu: CorootVec) -> tuple[CorootVec, CorootVec]:
@@ -162,10 +206,15 @@ def x_op(rs: RootSystem, lam: Weight, qpow: int, f: QTLaurent) -> QTLaurent:
 
 def symmetrizer(rs: RootSystem, f: QTLaurent) -> QTLaurent:
     """P f = sum over the finite Weyl group of T_w f."""
-    out = QTLaurent.zero(rs)
-    for word in rs.weyl_elements().values():
-        out = out + word_op(rs, word, f)
-    return out
+
+    def sym(k: Kernel) -> Kernel:
+        out: Kernel = {}
+        for word in rs.weyl_elements().values():
+            for w, c in _word(rs, word, k).items():
+                _acc(out, w, c, 0, 0, 1, 0)
+        return _pruned(out)
+
+    return _lifted(rs, sym, f)
 
 
 def poincare_polynomial(rs: RootSystem) -> RatQT:
@@ -200,25 +249,13 @@ class RelationReport:
         return out
 
 
-def _box_weights(rs: RootSystem, bound: int) -> list[Weight]:
-    out = [()]
-    for _ in range(rs.rank):
-        out = [w + (v,) for w in out for v in range(-bound, bound + 1)]
-    return out
-
-
 def _affine_indices(rs: RootSystem) -> list[int]:
     return list(range(0, rs.rank + 1)) if rs.irreducible else list(range(1, rs.rank + 1))
 
 
-def verify_relations(rs: RootSystem, bound: int) -> RelationReport:
-    """Quadratic, braid, and X-T commutation relations on the monomial box."""
-    report = RelationReport(f"Hecke relations for {rs.name}, |mu_i| <= {bound}")
-    box = _box_weights(rs, bound)
-    idxs = _affine_indices(rs)
-
-    # quadratic (T_i + 1)(T_i - t) = 0
-    for i in idxs:
+def _quadratic_checks(rs: RootSystem, box: list[Weight], report: RelationReport):
+    """(T_i + 1)(T_i - t) = 0."""
+    for i in _affine_indices(rs):
         bad = ""
         for mu in box:
             f = QTLaurent.mono(rs, mu)
@@ -229,7 +266,10 @@ def verify_relations(rs: RootSystem, bound: int) -> RelationReport:
                 break
         report.record(f"quadratic i={i} ({len(box)} monomials)", not bad, bad)
 
-    # braid relations where the order is finite
+
+def _braid_checks(rs: RootSystem, box: list[Weight], report: RelationReport):
+    """Braid relations where the order is finite."""
+    idxs = _affine_indices(rs)
     for a in range(len(idxs)):
         for b in range(a + 1, len(idxs)):
             i, j = idxs[a], idxs[b]
@@ -246,8 +286,10 @@ def verify_relations(rs: RootSystem, bound: int) -> RelationReport:
                     break
             report.record(f"braid i={i} j={j} m={m}", not bad, bad)
 
-    # X-T commutation for pairings 0 and 1
-    for i in idxs:
+
+def _xcommute_checks(rs: RootSystem, box: list[Weight], report: RelationReport):
+    """X-T commutation for pairings 0 and 1."""
+    for i in _affine_indices(rs):
         step_w, step_q = _alpha_step(rs, i)
         for pairing_target in (0, 1):
             lams = [lam for lam in box if _pairing(rs, i, lam) == pairing_target]
@@ -268,13 +310,25 @@ def verify_relations(rs: RootSystem, bound: int) -> RelationReport:
                     break
             name = "commute" if pairing_target == 0 else "shift"
             report.record(f"x-{name} i={i} ({len(lams)} weights)", not bad, bad)
+
+
+RELATION_CHECKS = {"quadratic": _quadratic_checks, "braid": _braid_checks, "xcommute": _xcommute_checks}
+
+
+def verify_relations(rs: RootSystem, bound: int, parts=tuple(RELATION_CHECKS)) -> RelationReport:
+    """Quadratic, braid, and X-T commutation relations on the monomial box
+    (only the named parts of RELATION_CHECKS, if given)."""
+    report = RelationReport(f"Hecke relations for {rs.name}, |mu_i| <= {bound}")
+    box = weight_box([bound] * rs.rank)
+    for part in parts:
+        RELATION_CHECKS[part](rs, box, report)
     return report
 
 
 def verify_symmetrizer(rs: RootSystem, bound: int) -> RelationReport:
     """T_i P = P T_i = t P, invariance, hull support, and m_mu commutation."""
     report = RelationReport(f"symmetrizer properties for {rs.name}")
-    box = _box_weights(rs, bound)
+    box = weight_box([bound] * rs.rank)
     sym: dict[Weight, QTLaurent] = {mu: symmetrizer(rs, QTLaurent.mono(rs, mu)) for mu in box}
 
     bad = ""
@@ -349,7 +403,7 @@ def verify_demazure(rs: RootSystem, bound: int) -> RelationReport:
     together with the exact shape of the defect.
     """
     report = RelationReport(f"Demazure properties for {rs.name}")
-    doms = [lam for lam in _box_weights(rs, bound) if rs.is_dominant(lam)]
+    doms = [lam for lam in weight_box([bound] * rs.rank) if rs.is_dominant(lam)]
 
     bad = ""
     for elt in rs.weyl_elements():
@@ -370,7 +424,7 @@ def verify_demazure(rs: RootSystem, bound: int) -> RelationReport:
         f"classical (t=0) word independence ({len(doms)} dominant weights)", not bad, bad
     )
 
-    box = _box_weights(rs, bound)
+    box = weight_box([bound] * rs.rank)
 
     def dword(word, f):
         for i in reversed(word):

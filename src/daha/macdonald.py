@@ -6,8 +6,10 @@ E_lam is the unique element with unitriangular expansion
 
 that is an eigenvector of Y^{mu*} for a fixed strictly dominant coroot vector
 mu*.  The triangular eigenproblem is solved exactly by back-substitution over
-Q(q, t); intermediate values keep their denominators in factored form so the
-only gcd work is exact-division tests against small binomial factors.
+Q(q, t): row i gives c_i = sum_{j > i} m_ij c_j / (y - m_ii).  Each c_j is kept
+as a numerator over a product of irreducible factors of the eigenvalue gaps; a
+row's sum is formed over the row's common factored denominator and reduced
+once, by exact division with those factors, so no gcd is ever computed.
 
 Also here: the eigenvalue-exponent check, symmetric P_lam via the Cherednik
 symmetrizer, monomial expansion, and a classical Demazure-operator Weyl
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .qt import ONE_P, QTPoly, R_ONE, R_ZERO, RatQT, div_exact
+from .qt import ONE_P, QTPoly, R_ZERO, RatQT, ZERO_P, div_exact
 from .polyring import QTLaurent, orbit_sum
 from .roots import LESS, EQUAL, RootSystem, Weight, CorootVec, root_system
 from .hecke import strictly_dominant_coroot, symmetrizer, y_op
@@ -140,15 +142,8 @@ class _FactoredRat:
         self.num = num
         self.den = den or {}
 
-    @classmethod
-    def from_poly(cls, p: QTPoly) -> "_FactoredRat":
-        return cls(p)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def mul_poly(self, p: QTPoly) -> "_FactoredRat":
-        return _FactoredRat(self.num * p, dict(self.den)).reduced()
 
     def div_gap(self, p: QTPoly) -> "_FactoredRat":
         """Divide by a two-term gap polynomial, splitting it into irreducibles."""
@@ -160,25 +155,6 @@ class _FactoredRat:
         for f in factors:
             den[f] = den.get(f, 0) + 1
         return _FactoredRat(num, den).reduced()
-
-    def add(self, other: "_FactoredRat") -> "_FactoredRat":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        factors = set(self.den) | set(other.den)
-        n1, n2 = self.num, other.num
-        den: dict[QTPoly, int] = {}
-        for f in factors:
-            m = max(self.den.get(f, 0), other.den.get(f, 0))
-            den[f] = m
-            d1 = m - self.den.get(f, 0)
-            d2 = m - other.den.get(f, 0)
-            for _ in range(d1):
-                n1 = n1 * f
-            for _ in range(d2):
-                n2 = n2 * f
-        return _FactoredRat(n1 + n2, den).reduced()
 
     def reduced(self) -> "_FactoredRat":
         num = self.num
@@ -202,23 +178,28 @@ class _FactoredRat:
         return _FactoredRat(num, den)
 
     def to_ratqt(self) -> RatQT:
-        """Convert; factors are irreducible and already divided out, so the
-        fraction is reduced and only needs the canonical assembly."""
-        if self.num.is_zero():
-            return RatQT.from_int(0)
-        den = ONE_P
-        for f, m in self.den.items():
-            for _ in range(m):
-                den = den * f
-        num = self.num
-        mq, mt = den.min_exps()
-        if mq or mt:
-            den = den.shift(-mq, -mt)
-            num = num.shift(-mq, -mt)
-        if den.terms[min(den.terms)] < 0:
-            den = den.scale(-1)
-            num = num.scale(-1)
-        return RatQT(num, den, _reduced=True)
+        """Convert.  The factors are irreducible and already divided out, and
+        each is canonical (no monomial content, least term positive), so their
+        product is the canonical denominator of the reduced fraction."""
+        return RatQT(self.num, _cofactor(self.den, {}), _reduced=True)
+
+
+def _common_den(dens) -> dict[QTPoly, int]:
+    """The largest multiplicity of each factor over the given denominators."""
+    out: dict[QTPoly, int] = {}
+    for den in dens:
+        for f, m in den.items():
+            out[f] = max(out.get(f, 0), m)
+    return out
+
+
+def _cofactor(den: dict[QTPoly, int], part: dict[QTPoly, int]) -> QTPoly:
+    """prod f^(den[f] - part[f]): the factor taking a fraction over part to one over den."""
+    out = ONE_P
+    for f, m in den.items():
+        for _ in range(m - part.get(f, 0)):
+            out = out * f
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -298,47 +279,29 @@ def _nonsym_e_cached(rs_name: str, lam: Weight) -> EigenResult:
         raise DegenerateSpectrumError(
             f"all Y-candidates have colliding eigenvalues on the lower set of {lam}"
         )
-    coeffs: list[_FactoredRat | None] = [None] * n
-    coeffs[n - 1] = _FactoredRat.from_poly(ONE_P)
+    assert y.is_polynomial()
+    coeffs = [_FactoredRat(ZERO_P)] * n
+    coeffs[n - 1] = _FactoredRat(ONE_P)
     for i in range(n - 2, -1, -1):
-        s = _FactoredRat.from_poly(QTPoly())
-        for j in range(i + 1, n):
-            mij = mat[i][j]
-            if mij.is_zero() or coeffs[j].is_zero():
-                continue
+        row = [(mat[i][j], coeffs[j]) for j in range(i + 1, n)
+               if not (mat[i][j].is_zero() or coeffs[j].is_zero())]
+        den = _common_den(c.den for _, c in row)
+        s = ZERO_P
+        for mij, c in row:
             assert mij.is_polynomial()
-            s = s.add(coeffs[j].mul_poly(mij.num))
-        if s.is_zero():
-            coeffs[i] = s
-            continue
-        gap = y - mat[i][i]
-        assert gap.is_polynomial()
-        coeffs[i] = s.div_gap(gap.num)
-    terms = {basis[i]: coeffs[i].to_ratqt() for i in range(n)}
-    e = QTLaurent(rs, terms)
+            s = s + c.num * (mij.num * _cofactor(den, c.den))
+        if not s.is_zero():
+            coeffs[i] = _FactoredRat(s, den).div_gap(y.num - mat[i][i].num)
+    e = QTLaurent(rs, {basis[i]: coeffs[i].to_ratqt() for i in range(n)})
     # clear denominators without any gcd: the factors are already known
-    universe: dict[QTPoly, int] = {}
-    for c in coeffs:
-        for f, m in c.den.items():
-            universe[f] = max(universe.get(f, 0), m)
-    clearing = ONE_P
-    for f, m in universe.items():
-        for _ in range(m):
-            clearing = clearing * f
-    cleared_terms = {}
-    for i in range(n):
-        num = coeffs[i].num
-        if num.is_zero():
-            continue
-        for f, m in universe.items():
-            for _ in range(m - coeffs[i].den.get(f, 0)):
-                num = num * f
-        cleared_terms[basis[i]] = RatQT(num, ONE_P, _reduced=True)
-    cleared = QTLaurent(rs, cleared_terms)
+    universe = _common_den(c.den for c in coeffs)
+    clearing = _cofactor(universe, {})
+    cleared = QTLaurent(rs, {
+        basis[i]: RatQT(c.num * _cofactor(universe, c.den), ONE_P, _reduced=True) for i, c in enumerate(coeffs)
+    })
     # exactness: the operator residual must vanish identically (checked on the
     # polynomial form, which exercises the same Hecke word)
-    resid = y_op(rs, chosen, cleared) - cleared.scale(y)
-    if not resid.is_zero():
+    if y_op(rs, chosen, cleared) != cleared.scale(y):
         raise AssertionError("eigen residual is nonzero")
     default = mu_star(rs)
     eigenvalue = y
@@ -426,7 +389,9 @@ def sym_p(rs: RootSystem, lam: Weight) -> QTLaurent:
     lead = f.coeff(lam)
     if lead.is_zero():
         raise AssertionError("symmetrization lost the leading weight")
-    f = f.scale(lead.inverse())
+    inv = lead.inverse()
+    scaled = {c: c * inv for c in set(f.terms.values())}  # an orbit repeats each coefficient value
+    f = QTLaurent(rs, {w: scaled[c] for w, c in f.terms.items()})
     if not f.is_w_invariant():
         raise AssertionError("symmetrizer output is not W-invariant")
     return f

@@ -23,19 +23,12 @@ from __future__ import annotations
 from .hecke import RelationReport, y_op
 from .macdonald import mu_star
 from .polyring import QTLaurent
-from .roots import EQUAL, GREATER, LESS, RootSystem, Weight
-
-
-def _box(rs: RootSystem, bound: int) -> list[Weight]:
-    out = [()]
-    for _ in range(rs.rank):
-        out = [w + (v,) for w in out for v in range(-bound, bound + 1)]
-    return out
+from .roots import EQUAL, GREATER, LESS, RootSystem, Weight, weight_box
 
 
 def verify_order(rs: RootSystem, bound: int, max_lower: int = 60) -> RelationReport:
     report = RelationReport(f"Cherednik order properties for {rs.name}, box {bound}")
-    box = _box(rs, bound)
+    box = weight_box([bound] * rs.rank)
     cmp: dict[tuple[Weight, Weight], str] = {}
     for a in box:
         for b in box:

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd as _math_gcd
+from typing import Sequence
 
 
 Weight = tuple[int, ...]
@@ -439,7 +441,7 @@ class RootSystem:
                 for k in range(self.rank):
                     bound[k] = max(bound[k], abs(w[k]))
             members = []
-            for mu in _box_iter(bound):
+            for mu in weight_box(bound):
                 if not self.in_root_lattice(self.sub(mu, lam)):
                     continue
                 if not self.in_hull(mu, lam_plus):
@@ -474,6 +476,11 @@ def root_system(name: str) -> RootSystem:
     return RootSystem(name)
 
 
+def weight_box(bounds: Sequence[int]) -> list[Weight]:
+    """All integer points with |x_k| <= bounds[k], in lexicographic order."""
+    return list(product(*(range(-b, b + 1) for b in bounds)))
+
+
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
@@ -490,16 +497,6 @@ def _gauss_solve_rows(m: list[list[Fraction]], n: int) -> list[list[Fraction]]:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return m
-
-
-def _box_iter(bound: list[int]):
-    """All integer points with |x_k| <= bound[k]."""
-    if not bound:
-        yield ()
-        return
-    for rest in _box_iter(bound[1:]):
-        for v in range(-bound[0], bound[0] + 1):
-            yield (v,) + rest
 
 
 def _linear_extension(rs: RootSystem, members: list[Weight]) -> list[Weight]:

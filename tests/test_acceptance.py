@@ -23,7 +23,7 @@ import time
 import pytest
 
 from daha.qt import RatQT
-from daha.roots import root_system
+from daha.roots import root_system, weight_box
 from daha.polyring import QTLaurent, integral_form, laurent_to_text, specialize_dim
 from daha.hecke import (
     demazure_char,
@@ -44,13 +44,6 @@ from daha.orders import verify_order
 from daha.sl2 import cross_validate, daha_integral_form, fusion, graded_character, recursion_e
 
 R_T = RatQT.monomial(1, 0, 1)
-
-
-def _box(rs, bound):
-    out = [()]
-    for _ in range(rs.rank):
-        out = [w + (v,) for w in out for v in range(-bound, bound + 1)]
-    return out
 
 
 def _report(n, ok, detail, elapsed, budget):
@@ -158,7 +151,7 @@ def test_criterion_6_eigenvalues():
         rs = root_system(name)
         ms = mu_star(rs)
         n = 0
-        for lam in _box(rs, 4):
+        for lam in weight_box([4] * rs.rank):
             if len(rs.lower_set(lam)) > 40:
                 continue
             r = nonsym_e(rs, lam)
@@ -232,7 +225,7 @@ def test_criterion_9_weyl_specialization():
     detail = ""
     for name in ("A1", "A2"):
         rs = root_system(name)
-        doms = [lam for lam in _box(rs, 3) if rs.is_dominant(lam)]
+        doms = [lam for lam in weight_box([3] * rs.rank) if rs.is_dominant(lam)]
         for lam in doms:
             got = sym_p(rs, lam).subs_t_eq_q()
             want = weyl_character(rs, lam)

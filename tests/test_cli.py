@@ -46,6 +46,16 @@ class TestEVerb:
         assert lines[0] == "1: x"
         assert lines[1] == "0: 1"
 
+    def test_jobs_match_sequential(self, capsys):
+        # one dominant and one non-dominant weight: same lines, same stderr note
+        outs = []
+        for jobs in ("1", "2"):
+            assert run(["e", "--type", "A1", "--weight", "1", "-1", "--jobs", jobs]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0].out == outs[1].out
+        assert outs[0].err == outs[1].err
+        assert "not dominant" in outs[1].err
+
     def test_invalid_weight(self, capture):
         rc, _ = capture("e", "--type", "A1", "--weight", "banana")
         assert rc == 2

@@ -1,6 +1,7 @@
 """Demazure-Lusztig operators: frozen values, string-sum oracle, suites."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from daha.qt import QTPoly, RatQT, rat
 from daha.roots import root_system
@@ -173,3 +174,63 @@ class TestSuites:
         want = (demazure_op(A2, 1, f) - demazure_op(A2, 2, f)).scale(R_T)
         assert diff == want
         assert not diff.is_zero()
+
+
+# independent oracle: T_i checked against its defining identity, by products only
+
+ORACLE_TYPES = {name: root_system(name) for name in ("A1", "A2", "B2", "C2")}
+DENOMINATORS = [
+    QTPoly({(0, 0): 1, (1, 1): -1}),
+    QTPoly({(0, 0): 1, (1, 0): 1, (0, 1): 1}),
+    QTPoly({(0, 0): 2, (1, 2): -1}),
+    QTPoly({(0, 1): 1, (0, 0): -1}),
+]
+small_polys = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-5, 5), min_size=1, max_size=3
+).map(QTPoly).filter(lambda p: not p.is_zero())
+
+
+@st.composite
+def hecke_inputs(draw, rational):
+    rs = ORACLE_TYPES[draw(st.sampled_from(sorted(ORACLE_TYPES)))]
+    i = draw(st.integers(0, rs.rank))
+    weights = st.tuples(*[st.integers(-3, 3)] * rs.rank)
+    terms = {w: rat(p) for w, p in draw(st.dictionaries(weights, small_polys, min_size=1, max_size=4)).items()}
+    if rational:
+        w = draw(st.sampled_from(sorted(terms)))
+        terms[w] = terms[w] / rat(draw(st.sampled_from(DENOMINATORS)))
+    return rs, i, QTLaurent(rs, terms)
+
+
+def _const(rs, c):
+    return QTLaurent.mono(rs, rs.zero(), c)
+
+
+def _reflected(rs, i, f):
+    """s_i f, with the level-zero twist q^{<theta^vee, mu>} e^{s_theta mu} at i = 0."""
+    out = QTLaurent.zero(rs)
+    for mu, c in f.terms.items():
+        if i == 0:
+            out = out + QTLaurent.mono(rs, rs.s_theta(mu), c * RatQT.monomial(1, rs.theta_pair(mu), 0))
+        else:
+            out = out + QTLaurent.mono(rs, rs.reflect(i, mu), c)
+    return out
+
+
+def _x_alpha(rs, i):
+    if i == 0:
+        return QTLaurent.mono(rs, tuple(-c for c in rs.theta()), RatQT.monomial(1, 1, 0))
+    return QTLaurent.mono(rs, rs.simple_root(i))
+
+
+@pytest.mark.parametrize("rational", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dl_op_defining_identity(rational, data):
+    # (X^{alpha_i} - 1)(T_i f - t s_i f) = (t - 1)(s_i f - f), and T_i^{-1} T_i = 1
+    rs, i, f = data.draw(hecke_inputs(rational))
+    t, one = _const(rs, R_T), QTLaurent.one(rs)
+    sf = _reflected(rs, i, f)
+    lhs = (_x_alpha(rs, i) - one) * (dl_op(rs, i, f) - t * sf)
+    assert lhs == (t - one) * (sf - f)
+    assert dl_inv(rs, i, dl_op(rs, i, f)) == f
