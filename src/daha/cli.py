@@ -119,7 +119,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_order(args) -> int:
     rs = root_system(args.type)
-    a, b = _parse_weight(args.a), _parse_weight(args.b)
+    a, b = rs.check_weight(_parse_weight(args.a)), rs.check_weight(_parse_weight(args.b))
     print(rs.cherednik_cmp(a, b))
     return 0
 
@@ -229,7 +229,7 @@ def run(argv: list[str] | None = None) -> int:
             return _cmd_demazure(args)
         if args.verb == "sl2":
             return _cmd_sl2(args)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, ZeroDivisionError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

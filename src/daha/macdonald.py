@@ -260,8 +260,7 @@ def nonsym_e(rs: RootSystem, lam: Weight) -> EigenResult:
     (recorded in the result); the degenerate-spectrum error is raised only
     when every candidate collides.
     """
-    lam = tuple(lam)
-    return _nonsym_e_cached(rs.name, lam)
+    return _nonsym_e_cached(rs.name, rs.check_weight(lam))
 
 
 @lru_cache(maxsize=None)
@@ -381,7 +380,7 @@ def eigen_check(rs: RootSystem, lam: Weight, mu: CorootVec, result: EigenResult 
 
 def sym_p(rs: RootSystem, lam: Weight) -> QTLaurent:
     """Symmetric Macdonald polynomial: symmetrize E_lam, normalize the e^lam coefficient."""
-    lam = tuple(lam)
+    lam = rs.check_weight(lam)
     if not rs.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     r = nonsym_e(rs, lam)

@@ -23,112 +23,78 @@ from __future__ import annotations
 from .hecke import RelationReport, y_op
 from .macdonald import mu_star
 from .polyring import QTLaurent
-from .roots import EQUAL, GREATER, LESS, RootSystem, Weight, weight_box
+from .roots import EQUAL, GREATER, LESS, RootSystem, weight_box
 
 
 def verify_order(rs: RootSystem, bound: int, max_lower: int = 60) -> RelationReport:
     report = RelationReport(f"Cherednik order properties for {rs.name}, box {bound}")
     box = weight_box([bound] * rs.rank)
-    cmp: dict[tuple[Weight, Weight], str] = {}
-    for a in box:
-        for b in box:
-            cmp[a, b] = rs.cherednik_cmp(a, b)
+    cmp = {(a, b): rs.cherednik_cmp(a, b) for a in box for b in box}
 
-    bad = ""
-    for a in box:
-        if cmp[a, a] != EQUAL:
-            bad = f"reflexivity fails at {a}"
-            break
-        for b in box:
-            if a != b and cmp[a, b] == EQUAL:
-                bad = f"antisymmetry fails at {a}, {b}"
-                break
-            if cmp[a, b] == LESS and cmp[b, a] != GREATER:
-                bad = f"asymmetry fails at {a}, {b}"
-                break
-        if bad:
-            break
-    report.record(f"antisymmetry on {len(box)} weights", not bad, bad)
+    def antisymmetry():
+        for a in box:
+            if cmp[a, a] != EQUAL:
+                yield f"reflexivity fails at {a}"
+            for b in box:
+                if a != b and cmp[a, b] == EQUAL:
+                    yield f"antisymmetry fails at {a}, {b}"
+                if cmp[a, b] == LESS and cmp[b, a] != GREATER:
+                    yield f"asymmetry fails at {a}, {b}"
 
-    bad = ""
-    lesses: dict[Weight, list[Weight]] = {a: [] for a in box}
-    for (a, b), v in cmp.items():
-        if v == LESS:
-            lesses[a].append(b)
-    for a in box:
-        for b in lesses[a]:
-            for c in lesses[b]:
-                if cmp[a, c] != LESS:
-                    bad = f"transitivity fails at {a} < {b} < {c}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    report.record("transitivity", not bad, bad)
+    report.first_failure(f"antisymmetry on {len(box)} weights", antisymmetry())
+
+    lesses = {a: [b for b in box if cmp[a, b] == LESS] for a in box}
+    report.first_failure("transitivity", (
+        f"transitivity fails at {a} < {b} < {c}"
+        for a in box for b in lesses[a] for c in lesses[b] if cmp[a, c] != LESS))
 
     directions = [(i, rs.simple_root(i)) for i in range(1, rs.rank + 1)]
     if rs.irreducible:
         directions.append((0, rs.theta()))
 
-    bad = ""
-    for lam in box:
-        strict = set(rs.lower_set(lam)) - {lam}
-        for mu in strict:
-            for i, step in directions:
-                m = 1
-                while True:
-                    end = tuple(a - m * b for a, b in zip(mu, step))
-                    if end not in strict:
-                        break
-                    m += 1
-                for c in range(1, m):
-                    mid = tuple(a - c * b for a, b in zip(mu, step))
-                    if mid not in strict:
-                        bad = f"string gap at lam={lam}, mu={mu}, i={i}, c={c}"
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    report.record("root-string convexity of strict lower sets", not bad, bad)
+    def string_gaps():
+        for lam in box:
+            strict = set(rs.lower_set(lam)) - {lam}
+            for mu in strict:
+                for i, step in directions:
+                    m = 1
+                    while tuple(a - m * b for a, b in zip(mu, step)) in strict:
+                        m += 1
+                    for c in range(1, m):
+                        if tuple(a - c * b for a, b in zip(mu, step)) not in strict:
+                            yield f"string gap at lam={lam}, mu={mu}, i={i}, c={c}"
 
-    bad = ""
+    report.first_failure("root-string convexity of strict lower sets", string_gaps())
+
     affine_set = (0,) if rs.rank == 1 and rs.irreducible else ()
-    for lam in box:
-        ls = set(rs.lower_set(lam))
-        for i in tuple(range(1, rs.rank + 1)) + affine_set:
-            si_lam = rs.reflect_affine(i, lam)
-            reflected = {rs.reflect_affine(i, mu) for mu in ls}
-            if rs.cherednik_cmp(lam, si_lam) in (LESS, EQUAL):
-                target = set(rs.lower_set(si_lam))
-                if not (reflected <= target and ls <= target):
-                    bad = f"raising reflection fails at lam={lam}, i={i}"
-                    break
-            else:
-                if not reflected <= ls:
-                    bad = f"lowering reflection fails at lam={lam}, i={i}"
-                    break
-        if bad:
-            break
-    scope = "finite + affine" if affine_set else "finite"
-    report.record(f"reflection compatibility of lower sets ({scope} indices)", not bad, bad)
 
-    bad = ""
-    checked = 0
+    def reflection_failures():
+        for lam in box:
+            ls = set(rs.lower_set(lam))
+            for i in tuple(range(1, rs.rank + 1)) + affine_set:
+                si_lam = rs.reflect_affine(i, lam)
+                reflected = {rs.reflect_affine(i, mu) for mu in ls}
+                if rs.cherednik_cmp(lam, si_lam) in (LESS, EQUAL):
+                    target = set(rs.lower_set(si_lam))
+                    if not (reflected <= target and ls <= target):
+                        yield f"raising reflection fails at lam={lam}, i={i}"
+                elif not reflected <= ls:
+                    yield f"lowering reflection fails at lam={lam}, i={i}"
+
+    scope = "finite + affine" if affine_set else "finite"
+    report.first_failure(f"reflection compatibility of lower sets ({scope} indices)", reflection_failures())
+
     if rs.irreducible:
         mstar = mu_star(rs)
-        for lam in box:
-            ls = rs.lower_set(lam)
-            if len(ls) > max_lower:
-                continue
-            checked += 1
-            allowed = set(ls)
-            img = y_op(rs, mstar, QTLaurent.mono(rs, lam))
-            if not set(img.support()) <= allowed:
-                bad = f"Y-image of e^{lam} escapes its lower set"
-                break
-        report.record(f"Y-operator closure of lower sets ({checked} weights)", not bad, bad)
+        checked = []
+
+        def escapes():
+            for lam in box:
+                ls = rs.lower_set(lam)
+                if len(ls) <= max_lower:
+                    checked.append(lam)
+                    if not set(y_op(rs, mstar, QTLaurent.mono(rs, lam)).support()) <= set(ls):
+                        yield f"Y-image of e^{lam} escapes its lower set"
+
+        report.first_failure(lambda: f"Y-operator closure of lower sets ({len(checked)} weights)", escapes())
     return report

@@ -94,12 +94,6 @@ class QTLaurent:
                     out[w] = s
         return QTLaurent(self.rs, out)
 
-    def shift_weight(self, lam: Weight) -> "QTLaurent":
-        """Multiply by e^lam."""
-        return QTLaurent(
-            self.rs, {tuple(a + b for a, b in zip(w, lam)): c for w, c in self.terms.items()}
-        )
-
     def map_weights(self, fn) -> "QTLaurent":
         out: dict[Weight, RatQT] = {}
         for w, c in self.terms.items():
@@ -187,7 +181,7 @@ def laurent_to_json(f: QTLaurent) -> dict:
 def laurent_from_json(rs: RootSystem, data: Mapping) -> QTLaurent:
     return QTLaurent(
         rs,
-        {tuple(t["weight"]): ratqt_from_json(t["coeff"]) for t in data["terms"]},
+        {rs.check_weight(t["weight"]): ratqt_from_json(t["coeff"]) for t in data["terms"]},
     )
 
 

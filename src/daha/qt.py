@@ -103,10 +103,6 @@ class QTPoly:
                 return 1
         return g
 
-    def lex_least_term(self) -> tuple[Term, int]:
-        k = min(self.terms)
-        return k, self.terms[k]
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "QTPoly") -> "QTPoly":
@@ -210,9 +206,6 @@ class QTPoly:
 
     def sorted_terms(self) -> list[tuple[Term, int]]:
         return sorted(self.terms.items())
-
-    def key(self) -> tuple:
-        return tuple(sorted(self.terms.items()))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -650,10 +643,6 @@ class RatQT:
         return cls(QTPoly.const(c), ONE_P, _reduced=True)
 
     @classmethod
-    def from_fraction(cls, f: Fraction) -> "RatQT":
-        return cls(QTPoly.const(f.numerator), QTPoly.const(f.denominator))
-
-    @classmethod
     def monomial(cls, c: int, dq: int, dt: int) -> "RatQT":
         return cls(QTPoly.monomial(c, dq, dt), ONE_P, _reduced=True)
 
@@ -799,8 +788,6 @@ def _reduce(num: QTPoly, den: QTPoly) -> tuple[QTPoly, QTPoly]:
 
 R_ZERO = RatQT.from_int(0)
 R_ONE = RatQT.from_int(1)
-R_T = RatQT.monomial(1, 0, 1)
-R_Q = RatQT.monomial(1, 1, 0)
 
 
 def rat(num: QTPoly | int, den: QTPoly | int = 1) -> RatQT:

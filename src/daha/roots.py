@@ -124,6 +124,13 @@ class RootSystem:
     def sub(self, a: Weight, b: Weight) -> Weight:
         return tuple(x - y for x, y in zip(a, b))
 
+    def check_weight(self, lam: Sequence[int]) -> Weight:
+        """lam as a tuple; ValueError unless it has one coordinate per simple root."""
+        lam = tuple(lam)
+        if len(lam) != self.rank:
+            raise ValueError(f"weight {lam} has length {len(lam)}, but {self.name} has rank {self.rank}")
+        return lam
+
     def zero(self) -> Weight:
         return (0,) * self.rank
 
@@ -159,14 +166,16 @@ class RootSystem:
 
     def theta(self) -> Weight:
         """Highest root, weight coordinates (irreducible types only)."""
-        if not self.irreducible:
-            raise ValueError(f"{self.name} is reducible: no highest root")
-        rc, wc = max(self.positive_roots(), key=lambda p: sum(p[0]))
-        return wc
+        return self._highest_root()[1]
 
     def theta_root_coords(self) -> tuple[int, ...]:
-        rc, wc = max(self.positive_roots(), key=lambda p: sum(p[0]))
-        return rc
+        """Highest root, simple-root coordinates (irreducible types only)."""
+        return self._highest_root()[0]
+
+    def _highest_root(self) -> tuple[tuple[int, ...], Weight]:
+        if not self.irreducible:
+            raise ValueError(f"{self.name} is reducible: no highest root")
+        return max(self.positive_roots(), key=lambda p: sum(p[0]))
 
     def theta_coroot(self) -> CorootVec:
         """theta^vee in the simple-coroot basis."""
@@ -428,9 +437,6 @@ class RootSystem:
                 return GREATER
         return INCOMPARABLE
 
-    def cherednik_leq(self, lam: Weight, mu: Weight) -> bool:
-        return self.cherednik_cmp(lam, mu) in (LESS, EQUAL)
-
     def lower_set(self, lam: Weight) -> list[Weight]:
         """P[<= lam] in the Cherednik order, sorted by a fixed linear extension."""
         key = ("lower", lam)
@@ -478,6 +484,8 @@ def root_system(name: str) -> RootSystem:
 
 def weight_box(bounds: Sequence[int]) -> list[Weight]:
     """All integer points with |x_k| <= bounds[k], in lexicographic order."""
+    if any(b < 0 for b in bounds):
+        raise ValueError(f"negative box bound in {list(bounds)}")
     return list(product(*(range(-b, b + 1) for b in bounds)))
 
 

@@ -723,6 +723,8 @@ class CrossValidation:
 def cross_validate(k_max: int, depth: int = 6) -> list[CrossValidation]:
     """Fusion supercharacter == filtration recursion == operator integral form, plus
     dimensions 4^k, independence of the deformation parameters, and eigenvalue patterns."""
+    if k_max < 1:
+        raise ValueError("k must be positive")
     rs = root_system("A1")
     out = []
     for k in range(1, k_max + 1):

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from daha.qt import QTPoly, RatQT, rat
 from daha.roots import root_system
 from daha.polyring import QTLaurent
+from daha import hecke
 from daha.hecke import (
+    RelationReport,
     demazure_char,
     demazure_op,
     dl_inv,
@@ -147,10 +149,8 @@ class TestSuites:
 
     def test_relation_example_xshift(self):
         # X^w T_1 x = 1 = t T_1^{-1} X^{-w} x on the nose
-        from daha.hecke import x_op
-
-        lhs = x_op(A1, (1,), 0, dl_op(A1, 1, x(1)))
-        rhs = dl_inv(A1, 1, x_op(A1, (-1,), 0, x(1))).scale(R_T)
+        lhs = QTLaurent.mono(A1, (1,)) * dl_op(A1, 1, x(1))
+        rhs = dl_inv(A1, 1, QTLaurent.mono(A1, (-1,)) * x(1)).scale(R_T)
         assert lhs == QTLaurent.one(A1)
         assert rhs == QTLaurent.one(A1)
 
@@ -234,3 +234,63 @@ def test_dl_op_defining_identity(rational, data):
     lhs = (_x_alpha(rs, i) - one) * (dl_op(rs, i, f) - t * sf)
     assert lhs == (t - one) * (sf - f)
     assert dl_inv(rs, i, dl_op(rs, i, f)) == f
+
+
+# the suites are not vacuous: a wrong T_i makes each of them fail, at a known first counterexample
+
+def _t_dropped_term(real_t):
+    def t_op(rs, i, f):
+        """T_i without the k = 1 string term (1 - t) X^{-alpha_i} e^mu wherever <alpha_i^vee, mu> >= 2."""
+        step_w, step_q = hecke._alpha_step(rs, i)
+        dropped = {mu: c for mu, c in f.items() if hecke._pairing(rs, i, mu) >= 2}
+        return hecke._comb((real_t(rs, i, f), 0, 0, 1, 0),
+                           (hecke._shift(dropped, tuple(-a for a in step_w), -step_q), 0, 0, -1, 1))
+    return t_op
+
+
+class TestMutation:
+    @pytest.fixture
+    def mutated(self, monkeypatch):
+        monkeypatch.setattr(hecke, "_t", _t_dropped_term(hecke._t))
+
+    def test_relations_fail(self, mutated):
+        report = verify_relations(A2, 1)
+        assert not report.passed
+        assert report.lines()[0] == "FAIL quadratic i=0 (9 monomials): counterexample e^(-1, -1)"
+        assert "FAIL braid i=0 j=1 m=3: counterexample e^(1, 1)" in report.lines()
+        assert "FAIL x-shift i=0 (2 weights): counterexample lam=(-1, 0) e^(-1, -1)" in report.lines()
+
+    def test_demazure_fails(self, mutated):
+        assert verify_demazure(A2, 2).lines() == [
+            "FAIL classical (t=0) word independence (9 dominant weights): "
+            "words (1, 2, 1) vs (2, 1, 2) differ at lam=(0, 2)",
+            "FAIL defect-corrected word comparison (parabolic character): "
+            "braid defect identity fails for (1,2) at e^(-2, -2)",
+            "FAIL D_i^2 = (1+t) D_i on the box: i=1 at e^(-2, -2)",
+        ]
+
+    def test_symmetrizer_fails(self, mutated):
+        lines = verify_symmetrizer(A2, 1).lines()
+        assert lines[0] == "FAIL T_i P = P T_i = t P (9 monomials): T_1 P at e^(-1, -1)"
+        assert lines[3] == "FAIL commutes with multiplication by m_mu: m_(0, 1) does not commute at e^(-1, -1)"
+
+    def test_unmutated_suites_pass(self):
+        assert verify_relations(A2, 1).passed
+        assert verify_demazure(A2, 2).passed
+        assert verify_symmetrizer(A2, 1).passed
+
+
+class TestFirstFailure:
+    def test_stops_after_first_failure(self):
+        drawn = []
+        report = RelationReport("t")
+        report.first_failure("check", (f"bad {k}" for k in range(10) if drawn.append(k) or k >= 2))
+        assert drawn == [0, 1, 2]
+        assert report.lines() == ["FAIL check: bad 2"]
+
+    def test_pass_and_late_name(self):
+        seen = []
+        report = RelationReport("t")
+        report.first_failure(lambda: f"check ({len(seen)} items)", (k for k in range(3) if seen.append(k)))
+        assert report.passed
+        assert report.lines() == ["PASS check (3 items)"]
