@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -204,6 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("-k", type=int, default=2)
     ps.add_argument("--format", choices=("text", "json", "latex"), default="text")
 
+    # argparse takes a token for a value only if it looks like a negative number such as -1;
+    # widen that to comma lists such as -1,0, so negative weights parse in every option
+    for parser in (ap, *sub.choices.values()):
+        parser._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$")
     return ap
 
 

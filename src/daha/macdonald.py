@@ -231,6 +231,7 @@ def y_matrix(rs: RootSystem, lam: Weight, mu: CorootVec | None = None) -> tuple[
     """Matrix of Y^mu on the span of the lower set of lam (columns = images)."""
     basis = rs.lower_set(lam)
     index = {w: k for k, w in enumerate(basis)}
+    keys = [rs.order_key(w) for w in basis]
     mstar = mu_star(rs) if mu is None else mu
     n = len(basis)
     mat = [[R_ZERO] * n for _ in range(n)]
@@ -242,8 +243,7 @@ def y_matrix(rs: RootSystem, lam: Weight, mu: CorootVec | None = None) -> tuple[
                 raise OrderViolationError(
                     f"Y e^{nu} has weight {w} outside the lower set of {lam}"
                 )
-            cmp = rs.cherednik_cmp(w, nu)
-            if cmp not in (LESS, EQUAL):
+            if rs.compare_keys(keys[i], keys[j]) not in (LESS, EQUAL):
                 raise OrderViolationError(
                     f"Y e^{nu} has weight {w} not below {nu} in the order"
                 )

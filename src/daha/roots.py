@@ -18,20 +18,36 @@ The module also implements the three partial orders on the weight lattice
 (dominance, the W-orbit-comparison order, and the Cherednik order used for
 triangularity of nonsymmetric Macdonald polynomials), finite lower sets, and
 reduced words for translation elements of the affine Weyl group.
+
+Integer root coordinates.  The simple-root coordinates of lam are A^{-1} lam.
+Each RootSystem stores (root_den, root_mat) = (D, M) with M = D A^{-1} an
+integer matrix and D > 0 least, so the orders run on the integer vector M lam:
+"divisible by D" means "in the root lattice" and sign tests replace rational
+comparisons.  The Cherednik order reads a weight only through its order key
+(M lam_-, M lam), lam_- the antidominant representative: lam < mu iff either
+lam_- != mu_- and M lam_- - M mu_- is >= 0 and divisible by D, or lam_- = mu_-
+and M lam >= M mu (one orbit lies in one coset of the root lattice).
+
+Lower-set contract.  lower_set(lam) lists P[<= lam] in the lexicographically
+least linear extension of the Cherednik order: at each step the least weight
+(as a tuple) all of whose predecessors are already listed.  Inside a lower set
+every weight lies in lam + Q, so no divisibility test is needed there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import product
-from math import gcd as _math_gcd
+from math import gcd, lcm
 from typing import Sequence
 
 
 Weight = tuple[int, ...]
 CorootVec = tuple[int, ...]
 WeylWord = tuple[int, ...]
+OrderKey = tuple[tuple[int, ...], tuple[int, ...]]  # (M lam_-, M lam)
 
 LESS, GREATER, EQUAL, INCOMPARABLE = "less", "greater", "equal", "incomparable"
 
@@ -64,6 +80,7 @@ class RootSystem:
         self.name = name.upper()
         self.cartan = cartan
         self.rank = len(cartan)
+        self._simple_roots = tuple(zip(*cartan))  # alpha_i is column i of the Cartan matrix
         self.irreducible = key != "A1XA1"
         # symmetrizers d_i with d_i A_ij = d_j A_ji, smallest positive integers
         d: list[Fraction | None] = [None] * self.rank
@@ -77,19 +94,16 @@ class RootSystem:
                         d[j] = d[i] * cartan[i][j] / cartan[j][i]
                         changed = True
         d = [Fraction(1) if x is None else x for x in d]
-        denom = 1
-        for x in d:
-            denom = denom * x.denominator // _math_gcd(denom, x.denominator)
+        denom = lcm(*(x.denominator for x in d))
         ints = [int(x * denom) for x in d]
-        g = 0
-        for x in ints:
-            g = _math_gcd(g, x)
-        self.d = tuple(x // g for x in ints)
+        self.d = tuple(x // gcd(*ints) for x in ints)
         assert all(
             self.d[i] * cartan[i][j] == self.d[j] * cartan[j][i]
             for i in range(self.rank)
             for j in range(self.rank)
         )
+        # integer root coordinates: M = D A^{-1} with D > 0 least, so M lam = D A^{-1} lam
+        self.root_den, self.root_mat = _scaled_inverse(cartan)
         self._caches: dict = {}
 
     def __repr__(self):
@@ -98,8 +112,8 @@ class RootSystem:
     # -- basic lattice maps --------------------------------------------------
 
     def simple_root(self, i: int) -> Weight:
-        """alpha_i in fundamental-weight coordinates (column i of the Cartan matrix)."""
-        return tuple(self.cartan[k][i - 1] for k in range(self.rank))
+        """alpha_i in fundamental-weight coordinates."""
+        return self._simple_roots[i - 1]
 
     def reflect(self, i: int, lam: Weight) -> Weight:
         """s_i(lam) = lam - <alpha_i^vee, lam> alpha_i for finite i in 1..r."""
@@ -112,11 +126,6 @@ class RootSystem:
     def coroot_pair(self, mu: CorootVec, lam: Weight) -> int:
         """<mu, lam> for mu in the simple-coroot basis."""
         return sum(m * l for m, l in zip(mu, lam))
-
-    def coroot_reflect(self, i: int, mu: CorootVec) -> CorootVec:
-        """s_i acting on the coroot lattice: mu - <mu, alpha_i> alpha_i^vee."""
-        m = sum(mu[k] * self.cartan[k][i - 1] for k in range(self.rank))
-        return tuple(mu[k] - m * (1 if k == i - 1 else 0) for k in range(self.rank))
 
     def add(self, a: Weight, b: Weight) -> Weight:
         return tuple(x + y for x, y in zip(a, b))
@@ -178,36 +187,11 @@ class RootSystem:
         return max(self.positive_roots(), key=lambda p: sum(p[0]))
 
     def theta_coroot(self) -> CorootVec:
-        """theta^vee in the simple-coroot basis."""
+        """theta^vee in the simple-coroot basis: theta is long, so theta^vee = sum_i c_i (d_i/d_max) alpha_i^vee."""
         if "theta_coroot" not in self._caches:
-            # follow the reflections that build theta from a simple root
-            target = self.theta()
-            for i in range(self.rank):
-                rc = tuple(1 if k == i else 0 for k in range(self.rank))
-                cv = rc
-                wc = self.simple_root(i + 1)
-                found = self._coroot_search(wc, cv, target)
-                if found is not None:
-                    self._caches["theta_coroot"] = found
-                    break
-            else:
-                raise AssertionError("highest root not in any simple-root orbit")
+            dmax = max(self.d)
+            self._caches["theta_coroot"] = tuple(c * d // dmax for c, d in zip(self.theta_root_coords(), self.d))
         return self._caches["theta_coroot"]
-
-    def _coroot_search(self, wc, cv, target):
-        seen = {wc: cv}
-        frontier = [(wc, cv)]
-        while frontier:
-            wc, cv = frontier.pop()
-            if wc == target:
-                return cv
-            for i in range(1, self.rank + 1):
-                wc2 = self.reflect(i, wc)
-                if wc2 not in seen:
-                    cv2 = self.coroot_reflect(i, cv)
-                    seen[wc2] = cv2
-                    frontier.append((wc2, cv2))
-        return None
 
     def theta_pair(self, lam: Weight) -> int:
         """<theta^vee, lam>."""
@@ -273,28 +257,23 @@ class RootSystem:
 
     def antidominant(self, lam: Weight) -> tuple[Weight, WeylWord]:
         """Antidominant representative and the minimal word u with u(lam) antidominant."""
-        letters = []
-        cur = lam
-        while True:
-            for i in range(1, self.rank + 1):
-                if cur[i - 1] > 0:
-                    cur = self.reflect(i, cur)
-                    letters.append(i)
-                    break
-            else:
-                return cur, tuple(reversed(letters))
+        return self._chamber(lam, 1)
 
     def dominant(self, lam: Weight) -> tuple[Weight, WeylWord]:
+        """Dominant representative and the minimal word u with u(lam) dominant."""
+        return self._chamber(lam, -1)
+
+    def _chamber(self, lam: Weight, sign: int) -> tuple[Weight, WeylWord]:
+        """Reflect away the first coordinate of the given sign until none is left."""
         letters = []
-        cur = lam
         while True:
             for i in range(1, self.rank + 1):
-                if cur[i - 1] < 0:
-                    cur = self.reflect(i, cur)
+                if sign * lam[i - 1] > 0:
+                    lam = self.reflect(i, lam)
                     letters.append(i)
                     break
             else:
-                return cur, tuple(reversed(letters))
+                return lam, tuple(reversed(letters))
 
     def apply_word(self, word: WeylWord, lam: Weight, affine: bool = False) -> Weight:
         """w(lam) for w given as a word, first letter applied last."""
@@ -319,8 +298,7 @@ class RootSystem:
     def weyl_elements(self) -> dict[tuple[Weight, ...], WeylWord]:
         """Map from element (images of the fundamental weights) to one reduced word."""
         if "weyl" not in self._caches:
-            fw = [tuple(1 if k == i else 0 for k in range(self.rank)) for i in range(self.rank)]
-            ident = tuple(fw)
+            ident = self.element_of_word(())
             out = {ident: ()}
             frontier = [ident]
             while frontier:
@@ -349,12 +327,8 @@ class RootSystem:
 
     def reduced_words(self, elt: tuple[Weight, ...]) -> list[WeylWord]:
         """All reduced words of a Weyl group element."""
-        n = len(self.weyl_elements()[elt])
-        if n == 0:
-            return [()]
         out = []
-        fw = [tuple(1 if k == i else 0 for k in range(self.rank)) for i in range(self.rank)]
-        ident = tuple(fw)
+        ident = self.element_of_word(())
 
         def rec(cur, prefix):
             k = len(self.weyl_elements()[cur])
@@ -372,39 +346,20 @@ class RootSystem:
 
     # -- lattice membership -------------------------------------------------------
 
-    def _cartan_inverse(self) -> list[list[Fraction]]:
-        if "cartan_inv" not in self._caches:
-            n = self.rank
-            m = [
-                [Fraction(self.cartan[i][j]) for j in range(n)]
-                + [Fraction(1 if i == j else 0) for j in range(n)]
-                for i in range(n)
-            ]
-            aug = [row[n:] for row in _gauss_solve_rows(m, n)]
-            self._caches["cartan_inv"] = aug
-        return self._caches["cartan_inv"]
-
-    def root_coords(self, lam: Weight) -> list[Fraction] | None:
-        """Coordinates of lam in the simple-root basis (always defined over Q)."""
-        inv = self._cartan_inverse()
-        n = self.rank
-        # lam = sum_j x_j alpha_j  <=>  coords = A^T? here alpha_j has coords column j,
-        # so lam_i = sum_j A_ij x_j and x = A^{-1} lam.
-        return [sum(inv[i][j] * lam[j] for j in range(n)) for i in range(n)]
+    def scaled_root_coords(self, lam: Weight) -> tuple[int, ...]:
+        """M lam: root_den times the simple-root coordinates of lam."""
+        return tuple(sum(m * l for m, l in zip(row, lam)) for row in self.root_mat)
 
     def in_root_lattice(self, lam: Weight) -> bool:
-        return all(x.denominator == 1 for x in self.root_coords(lam))
+        return all(x % self.root_den == 0 for x in self.scaled_root_coords(lam))
 
     def dominance_leq(self, lam: Weight, mu: Weight) -> bool:
         """lam <= mu in dominance order: mu - lam is a nonnegative integer sum of simple roots."""
-        x = self.root_coords(self.sub(mu, lam))
-        return all(c.denominator == 1 and c >= 0 for c in x)
+        return all(c >= 0 and c % self.root_den == 0 for c in self.scaled_root_coords(self.sub(mu, lam)))
 
     def in_hull(self, mu: Weight, lam_plus: Weight) -> bool:
         """mu lies in the convex hull of the W-orbit of the dominant weight lam_plus."""
-        mu_plus, _ = self.dominant(mu)
-        x = self.root_coords(self.sub(lam_plus, mu_plus))
-        return all(c >= 0 for c in x)
+        return all(c >= 0 for c in self.scaled_root_coords(self.sub(lam_plus, self.dominant(mu)[0])))
 
     # -- the three orders ---------------------------------------------------------
 
@@ -412,49 +367,49 @@ class RootSystem:
         """lam is strictly below mu in the orbit-comparison order."""
         lm = self.antidominant(lam)[0]
         mm = self.antidominant(mu)[0]
-        if lm == mm:
-            return False
-        x = self.root_coords(self.sub(lm, mm))
-        return all(c.denominator == 1 and c >= 0 for c in x)
+        return lm != mm and self.dominance_leq(mm, lm)
+
+    def order_key(self, lam: Weight) -> OrderKey:
+        """(M lam_-, M lam): everything the Cherednik order reads of lam."""
+        return self.scaled_root_coords(self.antidominant(lam)[0]), self.scaled_root_coords(lam)
+
+    def compare_keys(self, a: OrderKey, b: OrderKey) -> str:
+        """Compare two weights in the Cherednik order through their order keys."""
+        (am, av), (bm, bv) = a, b
+        if av == bv:
+            return EQUAL
+        if am == bm:  # one W-orbit, so one coset of the root lattice
+            diff = [x - y for x, y in zip(av, bv)]
+        else:
+            diff = [x - y for x, y in zip(am, bm)]
+            if any(x % self.root_den for x in diff):
+                return INCOMPARABLE
+        if all(x >= 0 for x in diff):
+            return LESS
+        if all(x <= 0 for x in diff):
+            return GREATER
+        return INCOMPARABLE
 
     def cherednik_cmp(self, lam: Weight, mu: Weight) -> str:
         """Compare lam and mu in the Cherednik order."""
         if lam == mu:
             return EQUAL
-        lm = self.antidominant(lam)[0]
-        mm = self.antidominant(mu)[0]
-        if lm == mm:
-            if self.dominance_leq(mu, lam):
-                return LESS
-            if self.dominance_leq(lam, mu):
-                return GREATER
-            return INCOMPARABLE
-        diff = self.root_coords(self.sub(lm, mm))
-        if all(c.denominator == 1 for c in diff):
-            if all(c >= 0 for c in diff):
-                return LESS
-            if all(c <= 0 for c in diff):
-                return GREATER
-        return INCOMPARABLE
+        return self.compare_keys(self.order_key(lam), self.order_key(mu))
 
     def lower_set(self, lam: Weight) -> list[Weight]:
-        """P[<= lam] in the Cherednik order, sorted by a fixed linear extension."""
+        """P[<= lam] in the Cherednik order, in its lexicographically least linear extension."""
         key = ("lower", lam)
         if key not in self._caches:
-            lam_plus, _ = self.dominant(lam)
-            bound = [0] * self.rank
-            for w in self.orbit(lam_plus):
-                for k in range(self.rank):
-                    bound[k] = max(bound[k], abs(w[k]))
-            members = []
-            for mu in weight_box(bound):
-                if not self.in_root_lattice(self.sub(mu, lam)):
-                    continue
-                if not self.in_hull(mu, lam_plus):
-                    continue
-                if self.cherednik_cmp(mu, lam) in (LESS, EQUAL):
-                    members.append(mu)
-            self._caches[key] = _linear_extension(self, members)
+            orbit = self.orbit(self.dominant(lam)[0])
+            top = self.order_key(lam)
+            keys = {}
+            # the lower set lies in the hull of the orbit, so in its bounding box
+            for mu in weight_box([max(abs(w[k]) for w in orbit) for k in range(self.rank)]):
+                if all((x - y) % self.root_den == 0 for x, y in zip(self.scaled_root_coords(mu), top[1])):
+                    k = self.order_key(mu)
+                    if self.compare_keys(k, top) in (LESS, EQUAL):
+                        keys[mu] = k
+            self._caches[key] = _linear_extension(keys)
         return self._caches[key]
 
     # -- affine Weyl group words ---------------------------------------------------
@@ -493,37 +448,43 @@ def weight_box(bounds: Sequence[int]) -> list[Weight]:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _gauss_solve_rows(m: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    """Row-reduce an n x 2n augmented matrix to [I | X] and return the rows."""
+def _scaled_inverse(cartan) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, M) with M = D A^{-1} integral and D > 0 least, by exact Gauss-Jordan on [A | I]."""
+    n = len(cartan)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(cartan)]
     for col in range(n):
         piv = next(r for r in range(col, n) if m[r][col] != 0)
         m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
+        m[col] = [x / m[col][col] for x in m[col]]
         for r in range(n):
             if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return m
+                m[r] = [x - m[r][col] * y for x, y in zip(m[r], m[col])]
+    den = lcm(*(x.denominator for row in m for x in row[n:]))
+    return den, tuple(tuple(int(x * den) for x in row[n:]) for row in m)
 
 
-def _linear_extension(rs: RootSystem, members: list[Weight]) -> list[Weight]:
-    """Topological sort compatible with the Cherednik order, lex tie-break."""
-    remaining = sorted(members)
-    below: dict[Weight, set[Weight]] = {m: set() for m in remaining}
-    for a in remaining:
-        for b in remaining:
-            if a != b and rs.cherednik_cmp(a, b) == LESS:
-                below[b].add(a)
+def _linear_extension(keys: dict[Weight, OrderKey]) -> list[Weight]:
+    """The lexicographically least linear extension of the Cherednik order on weights of one
+    root-lattice coset, given their order keys: Kahn's algorithm with a min-heap."""
+    succ: dict[Weight, list[Weight]] = {w: [] for w in keys}
+    indeg = dict.fromkeys(keys, 0)
+    for a, (am, av) in keys.items():
+        for b, (bm, bv) in keys.items():
+            if a != b and all(x >= y for x, y in (zip(av, bv) if am == bm else zip(am, bm))):
+                succ[a].append(b)
+                indeg[b] += 1
+    heap = [w for w, n in indeg.items() if not n]
+    heapify(heap)
     out = []
-    while remaining:
-        for m in remaining:
-            if not below[m] - set(out):
-                out.append(m)
-                remaining.remove(m)
-                break
-        else:
-            raise AssertionError("cycle in order relation")
+    while heap:
+        a = heappop(heap)
+        out.append(a)
+        for b in succ[a]:
+            indeg[b] -= 1
+            if not indeg[b]:
+                heappush(heap, b)
+    if len(out) != len(keys):
+        raise AssertionError("cycle in order relation")
     return out
 
 
@@ -540,11 +501,6 @@ class _AffElt:
         self.rs = rs
         self.mat = mat  # tuple of rows
         self.f = f      # tuple, linear functional in root coordinates
-
-    @classmethod
-    def identity(cls, rs: RootSystem) -> "_AffElt":
-        n = rs.rank
-        return cls(rs, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), (0,) * n)
 
     @classmethod
     def translation(cls, rs: RootSystem, mu: CorootVec) -> "_AffElt":

@@ -119,6 +119,31 @@ class TestOtherVerbs:
         rc, _ = capture()
         assert rc == 2
 
+    def test_verify_order_a3_box_2(self, capture):
+        # the s_3-fixed weight (-2,1,0) is checked by T_3 E = t E, not by a false set inclusion
+        rc, out = capture("verify", "order", "--type", "A3", "--bound", "2")
+        assert rc == 0
+        assert all(line.startswith("PASS") for line in out.splitlines()[1:]), out
+
+
+_A2_MONO = '{"terms": [{"weight": [1, 0], "coeff": {"num": [["1", 0, 0]], "den": [["1", 0, 0]]}}]}'
+
+# a weight with a negative first entry is a value, in a list and in a single-valued option
+NEGATIVE_WEIGHTS = [
+    (("e", "--type", "A2", "--weight", "0,1", "-1,0"),
+     "0,1: x_2\n-1,0: x_1^-1 + ((1-t)/(1-q*t))*x_2 + ((1-t)/(1-q*t))*x_1*x_2^-1"),
+    (("e", "--type", "A2", "--weight", "-1,0"), "x_1^-1 + ((1-t)/(1-q*t))*x_2 + ((1-t)/(1-q*t))*x_1*x_2^-1"),
+    (("e", "--type", "A2", "--weight=-1,0"), "x_1^-1 + ((1-t)/(1-q*t))*x_2 + ((1-t)/(1-q*t))*x_1*x_2^-1"),
+    (("demazure", "--type", "B2", "--word", "2", "--weight", "-1,2"), "x_1^-1*x_2^2 + (1-t) + x_1*x_2^-2"),
+    (("order", "cmp", "--type", "A2", "--a", "-1,0", "--b", "0,0"), "incomparable"),
+    (("y", "--type", "A2", "--mu", "-1,0", "--apply", _A2_MONO), "q*t*x_1"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", NEGATIVE_WEIGHTS, ids=[" ".join(a) for a, _ in NEGATIVE_WEIGHTS])
+def test_negative_weights_parse(capture, argv, expected):
+    assert capture(*argv) == (0, expected)
+
 
 # bad input: exit 2 with one `error:` line, never a traceback
 
@@ -160,19 +185,29 @@ def _mono_json(weight):
     return json.dumps({"terms": [{"weight": list(weight), "coeff": coeff}]})
 
 
+def _option(name, value, attached):
+    """--name=value, or --name value as two arguments."""
+    return [f"--{name}={value}"] if attached else [f"--{name}", value]
+
+
 _types = st.sampled_from(["A1", "A2", "B2", "A1xA1"])
 _weights = st.lists(st.integers(-1, 1), max_size=3)
 _words = st.lists(st.integers(0, 4), max_size=3)
 _subjects = st.sampled_from(["hecke", "braid", "xcommute", "symmetrizer", "order", "demazure"])
+_attached = st.booleans()
 _argvs = st.one_of(
     st.builds(lambda verb, t, w: [verb, "--type", t, f"--weight={_joined(w)}"],
               st.sampled_from(["e", "p"]), _types, _weights),
-    st.builds(lambda t, a, b: ["order", "cmp", "--type", t, f"--a={_joined(a)}", f"--b={_joined(b)}"],
-              _types, _weights, _weights),
-    st.builds(lambda t, word, w: ["demazure", "--type", t, f"--word={_joined(word)}", f"--weight={_joined(w)}"],
-              _types, _words, _weights),
-    st.builds(lambda t, mu, w: ["y", "--type", t, f"--mu={_joined(mu)}", "--apply", _mono_json(w)],
-              _types, _weights, _weights),
+    st.builds(lambda verb, t, ws: [verb, "--type", t, "--weight", *map(_joined, ws)],
+              st.sampled_from(["e", "p"]), _types, st.lists(_weights, min_size=1, max_size=3)),
+    st.builds(lambda t, a, b, at: ["order", "cmp", "--type", t,
+                                   *_option("a", _joined(a), at), *_option("b", _joined(b), at)],
+              _types, _weights, _weights, _attached),
+    st.builds(lambda t, word, w, at: ["demazure", "--type", t, f"--word={_joined(word)}",
+                                      *_option("weight", _joined(w), at)],
+              _types, _words, _weights, _attached),
+    st.builds(lambda t, mu, w, at: ["y", "--type", t, *_option("mu", _joined(mu), at), "--apply", _mono_json(w)],
+              _types, _weights, _weights, _attached),
     st.builds(lambda s, t, b: ["verify", s, "--type", t, f"--bound={b}"],
               _subjects, _types, st.integers(-1, 1)),
 )

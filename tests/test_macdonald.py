@@ -5,13 +5,17 @@ formulas (two-step Y applications and 2x2/3x3 triangular solves), then
 double-checked numerically at two rational points before freezing.
 """
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from daha.qt import QTPoly, RatQT, rat
 from daha.roots import root_system
 from daha.polyring import QTLaurent, integral_form, laurent_to_text, specialize_dim
 from daha.macdonald import (
     a1_integral_scalar,
+    classical_demazure,
     eigen_check,
     expected_eigen_exponents,
     monomial_expand,
@@ -127,6 +131,51 @@ class TestSupportTriangularity:
         allowed = set(r.basis)
         assert set(r.e_poly.support()) <= allowed
         assert r.e_poly.coeff(lam) == RatQT.from_int(1)
+
+
+def e_at_zero(rs, lam):
+    """E_lam at q = t = 0, as {weight: value}; every exponent must be nonnegative."""
+    def at_zero(p):
+        assert all(a >= 0 and b >= 0 for a, b in p.terms), p
+        return p.terms.get((0, 0), 0)
+
+    out = {}
+    for w, c in nonsym_e(rs, lam).e_poly.terms.items():
+        if value := Fraction(at_zero(c.num), at_zero(c.den)):
+            out[w] = value
+    return out
+
+
+def demazure_key(rs, lam):
+    """pi_w e^{lam_+} for the least w with w lam_+ = lam, along a reduced word of w, by the
+    t = 0 operator classical_demazure: no Hecke operator and no eigensolve."""
+    lam_plus, u = rs.dominant(lam)  # u lam = lam_+, so w = u^{-1}: its last letter acts first
+    f = QTLaurent.mono(rs, lam_plus)
+    for i in u:
+        f = classical_demazure(rs, i, f)
+    return {w: Fraction(c.num.terms[0, 0]) for w, c in f.terms.items()}
+
+
+_DEMAZURE_BOXES = {"A1": 6, "A2": 2, "B2": 2, "C2": 2, "A3": 1}
+
+
+@st.composite
+def _oracle_weights(draw):
+    name = draw(st.sampled_from(sorted(_DEMAZURE_BOXES)))
+    rs = root_system(name)
+    bound = _DEMAZURE_BOXES[name]
+    return rs, tuple(draw(st.lists(st.integers(-bound, bound), min_size=rs.rank, max_size=rs.rank)))
+
+
+class TestDemazureOracle:
+    """E_lam at q = t = 0 is the Demazure character (key polynomial) of lam."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_oracle_weights())
+    def test_e_at_zero_is_demazure_character(self, drawn):
+        rs, lam = drawn
+        assume(len(rs.lower_set(lam)) <= 40)
+        assert e_at_zero(rs, lam) == demazure_key(rs, lam)
 
 
 class TestSymmetric:

@@ -1,13 +1,23 @@
 """Weyl combinatorics: reflections, orders, lower sets, translation words."""
 
-import pytest
+from fractions import Fraction
+from math import lcm
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from daha.hecke import dl_op
+from daha.macdonald import nonsym_e
+from daha.orders import verify_order
+from daha.qt import RatQT
 from daha.roots import (
     EQUAL,
     GREATER,
     INCOMPARABLE,
     LESS,
+    RootSystem,
     root_system,
+    weight_box,
 )
 
 A1 = root_system("A1")
@@ -208,6 +218,135 @@ class TestOrderAxioms:
                     for c in box:
                         if rel[b, c] == LESS:
                             assert rel[a, c] == LESS
+
+
+class _FractionOrder:
+    """Reference for the integer kernel: the orders on Fraction simple-root coordinates,
+    and lower sets sorted by the pairwise lexicographically least topological sort."""
+
+    def __init__(self, rs):
+        n = rs.rank
+        m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+             for i, row in enumerate(rs.cartan)]
+        for col in range(n):
+            piv = next(r for r in range(col, n) if m[r][col])
+            m[col], m[piv] = m[piv], m[col]
+            m[col] = [x / m[col][col] for x in m[col]]
+            for r in range(n):
+                if r != col:
+                    m[r] = [x - m[r][col] * y for x, y in zip(m[r], m[col])]
+        self.rs = rs
+        self.inv = [row[n:] for row in m]
+
+    def root_coords(self, lam):
+        return [sum(a * b for a, b in zip(row, lam)) for row in self.inv]
+
+    def in_root_lattice(self, lam):
+        return all(x.denominator == 1 for x in self.root_coords(lam))
+
+    def dominance_leq(self, lam, mu):
+        return all(c.denominator == 1 and c >= 0 for c in self.root_coords(self.rs.sub(mu, lam)))
+
+    def in_hull(self, mu, lam_plus):
+        return all(c >= 0 for c in self.root_coords(self.rs.sub(lam_plus, self.rs.dominant(mu)[0])))
+
+    def macdonald_lhd(self, lam, mu):
+        lm, mm = self.rs.antidominant(lam)[0], self.rs.antidominant(mu)[0]
+        return lm != mm and self.dominance_leq(mm, lm)
+
+    def cherednik_cmp(self, lam, mu):
+        if lam == mu:
+            return EQUAL
+        lm, mm = self.rs.antidominant(lam)[0], self.rs.antidominant(mu)[0]
+        if lm == mm:
+            if self.dominance_leq(mu, lam):
+                return LESS
+            if self.dominance_leq(lam, mu):
+                return GREATER
+            return INCOMPARABLE
+        diff = self.root_coords(self.rs.sub(lm, mm))
+        if all(c.denominator == 1 for c in diff):
+            if all(c >= 0 for c in diff):
+                return LESS
+            if all(c <= 0 for c in diff):
+                return GREATER
+        return INCOMPARABLE
+
+    def lower_set(self, lam):
+        rs = self.rs
+        lam_plus = rs.dominant(lam)[0]
+        orbit = rs.orbit(lam_plus)
+        members = sorted(
+            mu for mu in weight_box([max(abs(w[k]) for w in orbit) for k in range(rs.rank)])
+            if self.in_root_lattice(rs.sub(mu, lam)) and self.in_hull(mu, lam_plus)
+            and self.cherednik_cmp(mu, lam) in (LESS, EQUAL))
+        below = {b: {a for a in members if self.cherednik_cmp(a, b) == LESS} for b in members}
+        out = []
+        while members:
+            m = next(m for m in members if below[m] <= set(out))
+            out.append(m)
+            members.remove(m)
+        return out
+
+
+_KERNEL_TYPES = ["A1", "A1xA1", "A2", "B2", "C2", "A3"]
+_REFERENCE = {name: _FractionOrder(root_system(name)) for name in _KERNEL_TYPES}
+
+
+@st.composite
+def _typed_weights(draw, count):
+    name = draw(st.sampled_from(_KERNEL_TYPES))
+    rank = root_system(name).rank
+    coord = st.integers(-4, 4)
+    return name, [tuple(draw(st.lists(coord, min_size=rank, max_size=rank))) for _ in range(count)]
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("name", _KERNEL_TYPES)
+    def test_scaled_inverse(self, name):
+        rs, ref = root_system(name), _REFERENCE[name]
+        assert rs.root_den == lcm(*(x.denominator for row in ref.inv for x in row))
+        assert rs.root_mat == tuple(tuple(int(x * rs.root_den) for x in row) for row in ref.inv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_typed_weights(2))
+    def test_matches_fraction_reference(self, drawn):
+        name, (a, b) = drawn
+        rs, ref = root_system(name), _REFERENCE[name]
+        assert list(rs.scaled_root_coords(a)) == [x * rs.root_den for x in ref.root_coords(a)]
+        assert rs.in_root_lattice(a) == ref.in_root_lattice(a)
+        assert rs.dominance_leq(a, b) == ref.dominance_leq(a, b)
+        assert rs.in_hull(a, rs.dominant(b)[0]) == ref.in_hull(a, rs.dominant(b)[0])
+        assert rs.macdonald_lhd(a, b) == ref.macdonald_lhd(a, b)
+        assert rs.cherednik_cmp(a, b) == ref.cherednik_cmp(a, b)
+        assert rs.compare_keys(rs.order_key(a), rs.order_key(b)) == ref.cherednik_cmp(a, b)
+
+    @pytest.mark.parametrize("name,bound", [("A1", 4), ("A2", 2), ("B2", 2), ("C2", 2), ("A3", 1)])
+    def test_lower_sets_match_pairwise_sort(self, name, bound):
+        # the weights of the e-table benchmark boxes, element for element
+        rs, ref = RootSystem(name), _REFERENCE[name]
+        for lam in weight_box([bound] * rs.rank):
+            assert rs.lower_set(lam) == ref.lower_set(lam), lam
+
+
+class TestVerifyOrder:
+    def test_string_gap_fails(self):
+        # a strict lower set {(-5,), (-1,)} of (3,) has a gap at (-3,) along alpha = (2,)
+        rs = RootSystem("A1")
+        real = rs.lower_set
+        rs.lower_set = lambda lam: [(-5,), (-1,), (3,)] if lam == (3,) else real(lam)
+        report = verify_order(rs, 3)
+        check = next(c for c in report.checks if c[0] == "root-string convexity of strict lower sets")
+        assert check[1:] == (False, "string gap at lam=(3,), mu=(-1,), i=1, c=1")
+
+    def test_fixed_point_identity_a3(self):
+        # lam = (-2,1,0) is s_3-fixed, yet its lower set holds alpha_3 and not -alpha_3:
+        # the check there is T_3 E_lam = t E_lam (the whole A3 box 2 suite is a CLI test)
+        rs, lam = root_system("A3"), (-2, 1, 0)
+        lower = rs.lower_set(lam)
+        assert (0, -1, 2) in lower and (0, 1, -2) not in lower
+        e = nonsym_e(rs, lam).cleared
+        assert dl_op(rs, 3, e) == e.scale(RatQT.monomial(1, 0, 1))
 
 
 class TestTranslationWords:
