@@ -5,11 +5,18 @@ E_lam is the unique element with unitriangular expansion
     E_lam = e^lam + sum over mu strictly below lam (Cherednik order)
 
 that is an eigenvector of Y^{mu*} for a fixed strictly dominant coroot vector
-mu*.  The triangular eigenproblem is solved exactly by back-substitution over
-Q(q, t): row i gives c_i = sum_{j > i} m_ij c_j / (y - m_ii).  Each c_j is kept
-as a numerator over a product of irreducible factors of the eigenvalue gaps; a
-row's sum is formed over the row's common factored denominator and reduced
-once, by exact division with those factors, so no gcd is ever computed.
+mu*.  For dominant lam the triangular eigenproblem is solved exactly by
+back-substitution over Q(q, t): row i gives c_i = sum_{j > i} m_ij c_j /
+(y - m_ii).  Each c_j is kept as a numerator over a product of irreducible
+factors of the eigenvalue gaps; a row's sum is formed over the row's common
+factored denominator and reduced once, by exact division with those factors,
+so no gcd is ever computed.
+
+Any other lam lies in the orbit of a dominant lam_+, and E_lam is reached from
+the solved E_{lam_+} by finite intertwiners, one T_i and one scalar per letter
+(Cherednik, Nonsymmetric Macdonald polynomials, IMRN 1995; Macdonald, Affine
+Hecke Algebras and Orthogonal Polynomials, ch. 5), with the same factored
+denominators and no eigensolve.
 
 Also here: the eigenvalue-exponent check, symmetric P_lam via the Cherednik
 symmetrizer, monomial expansion, and a classical Demazure-operator Weyl
@@ -24,7 +31,7 @@ from functools import lru_cache
 from .qt import ONE_P, QTPoly, R_ZERO, RatQT, ZERO_P, div_exact
 from .polyring import QTLaurent, orbit_sum
 from .roots import LESS, EQUAL, RootSystem, Weight, CorootVec, root_system
-from .hecke import strictly_dominant_coroot, symmetrizer, y_op
+from .hecke import _comb, _t, strictly_dominant_coroot, symmetrizer, y_op
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -254,17 +261,30 @@ def y_matrix(rs: RootSystem, lam: Weight, mu: CorootVec | None = None) -> tuple[
 def nonsym_e(rs: RootSystem, lam: Weight) -> EigenResult:
     """Nonsymmetric Macdonald polynomial with leading weight lam.
 
-    Solved from the triangular matrix of a Y-operator on the lower set.  If
-    the default operator has a repeated eigenvalue on the set, the solve
-    falls back to the deterministic asymmetric alternates of mu_candidates
-    (recorded in the result); the degenerate-spectrum error is raised only
-    when every candidate collides.
+    A dominant lam is solved from the triangular matrix of a Y-operator on
+    its lower set.  If the default operator has a repeated eigenvalue on the
+    set, the solve falls back to the deterministic asymmetric alternates of
+    mu_candidates (recorded in the result); the degenerate-spectrum error is
+    raised only when every candidate collides.  Any other lam is reached
+    from its dominant seed by intertwiners (see _walk), with the operator
+    picked by the same rule.
     """
     return _nonsym_e_cached(rs.name, rs.check_weight(lam))
 
 
 @lru_cache(maxsize=None)
 def _nonsym_e_cached(rs_name: str, lam: Weight) -> EigenResult:
+    rs = root_system(rs_name)
+    return _eigensolve(rs, lam) if rs.is_dominant(lam) else _walk(rs, lam)
+
+
+@lru_cache(maxsize=None)
+def _solve(rs_name: str, lam: Weight) -> tuple[list[Weight], tuple[_FactoredRat, ...], CorootVec, RatQT]:
+    """The triangular eigensolve: (basis, coefficients, operator, its eigenvalue).
+
+    Private state: the walk reads its seed from here, never from an
+    EigenResult that a caller holds.
+    """
     rs = root_system(rs_name)
     chosen = None
     for mu in mu_candidates(rs):
@@ -291,12 +311,72 @@ def _nonsym_e_cached(rs_name: str, lam: Weight) -> EigenResult:
             s = s + c.num * (mij.num * _cofactor(den, c.den))
         if not s.is_zero():
             coeffs[i] = _FactoredRat(s, den).div_gap(y.num - mat[i][i].num)
-    e = QTLaurent(rs, {basis[i]: coeffs[i].to_ratqt() for i in range(n)})
+    return basis, tuple(coeffs), chosen, y
+
+
+def _eigensolve(rs: RootSystem, lam: Weight) -> EigenResult:
+    """E_lam by the triangular eigensolve, for any lam: the walk's oracle."""
+    return _result(rs, lam, *_solve(rs.name, lam))
+
+
+def _walk(rs: RootSystem, lam: Weight) -> EigenResult:
+    """E_lam from the E of its dominant seed lam_+ by finite intertwiners, with no eigensolve.
+
+    With u lam = lam_+, the letters of u lead lam_+ up its orbit to lam; each
+    step mu -> s_i mu has <alpha_i^vee, mu> > 0 and is
+
+        E_{s_i mu} = T_i E_mu + (1 - t) / (1 - q^-a t^(1-b)) E_mu,
+
+    where q^a t^b is the eigenvalue of Y^{alpha_i^vee} on E_mu.  The state is
+    a kernel numerator over a factored denominator: each step multiplies
+    the numerator by the step's binomial and adds the binomial's
+    irreducible factors to the denominator, and each coefficient is reduced
+    once at the end, so no gcd is computed.  Support in the lower set, the
+    unit coefficient of e^lam and the residual check in _result certify the
+    answer, since the eigenvalue of lam is simple on the lower set.
+    """
+    lam_plus, u = rs.dominant(lam)
+    seed_basis, seed, _, _ = _solve(rs.name, lam_plus)
+    den = _common_den(c.den for c in seed)
+    f = {w: (c.num * _cofactor(den, c.den)).terms for w, c in zip(seed_basis, seed) if not c.is_zero()}
+    nu = lam_plus
+    for i in u:
+        assert nu[i - 1] > 0, "intertwiner step does not go up the orbit"
+        a, b = expected_eigen_exponents(rs, nu, tuple(int(k == i - 1) for k in range(rs.rank)))
+        sign, uq, ut, factors = _split_gap(QTPoly({(0, 0): 1, (-a, 1 - b): -1}))
+        ti = _t(rs, i, f)
+        # (1 - q^-a t^(1-b)) T_i f + (1 - t) f, divided by the unit sign q^uq t^ut of the binomial
+        f = _comb((ti, -uq, -ut, sign, 0), (ti, -a - uq, 1 - b - ut, -sign, 0), (f, -uq, -ut, sign, -sign))
+        for g in factors:
+            den[g] = den.get(g, 0) + 1
+        nu = rs.reflect(i, nu)
+    basis = rs.lower_set(lam)
+    if not f.keys() <= set(basis):
+        raise OrderViolationError(f"the intertwiners left the lower set of {lam}")
+    for mu in mu_candidates(rs):
+        exps = [expected_eigen_exponents(rs, w, mu) for w in basis]
+        if exps[-1] not in exps[:-1]:
+            break
+    else:
+        raise DegenerateSpectrumError(
+            f"all Y-candidates have colliding eigenvalues on the lower set of {lam}"
+        )
+    coeffs = tuple(_FactoredRat(QTPoly(f.get(w, {})), den).reduced() for w in basis)
+    if not coeffs[-1].to_ratqt().is_one():
+        raise AssertionError(f"the intertwiners lost the unit coefficient of e^{lam}")
+    return _result(rs, lam, basis, coeffs, mu, RatQT.monomial(1, *exps[-1]))
+
+
+def _result(rs: RootSystem, lam: Weight, basis: list[Weight], coeffs: tuple[_FactoredRat, ...],
+            chosen: CorootVec, y: RatQT) -> EigenResult:
+    """The EigenResult of E_lam = sum coeffs[i] e^basis[i], whose eigenvalue under Y^chosen is y,
+    after both exactness checks."""
+    e = QTLaurent(rs, {w: c.to_ratqt() for w, c in zip(basis, coeffs)})
     # clear denominators without any gcd: the factors are already known
     universe = _common_den(c.den for c in coeffs)
     clearing = _cofactor(universe, {})
     cleared = QTLaurent(rs, {
-        basis[i]: RatQT(c.num * _cofactor(universe, c.den), ONE_P, _reduced=True) for i, c in enumerate(coeffs)
+        w: RatQT(c.num * _cofactor(universe, c.den), ONE_P, _reduced=True) for w, c in zip(basis, coeffs)
     })
     # exactness: the operator residual must vanish identically (checked on the
     # polynomial form, which exercises the same Hecke word)
@@ -314,7 +394,7 @@ def _nonsym_e_cached(rs_name: str, lam: Weight) -> EigenResult:
     return EigenResult(
         e_poly=e,
         eigenvalue=eigenvalue,
-        basis=basis,
+        basis=list(basis),  # a copy: the lower set is cached on rs
         conjectural=not rs.is_dominant(lam),
         cleared=cleared,
         clearing=clearing,

@@ -153,6 +153,9 @@ BAD_INPUTS = [
     ("e", "--type", "A2", "--weight", "1"),
     ("e", "--type", "A1", "--weight", "1,0"),
     ("p", "--type", "A2", "--weight", "1"),
+    # E, P and Y need the highest root, which the reducible A1xA1 lacks
+    ("e", "--type", "A1xA1", "--weight", "0,0"),
+    ("p", "--type", "A1xA1", "--weight", "0,0"),
     ("order", "cmp", "--type", "A2", "--a", "1", "--b", "1,0"),
     ("order", "cmp", "--type", "A1", "--a", "1,3", "--b", "1"),
     ("demazure", "--type", "A2", "--word", "5", "--weight", "1,0"),

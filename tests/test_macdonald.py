@@ -10,10 +10,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from daha.qt import QTPoly, RatQT, rat
-from daha.roots import root_system
-from daha.polyring import QTLaurent, integral_form, laurent_to_text, specialize_dim
+from daha import macdonald
+from daha.qt import QTPoly, RatQT, poly_to_json, rat, ratqt_to_json
+from daha.roots import root_system, weight_box
+from daha.polyring import QTLaurent, integral_form, laurent_to_json, laurent_to_text, specialize_dim
 from daha.macdonald import (
+    DegenerateSpectrumError,
+    _eigensolve,
+    _walk,
     a1_integral_scalar,
     classical_demazure,
     eigen_check,
@@ -176,6 +180,83 @@ class TestDemazureOracle:
         rs, lam = drawn
         assume(len(rs.lower_set(lam)) <= 40)
         assert e_at_zero(rs, lam) == demazure_key(rs, lam)
+
+
+# every weight of the e-table boxes of the benchmark and of criterion 6
+_E_TABLE_BOXES = {"A1": 4, "A2": 2, "B2": 2, "C2": 2, "A3": 1}
+_CRITERION_6_BOX = 4
+
+
+def _non_dominant_weights(name):
+    rs = root_system(name)
+    lams = set(weight_box([_E_TABLE_BOXES[name]] * rs.rank))
+    if name in ("A1", "A2", "B2"):
+        lams |= {lam for lam in weight_box([_CRITERION_6_BOX] * rs.rank) if len(rs.lower_set(lam)) <= 40}
+    return sorted(lam for lam in lams if not rs.is_dominant(lam))
+
+
+def _fields(r):
+    """Every field of an EigenResult, in a form compared byte for byte (term order included)."""
+    return {
+        "e_poly": (laurent_to_json(r.e_poly), list(r.e_poly.terms)),
+        "cleared": (laurent_to_json(r.cleared), list(r.cleared.terms)),
+        "clearing": poly_to_json(r.clearing),
+        "eigenvalue": ratqt_to_json(r.eigenvalue),
+        "basis": r.basis,
+        "mu_used": r.mu_used,
+        "conjectural": r.conjectural,
+    }
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the E_lam caches before and after, so nothing computed here leaks into other tests."""
+    def clear():
+        macdonald._nonsym_e_cached.cache_clear()
+        macdonald._solve.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+class TestIntertwinerWalk:
+    """A non-dominant E_lam is walked up from its dominant seed; the eigensolver is the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(_E_TABLE_BOXES))
+    def test_walk_equals_eigensolve(self, name):
+        rs = root_system(name)
+        for lam in _non_dominant_weights(name):
+            assert _fields(nonsym_e(rs, lam)) == _fields(_eigensolve(rs, lam)), lam
+
+    @pytest.mark.parametrize("lam", [(-2, 2), (2, -2)])
+    def test_alternate_operator(self, lam):
+        # mu* collides on these lower sets, so the walk must record an alternate, as the eigensolver does
+        assert nonsym_e(A2, lam).mu_used != mu_star(A2)
+
+    def test_degenerate_where_the_eigensolver_is(self, monkeypatch, fresh_caches):
+        monkeypatch.setattr(macdonald, "mu_candidates", lambda rs, tries=7: iter([mu_star(rs)]))
+        raised = {}
+        for solve in (_walk, _eigensolve):
+            raised[solve] = set()
+            for lam in _non_dominant_weights("A2"):
+                try:
+                    solve(A2, lam)
+                except DegenerateSpectrumError:
+                    raised[solve].add(lam)
+        assert raised[_walk] == raised[_eigensolve]
+        assert {(-2, 2), (2, -2)} <= raised[_walk]
+
+    def test_mutated_seed_does_not_reach_the_walk(self, fresh_caches):
+        lam = (-2, 1)
+        expected = _fields(_eigensolve(A2, lam))
+        seed = nonsym_e(A2, A2.dominant(lam)[0])
+        for f in (seed.e_poly, seed.cleared):
+            for w in f.terms:
+                f.terms[w] = RatQT.from_int(7)
+            f.terms[(5, 5)] = RatQT.from_int(1)
+        seed.basis.reverse()
+        assert _fields(nonsym_e(A2, lam)) == expected
 
 
 class TestSymmetric:
