@@ -375,12 +375,6 @@ def _classical(rs: RootSystem, word: WeylWord, lam: Weight) -> dict[Weight, int]
     return {w: v for w, c in _dword(rs, word, _mono(lam)).items() if (v := c.get((0, 0)))}
 
 
-def demazure_char_classical(rs: RootSystem, word: WeylWord, lam: Weight) -> QTLaurent:
-    """The t = 0 slice of the iterated Demazure character (classical formula)."""
-    slice0 = _classical(rs, word, _checked(rs, word, lam))
-    return QTLaurent(rs, {w: RatQT.from_int(v) for w, v in slice0.items()})
-
-
 def verify_demazure(rs: RootSystem, bound: int) -> RelationReport:
     """Word comparison of iterated Demazure operators plus the quadratic law.
 

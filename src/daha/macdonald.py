@@ -25,7 +25,7 @@ character used as an independent specialization oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .qt import ONE_P, QTPoly, R_ZERO, RatQT, ZERO_P, div_exact
@@ -51,9 +51,9 @@ class EigenResult:
     # denominator-cleared companion: cleared = clearing * e_poly with polynomial
     # coefficients; operator identities are checked on this form, where the
     # Hecke action never needs a gcd
-    cleared: QTLaurent = None
-    clearing: QTPoly = None
-    mu_used: CorootVec = None  # which Y-operator pinned the solve
+    cleared: QTLaurent
+    clearing: QTPoly
+    mu_used: CorootVec  # which Y-operator pinned the solve
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +268,14 @@ def nonsym_e(rs: RootSystem, lam: Weight) -> EigenResult:
     raised only when every candidate collides.  Any other lam is reached
     from its dominant seed by intertwiners (see _walk), with the operator
     picked by the same rule.
+
+    Each call returns a fresh EigenResult (new term dicts and basis list), so
+    a caller that mutates it cannot change what later callers get.
     """
-    return _nonsym_e_cached(rs.name, rs.check_weight(lam))
+    r = _nonsym_e_cached(rs.name, rs.check_weight(lam))
+    e, cleared = r.e_poly, r.cleared
+    return replace(r, e_poly=QTLaurent(e.rs, e.terms), cleared=QTLaurent(cleared.rs, cleared.terms),
+                   basis=list(r.basis))
 
 
 @lru_cache(maxsize=None)
@@ -447,9 +453,7 @@ def eigen_check(rs: RootSystem, lam: Weight, mu: CorootVec, result: EigenResult 
     if t_exp < 0:
         return EigenCheck(False, q_exp, t_exp, "negative t-exponent")
     scalar = RatQT.monomial(1, q_exp, t_exp)
-    f = result.cleared if result.cleared is not None else result.e_poly
-    lhs = y_op(rs, mu, f)
-    if lhs != f.scale(scalar):
+    if y_op(rs, mu, result.cleared) != result.cleared.scale(scalar):
         return EigenCheck(False, q_exp, t_exp, "operator image is not the predicted multiple")
     return EigenCheck(True, q_exp, t_exp)
 
@@ -463,8 +467,7 @@ def sym_p(rs: RootSystem, lam: Weight) -> QTLaurent:
     lam = rs.check_weight(lam)
     if not rs.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    r = nonsym_e(rs, lam)
-    f = symmetrizer(rs, r.cleared if r.cleared is not None else r.e_poly)
+    f = symmetrizer(rs, nonsym_e(rs, lam).cleared)
     lead = f.coeff(lam)
     if lead.is_zero():
         raise AssertionError("symmetrization lost the leading weight")

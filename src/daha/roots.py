@@ -17,7 +17,10 @@ M(alpha_i^vee) = (d_max/d_i) alpha_i.
 The module also implements the three partial orders on the weight lattice
 (dominance, the W-orbit-comparison order, and the Cherednik order used for
 triangularity of nonsymmetric Macdonald polynomials), finite lower sets, and
-reduced words for translation elements of the affine Weyl group.
+reduced words for translation elements of the affine Weyl group.  The affine
+Weyl group has one implementation, its action on weights: a translation word is
+read off an alcove walk of rho back into the fundamental alcove, reflecting in
+the first separating wall in the order 0..r at each step (see translation_word).
 
 Integer root coordinates.  The simple-root coordinates of lam are A^{-1} lam.
 Each RootSystem stores (root_den, root_mat) = (D, M) with M = D A^{-1} an
@@ -415,20 +418,38 @@ class RootSystem:
     # -- affine Weyl group words ---------------------------------------------------
 
     def translation_word(self, mu: CorootVec) -> WeylWord:
-        """Reduced word over {0..r} for the translation by a dominant coroot vector (memoized per mu)."""
+        """Reduced word over {0..r} for the translation t_mu by a dominant coroot vector (memoized per mu).
+
+        An alcove walk at level L = <theta^vee, rho> + 1, where rho lies inside the fundamental
+        alcove: from y = t_{-mu} rho = rho - L M(mu), reflect y in the first wall, in the order
+        0..r, that separates it from the alcove (wall 0 when <theta^vee, y> > L, wall i when
+        y_i < 0) until y = rho; the letters, reversed, spell t_mu.
+        """
         key = ("translation", tuple(mu))
         if key not in self._caches:
             if len(mu) != self.rank:
                 raise ValueError("coroot vector has wrong rank")
-            pr = self.positive_roots()
-            pairings = [self.coroot_pair(mu, wc) for _, wc in pr]
+            pairings = [self.coroot_pair(mu, wc) for _, wc in self.positive_roots()]
             if any(p < 0 for p in pairings):
                 raise ValueError(f"{mu} is not dominant")
-            expected_len = sum(pairings)
-            word = _affine_greedy_word(self, mu) if expected_len else ()
-            if len(word) != expected_len:
+            letters = []
+            if any(pairings):
+                rho = (1,) * self.rank
+                level = self.theta_pair(rho) + 1
+                theta = self.theta()
+                y = self.sub(rho, tuple(level * c for c in self.translation_image(mu)))
+                while y != rho:
+                    h = self.theta_pair(y)
+                    if h > level:
+                        y = tuple(a + (level - h) * b for a, b in zip(y, theta))
+                        letters.append(0)
+                    else:
+                        i = next(i for i in range(1, self.rank + 1) if y[i - 1] < 0)
+                        y = self.reflect(i, y)
+                        letters.append(i)
+            if len(letters) != sum(pairings):
                 raise AssertionError("translation word has wrong length")
-            self._caches[key] = word
+            self._caches[key] = tuple(reversed(letters))
         return self._caches[key]
 
 
@@ -486,112 +507,3 @@ def _linear_extension(keys: dict[Weight, OrderKey]) -> list[Weight]:
     if len(out) != len(keys):
         raise AssertionError("cycle in order relation")
     return out
-
-
-class _AffElt:
-    """Element of the affine Weyl group via its action on affine roots.
-
-    An affine root is a pair (beta, n) with beta a finite root in simple-root
-    coordinates.  The element maps (beta, n) -> (mat . beta, n + f(beta)).
-    """
-
-    __slots__ = ("rs", "mat", "f")
-
-    def __init__(self, rs: RootSystem, mat, f):
-        self.rs = rs
-        self.mat = mat  # tuple of rows
-        self.f = f      # tuple, linear functional in root coordinates
-
-    @classmethod
-    def translation(cls, rs: RootSystem, mu: CorootVec) -> "_AffElt":
-        n = rs.rank
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        # t_mu : (beta, m) -> (beta, m - <mu, beta>)
-        f = tuple(-rs.coroot_pair(mu, rs.simple_root(j + 1)) for j in range(n))
-        return cls(rs, ident, f)
-
-    def is_identity(self) -> bool:
-        n = self.rs.rank
-        return self.f == (0,) * n and all(
-            self.mat[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
-        )
-
-    def apply(self, beta, m):
-        n = self.rs.rank
-        img = tuple(sum(self.mat[i][j] * beta[j] for j in range(n)) for i in range(n))
-        return img, m + sum(self.f[j] * beta[j] for j in range(n))
-
-    def mul_simple_right(self, i: int) -> "_AffElt":
-        """self * s_i (the action applies s_i first)."""
-        rs = self.rs
-        n = rs.rank
-        if i == 0:
-            smat, sf = _s0_root_action(rs)
-        else:
-            smat, sf = _si_root_action(rs, i)
-        mat = tuple(
-            tuple(sum(self.mat[r][k] * smat[k][c] for k in range(n)) for c in range(n))
-            for r in range(n)
-        )
-        f = tuple(sf[c] + sum(self.f[k] * smat[k][c] for k in range(n)) for c in range(n))
-        return _AffElt(rs, mat, f)
-
-
-def _si_root_action(rs: RootSystem, i: int):
-    """Matrix of s_i on root coordinates, plus zero delta-shift."""
-    n = rs.rank
-    mat = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            # s_i(alpha_c) = alpha_c - <alpha_i^vee, alpha_c> alpha_i
-            v = 1 if r == c else 0
-            if r == i - 1:
-                v -= rs.cartan[i - 1][c]
-            row.append(v)
-        mat.append(tuple(row))
-    return tuple(mat), (0,) * n
-
-
-def _s0_root_action(rs: RootSystem):
-    """s_0 on affine roots: (beta, n) -> (s_theta beta, n + <theta^vee, beta>)."""
-    n = rs.rank
-    th_rc = rs.theta_root_coords()
-    mat = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            v = 1 if r == c else 0
-            # s_theta(alpha_c) = alpha_c - <theta^vee, alpha_c> theta
-            v -= rs.theta_pair(rs.simple_root(c + 1)) * th_rc[r]
-            row.append(v)
-        mat.append(tuple(row))
-    f = tuple(rs.theta_pair(rs.simple_root(c + 1)) for c in range(n))
-    return tuple(mat), f
-
-
-def _affine_greedy_word(rs: RootSystem, mu: CorootVec) -> WeylWord:
-    """Reduced word for t_mu by greedy right-descent stripping."""
-    n = rs.rank
-    elt = _AffElt.translation(rs, mu)
-    collected = []
-    guard = 4 * (sum(rs.coroot_pair(mu, wc) for _, wc in rs.positive_roots()) + 1)
-    while not elt.is_identity():
-        guard -= 1
-        if guard < 0:
-            raise AssertionError("descent loop failed to terminate")
-        for i in range(0, n + 1):
-            if i == 0:
-                beta = tuple(-c for c in rs.theta_root_coords())
-                m0 = 1
-            else:
-                beta = tuple(1 if k == i - 1 else 0 for k in range(n))
-                m0 = 0
-            img, m = elt.apply(beta, m0)
-            if m < 0 or (m == 0 and all(c <= 0 for c in img)):
-                elt = elt.mul_simple_right(i)
-                collected.append(i)
-                break
-        else:
-            raise AssertionError("no descent found for non-identity element")
-    return tuple(reversed(collected))

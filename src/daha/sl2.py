@@ -41,6 +41,19 @@ _BRACKET = {
 }
 
 
+def _bracket(x: Generator, y: Generator) -> tuple[int, tuple[int, Generator] | None]:
+    """The super-bracket [x, y] = x y - sign y x as (sign, target): target (c, g) means c g, None means 0."""
+    (sx, ax, bx), (sy, ay, by) = x, y
+    sign = -1 if (bx and by) else 1
+    br = _BRACKET.get((sx, sy)) if bx + by <= 1 else None
+    if br is None:
+        return sign, None
+    c, sym = br
+    if sym == "f" and ax + ay == 0:
+        raise AssertionError("bracket escaping the algebra")
+    return sign, (c, (sym, ax + ay, bx + by))
+
+
 def generators(depth: int) -> list[Generator]:
     """All algebra generators with z-degree at most depth (no plain f)."""
     out = []
@@ -98,18 +111,7 @@ class FiniteRep:
                     raise AssertionError(f"bracket failure for {x}, {y}")
 
     def _bracket_ok(self, x: Generator, y: Generator) -> bool:
-        sx, ax, bx = x
-        sy, ay, by = y
-        sign = -1 if (bx and by) else 1
-        target = None
-        if bx + by <= 1:
-            br = _BRACKET.get((sx, sy))
-            if br is not None:
-                c, sym = br
-                a = ax + ay
-                if sym == "f" and a == 0:
-                    raise AssertionError("bracket escaping the algebra")
-                target = (c, (sym, a, bx + by))
+        sign, target = _bracket(x, y)
         for j in range(self.dim):
             v = {j: Fraction(1)}
             lhs = self.apply(x, self.apply(y, v))
@@ -302,12 +304,7 @@ def _deformed_block_cached(alpha: Fraction, depth: int) -> FiniteRep:
             for y in gens:
                 if x[1] + y[1] > depth or x < y:
                     continue
-                sign = -1 if (x[2] and y[2]) else 1
-                target = None
-                if x[2] + y[2] <= 1:
-                    br = _BRACKET.get((x[0], y[0]))
-                    if br is not None:
-                        target = (br[0], (br[1], x[1] + y[1], x[2] + y[2]))
+                sign, target = _bracket(x, y)
                 mx, my = current(x), current(y)
                 for j in range(4):
                     try:
@@ -363,30 +360,12 @@ def _deformed_block_cached(alpha: Fraction, depth: int) -> FiniteRep:
         depth=depth,
     )
     rep.check_brackets()
-    _check_block_presentation(rep, alpha)
-    if _closure_dim(rep, [rep.cyclic_vector()]) != 4:
-        raise ValueError("cyclic vector does not generate the block")
-    return rep
-
-
-def _check_block_presentation(rep: FiniteRep, alpha: Fraction):
     w = rep.cyclic_vector()
-    for a in range(1, rep.depth + 1):
-        for b in (0, 1):
-            if rep.apply(("f", a, b), w):
-                raise ValueError("f z^a does not annihilate the cyclic vector")
-    if rep.apply(("e", 0, 0), rep.apply(("e", 0, 0), w)):
-        raise ValueError("e^2 does not annihilate the cyclic vector")
-    if rep.apply(("h", 0, 1), w):
-        raise ValueError("h xi does not annihilate the cyclic vector")
-    hz = rep.apply(("h", 1, 0), w)
-    hw = rep.apply(("h", 0, 0), w)
-    resid = {
-        i: hz.get(i, Fraction(0)) - alpha * hw.get(i, Fraction(0))
-        for i in set(hz) | set(hw)
-    }
-    if any(resid.values()):
+    hz, hw = rep.apply(("h", 1, 0), w), rep.apply(("h", 0, 0), w)
+    if any(hz.get(i, 0) - alpha * hw.get(i, 0) for i in set(hz) | set(hw)):
         raise ValueError("h(z - alpha) does not annihilate the cyclic vector")
+    _check_cyclic(rep, 1)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -431,20 +410,36 @@ class _Echelon:
     def vectors(self) -> list[Vector]:
         return list(self.rows.values())
 
+    def copy(self) -> "_Echelon":
+        out = _Echelon()
+        out.rows = dict(self.rows)  # rows are never mutated in place
+        return out
 
-def _closure_dim(rep: FiniteRep, seeds: list[Vector]) -> int:
-    ech = _Echelon()
-    frontier = [v for v in seeds if ech.insert(v)]
-    gens = generators(rep.depth)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                img = rep.apply(g, v)
-                if img and ech.insert(img):
-                    nxt.append(img)
-        frontier = nxt
-    return ech.dim
+
+def _closure(rep: FiniteRep, ech: _Echelon, gens: list[Generator], vectors: list[Vector]) -> _Echelon:
+    """Insert vectors into ech, whose span is stable under gens, and close the span under gens."""
+    vectors = [v for v in vectors if ech.insert(v)]
+    while vectors:
+        vectors = [img for v in vectors for g in gens if (img := rep.apply(g, v)) and ech.insert(img)]
+    return ech
+
+
+def _check_cyclic(rep: FiniteRep, k: int):
+    """The cyclic-vector relations of k fused blocks, and that the cyclic vector generates rep."""
+    w = rep.cyclic_vector()
+    for a in range(1, rep.depth + 1):
+        for b in (0, 1):
+            if rep.apply(("f", a, b), w):
+                raise ValueError("f z^a xi^b does not annihilate the cyclic vector")
+    if rep.apply(("h", 0, 1), w):
+        raise ValueError("h xi does not annihilate the cyclic vector")
+    v = w
+    for _ in range(k + 1):
+        v = rep.apply(("e", 0, 0), v)
+    if v:
+        raise ValueError(f"e^{k + 1} does not annihilate the cyclic vector")
+    if _closure(rep, _Echelon(), generators(rep.depth), [w]).dim != rep.dim:
+        raise ValueError("module is not cyclic")
 
 
 # ---------------------------------------------------------------------------
@@ -507,25 +502,8 @@ def fusion(k: int, alphas: tuple | None = None, depth: int = 6) -> FiniteRep:
         cyclic_index=index[(0,) * k],
         depth=depth,
     )
-    _check_fusion(rep, k)
+    _check_cyclic(rep, k)
     return rep
-
-
-def _check_fusion(rep: FiniteRep, k: int):
-    w = rep.cyclic_vector()
-    for a in range(1, rep.depth + 1):
-        for b in (0, 1):
-            if rep.apply(("f", a, b), w):
-                raise ValueError("f z^a xi^b does not annihilate the fusion cyclic vector")
-    if rep.apply(("h", 0, 1), w):
-        raise ValueError("h xi does not annihilate the fusion cyclic vector")
-    v = w
-    for _ in range(k + 1):
-        v = rep.apply(("e", 0, 0), v)
-    if v:
-        raise ValueError("e^{k+1} does not annihilate the fusion cyclic vector")
-    if _closure_dim(rep, [rep.cyclic_vector()]) != rep.dim:
-        raise ValueError("fusion product is not cyclic")
 
 
 # ---------------------------------------------------------------------------
@@ -533,48 +511,22 @@ def _check_fusion(rep: FiniteRep, k: int):
 # ---------------------------------------------------------------------------
 
 def graded_character(rep: FiniteRep) -> QTLaurent:
-    """Supercharacter of the associated graded of the z-filtration on the cyclic vector."""
+    """Supercharacter of the associated graded of the z-filtration on the cyclic vector.
+
+    A layer equal to its predecessor is stable under the z-degree 0 and 1 generators, which
+    generate the truncated algebra, so it is the cyclic submodule: below full dimension the
+    module is not cyclic."""
     rs = root_system("A1")
-    if _closure_dim(rep, [rep.cyclic_vector()]) != rep.dim:
-        raise ValueError("module is not cyclic")
     gens = generators(rep.depth)
     zero_gens = [g for g in gens if g[1] == 0]
     pos_gens = [g for g in gens if g[1] >= 1]
-
-    def close_zero(ech: _Echelon):
-        frontier = ech.vectors()
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for g in zero_gens:
-                    img = rep.apply(g, v)
-                    if img and ech.insert(img):
-                        nxt.append(img)
-            frontier = nxt
-
-    layers: list[_Echelon] = []
-    ech = _Echelon()
-    ech.insert(rep.cyclic_vector())
-    close_zero(ech)
-    layers.append(ech)
-    m = 0
+    layers = [_closure(rep, _Echelon(), zero_gens, [rep.cyclic_vector()])]
     while layers[-1].dim < rep.dim:
-        m += 1
-        nxt = _Echelon()
-        for v in layers[-1].vectors():
-            nxt.insert(dict(v))
-        for g in pos_gens:
-            d = g[1]
-            if d > m:
-                continue
-            for v in layers[m - d].vectors():
-                img = rep.apply(g, v)
-                if img:
-                    nxt.insert(img)
-        close_zero(nxt)
-        if nxt.dim == layers[-1].dim:
-            raise AssertionError("filtration stalled below full dimension")
-        layers.append(nxt)
+        m = len(layers)
+        new = [rep.apply(g, v) for g in pos_gens if g[1] <= m for v in layers[m - g[1]].vectors()]
+        layers.append(_closure(rep, layers[-1].copy(), zero_gens, new))
+        if layers[-1].dim == layers[-2].dim:
+            raise ValueError("module is not cyclic")
 
     def component_dims(ech: _Echelon) -> dict[tuple[int, int], int]:
         out: dict[tuple[int, int], int] = {}

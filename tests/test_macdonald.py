@@ -259,6 +259,21 @@ class TestIntertwinerWalk:
         assert _fields(nonsym_e(A2, lam)) == expected
 
 
+class TestFreshResults:
+    def test_mutating_a_result_changes_no_later_answer(self, fresh_caches):
+        lam = (1, 1)
+        ms = mu_star(A2)
+        before = _fields(nonsym_e(A2, lam))
+        p_before = laurent_to_json(sym_p(A2, lam))
+        r = nonsym_e(A2, lam)
+        r.e_poly.terms.pop(lam)
+        r.cleared.terms.pop((0, 0))
+        r.basis.reverse()
+        assert laurent_to_json(sym_p(A2, lam)) == p_before
+        assert eigen_check(A2, lam, ms).ok
+        assert _fields(nonsym_e(A2, lam)) == before
+
+
 class TestSymmetric:
     def test_minuscule(self):
         assert sym_p(A1, (1,)) == x(1) + x(-1)

@@ -1,7 +1,9 @@
 """Weyl combinatorics: reflections, orders, lower sets, translation words."""
 
+import json
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,10 @@ A1 = root_system("A1")
 A2 = root_system("A2")
 B2 = root_system("B2")
 A1A1 = root_system("A1xA1")
+
+# translation_word(mu) for every nonzero dominant mu in the boxes 0..b: A1 b = 8, A2/B2/C2
+# b = 4, A3 b = 2, A4 b = 1, as computed by the affine-root greedy descent this walk replaced
+TRANSLATION_WORDS = json.loads((Path(__file__).parent / "data" / "translation_words.json").read_text())
 
 
 class TestCartanData:
@@ -388,6 +394,17 @@ class TestTranslationWords:
         for lam in [rs.zero(), (1,) * rs.rank, tuple(range(1, rs.rank + 1))]:
             img = rs.apply_word(word, lam, affine=True)
             assert img == rs.add(lam, shift)
+
+    @pytest.mark.parametrize("name", sorted(TRANSLATION_WORDS))
+    def test_golden_words(self, name):
+        rs = root_system(name)
+        for mu, word in TRANSLATION_WORDS[name]:
+            assert rs.translation_word(tuple(mu)) == tuple(word), mu
+
+    def test_reducible_has_no_affine_node(self):
+        assert A1A1.translation_word((0, 0)) == ()
+        with pytest.raises(ValueError):
+            A1A1.translation_word((1, 0))
 
     def test_a1_translation_shifts_by_two(self):
         word = A1.translation_word((1,))

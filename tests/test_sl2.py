@@ -1,5 +1,6 @@
 """Module laboratory: deformed blocks, fusion, filtration, recursion, twist."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,12 @@ class TestDeformedBlock:
 
     def test_brackets_checked(self):
         deformed_block(1).check_brackets()
+
+    @pytest.mark.parametrize("index", [1, 3])
+    def test_non_cyclic_vector_rejected(self, index):
+        # hz.xi.w and e.xi.w generate proper submodules: the filtration stops growing below dim 4
+        with pytest.raises(ValueError, match="module is not cyclic"):
+            graded_character(replace(deformed_block(1), cyclic_index=index))
 
     def test_character_independent_of_alpha(self):
         a = graded_character(deformed_block(0))
