@@ -40,6 +40,7 @@ from .hecke import (
     verify_symmetrizer,
     y_op,
 )
+from .orders import verify_order
 from . import macdonald
 from . import sl2 as sl2lab
 
@@ -96,22 +97,19 @@ def _cmd_y(args) -> int:
     return 0
 
 
+# the suites are looked up by their module-level names at call time, so a rebinding is seen
+_SUITES = {
+    "hecke": lambda rs, bound: verify_relations(rs, bound),
+    "braid": lambda rs, bound: verify_relations(rs, bound, ("braid",)),
+    "xcommute": lambda rs, bound: verify_relations(rs, bound, ("xcommute",)),
+    "symmetrizer": lambda rs, bound: verify_symmetrizer(rs, bound),
+    "order": lambda rs, bound: verify_order(rs, bound),
+    "demazure": lambda rs, bound: verify_demazure(rs, bound),
+}
+
+
 def _cmd_verify(args) -> int:
-    rs = root_system(args.type)
-    if args.subject == "hecke":
-        report = verify_relations(rs, args.bound)
-    elif args.subject in ("braid", "xcommute"):
-        report = verify_relations(rs, args.bound, (args.subject,))
-    elif args.subject == "symmetrizer":
-        report = verify_symmetrizer(rs, args.bound)
-    elif args.subject == "demazure":
-        report = verify_demazure(rs, args.bound)
-    elif args.subject == "order":
-        from .orders import verify_order
-        report = verify_order(rs, args.bound)
-    else:
-        print(f"unknown verify subject {args.subject}", file=sys.stderr)
-        return 2
+    report = _SUITES[args.subject](root_system(args.type), args.bound)
     print(report.title)
     for line in report.lines():
         print(line)
@@ -143,19 +141,26 @@ def _cmd_sl2(args) -> int:
         f = sl2lab.graded_character(sl2lab.fusion(args.k))
         print(_emit(f, args.format))
         return 0
-    if args.action == "validate":
-        reports = sl2lab.cross_validate(args.k)
-        ok = True
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{status} k={r.k}: dim {r.dimension}, char {laurent_to_text(r.character)}")
-            for name, good, detail in r.checks:
-                if not good:
-                    ok = False
-                    print(f"  FAIL {name}: {detail}")
-        return 0 if ok else 1
-    print(f"unknown sl2 action {args.action}", file=sys.stderr)
-    return 2
+    ok = True  # the remaining action, validate
+    for r in sl2lab.cross_validate(args.k):
+        status = "PASS" if r.passed else "FAIL"
+        print(f"{status} k={r.k}: dim {r.dimension}, char {laurent_to_text(r.character)}")
+        for name, good, detail in r.checks:
+            if not good:
+                ok = False
+                print(f"  FAIL {name}: {detail}")
+    return 0 if ok else 1
+
+
+_COMMANDS = {
+    "e": _cmd_weights,
+    "p": _cmd_weights,
+    "y": _cmd_y,
+    "verify": _cmd_verify,
+    "order": _cmd_order,
+    "demazure": _cmd_demazure,
+    "sl2": _cmd_sl2,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     py.add_argument("--apply", required=True, help="polynomial JSON (or - for stdin)")
 
     pv = sub.add_parser("verify", help="relation/property suites")
-    pv.add_argument("subject", choices=("hecke", "braid", "xcommute", "symmetrizer", "order", "demazure"))
+    pv.add_argument("subject", choices=tuple(_SUITES))
     pv.add_argument("--type", required=True)
     pv.add_argument("--bound", type=int, default=3)
 
@@ -222,22 +227,10 @@ def run(argv: list[str] | None = None) -> int:
         ap.print_usage()
         return 2
     try:
-        if args.verb in ("e", "p"):
-            return _cmd_weights(args)
-        if args.verb == "y":
-            return _cmd_y(args)
-        if args.verb == "verify":
-            return _cmd_verify(args)
-        if args.verb == "order":
-            return _cmd_order(args)
-        if args.verb == "demazure":
-            return _cmd_demazure(args)
-        if args.verb == "sl2":
-            return _cmd_sl2(args)
+        return _COMMANDS[args.verb](args)
     except (ValueError, KeyError, ZeroDivisionError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 def main() -> None:

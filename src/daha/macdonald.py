@@ -62,29 +62,12 @@ class EigenResult:
 
 @lru_cache(maxsize=None)
 def _cyclotomic(n: int) -> tuple[tuple[int, int], ...]:
-    """Cyclotomic polynomial Phi_n as sorted (degree, coefficient) pairs."""
-    poly = {n: 1, 0: -1}  # x^n - 1
+    """Cyclotomic polynomial Phi_n as sorted (degree, coefficient) pairs: x^n - 1 over prod_{d | n, d < n} Phi_d."""
+    poly = QTPoly({(n, 0): 1, (0, 0): -1})
     for d in range(1, n):
-        if n % d:
-            continue
-        phi_d = dict(_cyclotomic(d))
-        # exact univariate division poly /= phi_d
-        out: dict[int, int] = {}
-        rem = dict(poly)
-        dd = max(phi_d)
-        lead = phi_d[dd]
-        while rem:
-            top = max(rem)
-            c = rem[top] // lead
-            out[top - dd] = c
-            for k, v in phi_d.items():
-                s = rem.get(k + top - dd, 0) - c * v
-                if s:
-                    rem[k + top - dd] = s
-                else:
-                    rem.pop(k + top - dd, None)
-        poly = out
-    return tuple(sorted(poly.items()))
+        if n % d == 0:
+            poly = div_exact(poly, QTPoly({(k, 0): c for k, c in _cyclotomic(d)}))
+    return tuple(sorted((k, c) for (k, _), c in poly.terms.items()))
 
 
 def _split_gap(p: QTPoly) -> tuple[int, int, int, list[QTPoly]]:
@@ -400,7 +383,7 @@ def _result(rs: RootSystem, lam: Weight, basis: list[Weight], coeffs: tuple[_Fac
     return EigenResult(
         e_poly=e,
         eigenvalue=eigenvalue,
-        basis=list(basis),  # a copy: the lower set is cached on rs
+        basis=list(basis),  # a copy: _solve caches the basis it returns
         conjectural=not rs.is_dominant(lam),
         cleared=cleared,
         clearing=clearing,

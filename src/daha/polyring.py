@@ -54,6 +54,9 @@ class QTLaurent:
     def __hash__(self):
         return hash((id(self.rs), frozenset(self.terms.items())))
 
+    def __str__(self) -> str:
+        return laurent_to_text(self)
+
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other: "QTLaurent") -> "QTLaurent":

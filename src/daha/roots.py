@@ -400,7 +400,7 @@ class RootSystem:
         return self.compare_keys(self.order_key(lam), self.order_key(mu))
 
     def lower_set(self, lam: Weight) -> list[Weight]:
-        """P[<= lam] in the Cherednik order, in its lexicographically least linear extension."""
+        """P[<= lam] in the Cherednik order, in its lexicographically least linear extension (a fresh list)."""
         key = ("lower", lam)
         if key not in self._caches:
             orbit = self.orbit(self.dominant(lam)[0])
@@ -413,7 +413,7 @@ class RootSystem:
                     if self.compare_keys(k, top) in (LESS, EQUAL):
                         keys[mu] = k
             self._caches[key] = _linear_extension(keys)
-        return self._caches[key]
+        return list(self._caches[key])
 
     # -- affine Weyl group words ---------------------------------------------------
 

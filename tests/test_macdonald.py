@@ -273,6 +273,14 @@ class TestFreshResults:
         assert eigen_check(A2, lam, ms).ok
         assert _fields(nonsym_e(A2, lam)) == before
 
+    def test_mutating_a_lower_set_changes_no_basis(self, fresh_caches):
+        lam = (2, 0)
+        try:
+            A2.lower_set(lam).reverse()
+            assert nonsym_e(A2, lam).basis == [(0, 1), (1, -1), (-1, 0), (2, 0)]
+        finally:
+            A2._caches.pop(("lower", lam), None)
+
 
 class TestSymmetric:
     def test_minuscule(self):

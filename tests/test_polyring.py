@@ -123,3 +123,8 @@ class TestSerialization:
     def test_text_rank_two(self):
         f = QTLaurent.mono(A2, (1, -2))
         assert laurent_to_text(f) == "x_1*x_2^-2"
+
+    def test_str_is_text(self):
+        f = x(-1).scale(rat(ONE_MINUS_QT)) + x(1).scale(rat(ONE_MINUS_T))
+        assert str(f) == f"{f}" == "(1-q*t)*x^-1 + (1-t)*x"
+        assert str(QTLaurent.zero(A2)) == "0"

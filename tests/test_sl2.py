@@ -1,7 +1,9 @@
 """Module laboratory: deformed blocks, fusion, filtration, recursion, twist."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,8 @@ from daha.qt import QTPoly, RatQT, rat
 from daha.roots import root_system
 from daha.polyring import QTLaurent, laurent_to_text, specialize_dim
 from daha.sl2 import (
+    _CONST,
+    _solve_linear,
     cross_validate,
     daha_integral_form,
     deformed_block,
@@ -20,6 +24,7 @@ from daha.sl2 import (
 )
 
 A1 = root_system("A1")
+BLOCKS = json.loads((Path(__file__).parent / "data" / "sl2_blocks.json").read_text())
 
 
 def x(m):
@@ -61,6 +66,15 @@ class TestDeformedBlock:
     def test_brackets_checked(self):
         deformed_block(1).check_brackets()
 
+    @pytest.mark.parametrize("alpha", sorted(BLOCKS))
+    def test_golden_actions(self, alpha):
+        # every generator matrix, as solved by the earlier fixpoint solver
+        got = {
+            ",".join(map(str, g)): [{str(i): str(c) for i, c in col.items()} for col in cols]
+            for g, cols in deformed_block(Fraction(alpha)).actions.items()
+        }
+        assert got == BLOCKS[alpha]
+
     @pytest.mark.parametrize("index", [1, 3])
     def test_non_cyclic_vector_rejected(self, index):
         # hz.xi.w and e.xi.w generate proper submodules: the filtration stops growing below dim 4
@@ -73,6 +87,59 @@ class TestDeformedBlock:
         assert a == b
         assert laurent_to_text(a) == "(1-q*t)*x^-1 + (1-t)*x"
         assert specialize_dim(a) == 4
+
+
+class TestSolveLinear:
+    """Rows {var: coefficient, _CONST: constant} mean sum = 0."""
+
+    def test_pinned_pair(self):
+        # a + b = 3, a - b = 1
+        rows = [{"a": 1, "b": 1, _CONST: -3}, {"a": 1, "b": -1, _CONST: -1}]
+        assert _solve_linear(rows) == {"a": 2, "b": 1}
+
+    def test_free_pair(self):
+        # a + b = 1 twice: nothing pinned
+        assert _solve_linear([{"a": 1, "b": 1, _CONST: -1}, {"a": 2, "b": 2, _CONST: -2}]) == {}
+
+    def test_inconsistent_pair(self):
+        with pytest.raises(ValueError, match="inconsistent constraint system"):
+            _solve_linear([{"a": 1, "b": 1, _CONST: -1}, {"a": 1, "b": 1, _CONST: -2}])
+
+    def test_back_substitution_pins(self):
+        # a + b + c = 1, b + c = 0: a = 1 alone, which a forward-only echelon leaves coupled to b, c
+        got = _solve_linear([{"a": 1, "b": 1, "c": 1, _CONST: -1}, {"b": 1, "c": 1}])
+        assert got == {"a": 1} and isinstance(got["a"], Fraction)
+
+
+class TestSharedResults:
+    """A caller that mutates a returned value changes no later answer."""
+
+    def test_block_actions(self):
+        col = deformed_block(1).actions[("e", 0, 0)][0]
+        saved = dict(col)
+        col.clear()
+        try:
+            assert laurent_to_text(graded_character(fusion(1, (1,)))) == "(1-q*t)*x^-1 + (1-t)*x"
+        finally:
+            col.update(saved)
+
+    def test_integral_form(self):
+        terms = daha_integral_form(-1).terms
+        saved = dict(terms)
+        terms.clear()
+        try:
+            assert all(r.passed for r in cross_validate(1))
+        finally:
+            terms.update(saved)
+
+    def test_recursion(self):
+        terms = recursion_e(-1).terms
+        saved = dict(terms)
+        terms.clear()
+        try:
+            assert laurent_to_text(recursion_e(-1)) == "(1-q*t)*x^-1 + (1-t)*x"
+        finally:
+            terms.update(saved)
 
 
 class TestFusion:
