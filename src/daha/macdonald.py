@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import gcd
 
 from .qt import ONE_P, QTPoly, R_ZERO, RatQT, ZERO_P, div_exact
 from .polyring import QTLaurent, orbit_sum
@@ -82,10 +83,8 @@ def _split_gap(p: QTPoly) -> tuple[int, int, int, list[QTPoly]]:
     assert len(p.terms) == 2, "eigenvalue gap is not a binomial"
     (k1, c1), (k2, c2) = sorted(p.terms.items())
     assert abs(c1) == 1 and abs(c2) == 1, "gap with non-unit coefficients"
-    from math import gcd as _g
-
     dq, dt = k2[0] - k1[0], k2[1] - k1[1]
-    g = _g(abs(dq), abs(dt))
+    g = gcd(abs(dq), abs(dt))
     za, zb = dq // g, dt // g
     if (c1 > 0) != (c2 > 0):
         divisors = [d for d in range(1, g + 1) if g % d == 0]
@@ -161,7 +160,7 @@ class _FactoredRat:
                 if q is None:
                     break
                 num = q
-                ne = _ieval(num)
+                ne = ne // fe if fe else _ieval(num)  # _ieval is multiplicative
                 m -= 1
             if m:
                 den[f] = m
@@ -200,26 +199,48 @@ def mu_star(rs: RootSystem) -> CorootVec:
     return strictly_dominant_coroot(rs)
 
 
-def mu_candidates(rs: RootSystem, tries: int = 7):
-    """The default strictly dominant coroot vector, then asymmetric alternates.
+def mu_candidates(rs: RootSystem, n: int):
+    """Strictly dominant coroot vectors to pin E_lam on a lower set of n weights.
 
-    A single Y-operator can have colliding eigenvalue monomials on a lower
-    set when the type has a diagram symmetry fixing mu* (the joint spectrum
-    still separates).  The alternates break the symmetry while staying
-    strictly dominant: (j+1) mu* + j sum_i i alpha_i^vee.
+    First the default mu*, then asymmetric alternates.  A single Y-operator
+    can have colliding eigenvalue monomials on a lower set when the type has
+    a diagram symmetry fixing mu* (the joint spectrum still separates).  The
+    alternates break the symmetry while staying strictly dominant:
+    (j+1) mu* + j sum_i i alpha_i^vee.
+
+    All of these lie in one plane, so a weight w with w - lam orthogonal to
+    it collides for each.  Then come the moment-curve points
+    D (1, s, ..., s^(r-1)) in fundamental-coweight coordinates, D > 0 least
+    with the point in the coroot lattice, for s = 1 .. (r-1)(n-1)+1.  The
+    q-part -<mu, w> of an eigenvalue separates w from lam unless
+    <mu, w - lam> = 0.  For each of the n - 1 other weights that is a nonzero
+    polynomial in s of degree at most r - 1, so at most (r-1)(n-1) values of
+    s fail and one of these points separates them all.  A point equal to an
+    earlier candidate is skipped: that candidate has already been tried.
     """
     base = strictly_dominant_coroot(rs)
     yield base
+    seen = {base}
     skew = tuple(i + 1 for i in range(rs.rank))
-    for j in range(1, tries):
+    for j in range(1, 7):
         cand = tuple((j + 1) * b + j * s for b, s in zip(base, skew))
         if all(rs.coroot_pair(cand, rs.simple_root(i + 1)) >= 1 for i in range(rs.rank)):
+            seen.add(cand)
+            yield cand
+    # mu = A^-T c for <mu, alpha_k> = c_k, where root_mat = root_den A^-1
+    for s in range(1, (rs.rank - 1) * (n - 1) + 2):
+        c = [s**k for k in range(rs.rank)]
+        cand = tuple(sum(row[i] * ck for row, ck in zip(rs.root_mat, c)) for i in range(rs.rank))
+        g = gcd(rs.root_den, *cand)
+        cand = tuple(x // g for x in cand)
+        if cand not in seen:
+            seen.add(cand)
             yield cand
 
 
-def y_matrix(rs: RootSystem, lam: Weight, mu: CorootVec | None = None) -> tuple[list[Weight], list[list[RatQT]]]:
-    """Matrix of Y^mu on the span of the lower set of lam (columns = images)."""
-    basis = rs.lower_set(lam)
+def y_matrix(rs: RootSystem, basis: list[Weight], mu: CorootVec | None = None) -> list[list[RatQT]]:
+    """Matrix of Y^mu on the span of basis, the lower set of its last weight (columns = images)."""
+    lam = basis[-1]
     index = {w: k for k, w in enumerate(basis)}
     keys = [rs.order_key(w) for w in basis]
     mstar = mu_star(rs) if mu is None else mu
@@ -238,7 +259,7 @@ def y_matrix(rs: RootSystem, lam: Weight, mu: CorootVec | None = None) -> tuple[
                     f"Y e^{nu} has weight {w} not below {nu} in the order"
                 )
             mat[i][j] = c
-    return basis, mat
+    return mat
 
 
 def nonsym_e(rs: RootSystem, lam: Weight) -> EigenResult:
@@ -276,9 +297,10 @@ def _solve(rs_name: str, lam: Weight) -> tuple[list[Weight], tuple[_FactoredRat,
     """
     rs = root_system(rs_name)
     chosen = None
-    for mu in mu_candidates(rs):
-        basis, mat = y_matrix(rs, lam, mu)
-        n = len(basis)
+    basis = rs.lower_set(lam)
+    n = len(basis)
+    for mu in mu_candidates(rs, n):
+        mat = y_matrix(rs, basis, mu)
         y = mat[n - 1][n - 1]
         if all(mat[k][k] != y for k in range(n - 1)):
             chosen = mu
@@ -342,7 +364,7 @@ def _walk(rs: RootSystem, lam: Weight) -> EigenResult:
     basis = rs.lower_set(lam)
     if not f.keys() <= set(basis):
         raise OrderViolationError(f"the intertwiners left the lower set of {lam}")
-    for mu in mu_candidates(rs):
+    for mu in mu_candidates(rs, len(basis)):
         exps = [expected_eigen_exponents(rs, w, mu) for w in basis]
         if exps[-1] not in exps[:-1]:
             break

@@ -17,6 +17,16 @@ Canonical form of a fraction:
 
 All values are immutable; operations are pure.
 
+Exact division (`div_exact`) needs no gcd.  Componentwise minima and maxima of
+exponents add under products, so an exact quotient of a by b lies in a known
+box.  The division packs every exponent relative to a's minima into one
+integer key, dq * width + dt with width the t-span of a plus one, so integer
+order on keys is lex order on (dq, dt).  The remainder is a dict of keys; its
+leading term comes off a max-heap, and each divisor term is packed once as an
+offset from b's lex-leading term.  A quotient term outside the box proves
+that b does not divide a, and stops the division before a key could wrap
+into the next q-row.
+
 The gcd behind every reduction (`poly_gcd`) is exact on every path.  After the
 monomial and integer content are split off, the primitive gcd G of a and b is
 found in three steps:
@@ -42,6 +52,7 @@ the same canonical form on every path, so outputs do not depend on the path.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as _igcd
 from typing import Iterable, Mapping
 
@@ -317,28 +328,27 @@ def _from_q_coeffs(d: dict[int, dict[int, int]]) -> QTPoly:
     return QTPoly({(a, b): c for a, row in d.items() for b, c in row.items() if c})
 
 
-def _uv_div_exact(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
-    """Exact quotient a / b in Z[t], or None if not divisible."""
-    if not a:
-        return {}
-    if not b:
-        return None
-    a = dict(a)
-    out: dict[int, int] = {}
-    db = max(b)
-    lb = b[db]
-    while a:
-        da = max(a)
-        if da < db or a[da] % lb:
-            return None
-        qc = a[da] // lb
-        out[da - db] = qc
-        a = _uv_sub(a, _uv_mul(b, {da - db: qc}))
-    return out
-
-
 def div_exact(a: QTPoly, b: QTPoly) -> QTPoly | None:
-    """Exact quotient a / b of Laurent polynomials, or None if b does not divide a."""
+    """Exact quotient a / b of Laurent polynomials, or None if b does not divide a.
+
+    Sparse long division in lex order on (dq, dt): the remainder is a dict,
+    and its leading term is popped from a max-heap of its keys (negated for
+    heapq; a key whose coefficient cancelled stays there and is skipped).  A
+    simpler relative of Monagan & Pearce, Sparse polynomial division using a
+    heap, JSC 2011, which merges the quotient-times-divisor products instead.
+
+    Componentwise minima and maxima of exponents add under products, so an
+    exact quotient lies in the box amin - bmin <= (kq, kt) <= amin - bmin + w
+    with w = (amax - amin) - (bmax - bmin).  Every exponent is packed
+    relative to a's minima as dq * width + dt, width = amax_t - amin_t + 1;
+    while each quotient term stays in the box, every remainder term lies in
+    a's box and integer order on the keys is lex order.  A quotient term
+    outside the box proves b does not divide a, and returns None before a
+    key can wrap into the next q-row.  Each divisor term is packed once, as
+    an offset from b's lex-leading term, so a step adds offsets to the
+    leading key; the leading term cancels and every new key is smaller, so
+    the leading key falls strictly and no rescan is needed.
+    """
     if a.is_zero():
         return ZERO_P
     if b.is_zero():
@@ -351,40 +361,42 @@ def div_exact(a: QTPoly, b: QTPoly) -> QTPoly | None:
                 return None
             out[(x - dq, y - dt)] = v // c
         return QTPoly(out)
-    # shift to nonnegative exponents; componentwise min/max are additive,
-    # so an exact quotient has exponents inside a known box
-    amin, bmin = a.min_exps(), b.min_exps()
-    a = a.shift(-amin[0], -amin[1])
-    b = b.shift(-bmin[0], -bmin[1])
-    amax, bmax = a.max_exps(), b.max_exps()
-    if amax[0] < bmax[0] or amax[1] < bmax[1]:
+    (aq, at), (aq1, at1) = a.min_exps(), a.max_exps()
+    (bq, bt), (bq1, bt1) = b.min_exps(), b.max_exps()
+    wq, wt = (aq1 - aq) - (bq1 - bq), (at1 - at) - (bt1 - bt)
+    if wq < 0 or wt < 0:
         return None
-    # long division with respect to lex order on (dq, dt)
-    rem = dict(a.terms)
-    bk = max(b.terms)
-    bc = b.terms[bk]
+    width = at1 - at + 1
+    rem = {(x - aq) * width + (y - at): v for (x, y), v in a.terms.items()}
+    heap = [-k for k in rem]
+    heapify(heap)
+    (lq, lt), lc = max(b.terms.items())
+    offs = [((x - lq) * width + (y - lt), v) for (x, y), v in b.terms.items() if (x, y) != (lq, lt)]
+    lq, lt = lq - bq, lt - bt
+    sq, st = aq - bq, at - bt
     out = {}
-    while rem:
-        ak = max(rem)
-        if rem[ak] % bc:
+    while heap:
+        k = -heappop(heap)
+        c = rem.pop(k, 0)
+        if not c:
+            continue
+        if c % lc:
             return None
-        k = (ak[0] - bk[0], ak[1] - bk[1])
-        if k[0] < 0 or k[1] < 0:
+        kq, kt = divmod(k, width)
+        kq, kt = kq - lq, kt - lt
+        if kq < 0 or kt < 0 or kt > wt:
             return None
-        qc = rem[ak] // bc
-        out[k] = qc
-        for (x, y), v in b.terms.items():
-            kk = (x + k[0], y + k[1])
+        qc = c // lc
+        out[(kq + sq, kt + st)] = qc
+        for off, v in offs:
+            kk = k + off
             s = rem.get(kk, 0) - v * qc
             if s:
+                if kk not in rem:
+                    heappush(heap, -kk)
                 rem[kk] = s
             else:
-                rem.pop(kk, None)
-        if rem and max(rem) >= ak:
-            return None
-    sq, st = amin[0] - bmin[0], amin[1] - bmin[1]
-    if sq or st:
-        out = {(x + sq, y + st): v for (x, y), v in out.items()}
+                del rem[kk]
     return QTPoly(out)
 
 
@@ -556,6 +568,17 @@ def _heu_gcd(a: QTPoly, b: QTPoly, bounds: Term) -> QTPoly | None:
     return None
 
 
+def _rows_div(rows: dict[int, dict[int, int]], c: dict[int, int]) -> dict[int, dict[int, int]]:
+    """Each Z[t] row divided exactly by c (a content of the rows), through div_exact."""
+    cp = QTPoly({(0, j): v for j, v in c.items()})
+    out = {}
+    for k, row in rows.items():
+        quo = div_exact(QTPoly({(0, j): v for j, v in row.items()}), cp)
+        assert quo is not None, "a content does not divide its row"
+        out[k] = {j: v for (_, j), v in quo.terms.items()}
+    return out
+
+
 def _prs_gcd(a: QTPoly, b: QTPoly) -> QTPoly:
     """Primitive gcd of primitive a, b with nonnegative exponents: primitive PRS over Z[t][q].
 
@@ -574,9 +597,7 @@ def _prs_gcd(a: QTPoly, b: QTPoly) -> QTPoly:
     for row in qb.values():
         cb = _uv_gcd(cb, row) if cb else _uv_content_pp(row)[1]
     cont = _uv_gcd(ca, cb)
-    pa = {k: _uv_div_exact(row, ca) for k, row in qa.items()}
-    pb = {k: _uv_div_exact(row, cb) for k, row in qb.items()}
-    assert all(v is not None for v in pa.values()) and all(v is not None for v in pb.values())
+    pa, pb = _rows_div(qa, ca), _rows_div(qb, cb)
     # primitive PRS in q over Z[t]
     while pb:
         da, db = max(pa), max(pb)
@@ -599,12 +620,10 @@ def _prs_gcd(a: QTPoly, b: QTPoly) -> QTPoly:
             cr = {}
             for row in r.values():
                 cr = _uv_gcd(cr, row) if cr else _uv_content_pp(row)[1]
-            r = {k: _uv_div_exact(row, cr) for k, row in r.items()}
+            r = _rows_div(r, cr)
         pa, pb = pb, r
     g = _from_q_coeffs({k: _uv_mul(row, cont) for k, row in pa.items()})
     return _primitive(g)
-
-
 
 
 def poly_lcm(a: QTPoly, b: QTPoly) -> QTPoly:

@@ -173,9 +173,9 @@ def test_criterion_6_eigenvalues():
         if not ok:
             break
     elapsed = time.time() - t0
-    _report(6, ok and elapsed < 30, detail or " ".join(counts), elapsed, 30)
+    _report(6, ok and elapsed < 15, detail or " ".join(counts), elapsed, 15)
     assert ok, detail
-    assert elapsed < 30
+    assert elapsed < 15
 
 
 def test_criterion_7_sl2_cross_validation():

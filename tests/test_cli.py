@@ -126,6 +126,14 @@ class TestOtherVerbs:
         assert all(line.startswith("PASS") for line in out.splitlines()[1:]), out
 
 
+# A3 weights whose lower sets collide for mu* and every skew alternate of
+# mu_candidates; E_lam is found, not a DegenerateSpectrumError traceback
+@pytest.mark.parametrize("weight", ["4,-1,-1", "-3,2,1", "3,-3,2", "-2,4,-2"])
+def test_colliding_spectrum_exits_0(capture, weight):
+    rc, out = capture("e", "--type", "A3", "--weight", weight)
+    assert rc == 0 and out
+
+
 _A2_MONO = '{"terms": [{"weight": [1, 0], "coeff": {"num": [["1", 0, 0]], "den": [["1", 0, 0]]}}]}'
 
 # a weight with a negative first entry is a value, in a list and in a single-valued option

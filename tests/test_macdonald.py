@@ -235,7 +235,7 @@ class TestIntertwinerWalk:
         assert nonsym_e(A2, lam).mu_used != mu_star(A2)
 
     def test_degenerate_where_the_eigensolver_is(self, monkeypatch, fresh_caches):
-        monkeypatch.setattr(macdonald, "mu_candidates", lambda rs, tries=7: iter([mu_star(rs)]))
+        monkeypatch.setattr(macdonald, "mu_candidates", lambda rs, n: iter([mu_star(rs)]))
         raised = {}
         for solve in (_walk, _eigensolve):
             raised[solve] = set()
@@ -257,6 +257,38 @@ class TestIntertwinerWalk:
             f.terms[(5, 5)] = RatQT.from_int(1)
         seed.basis.reverse()
         assert _fields(nonsym_e(A2, lam)) == expected
+
+
+# weights whose own lower set defeats mu* and all six skew alternates, so that
+# only a moment-curve point of mu_candidates pins the walk, with that point
+_COLLIDING = [
+    ("A3", (4, -1, -1), (9, 16, 17)),
+    ("A3", (-3, 2, 1), (3, 4, 3)),
+    ("A3", (3, -3, 2), (9, 16, 17)),
+    ("A3", (-2, 4, -2), (9, 16, 17)),
+    ("A4", (5, -1, -1, -1), (112, 219, 306, 313)),
+]
+
+
+class TestDegenerateSpectrum:
+    @pytest.mark.parametrize("name, lam, mu", _COLLIDING)
+    def test_moment_curve_separates(self, name, lam, mu):
+        rs = root_system(name)
+        basis = rs.lower_set(lam)
+        for k, cand in enumerate(macdonald.mu_candidates(rs, len(basis))):
+            exps = [expected_eigen_exponents(rs, w, cand) for w in basis]
+            if exps[-1] not in exps[:-1]:
+                break
+        assert (k >= 7, cand) == (True, mu)
+
+    # the A4 weight is left out here: its E (429 weights) takes about two minutes
+    @pytest.mark.parametrize("name, lam, mu", [c for c in _COLLIDING if c[0] == "A3"])
+    def test_colliding_weights_solve(self, name, lam, mu):
+        rs = root_system(name)
+        r = nonsym_e(rs, lam)
+        assert r.mu_used == mu
+        assert eigen_check(rs, lam, mu_star(rs), r).ok
+        assert e_at_zero(rs, lam) == demazure_key(rs, lam)
 
 
 class TestFreshResults:

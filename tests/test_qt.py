@@ -301,3 +301,130 @@ def test_fast_path_matches_prs(pair):
     else:
         got = _heu_gcd(a, b, bounds)
         assert got is None or _canon_unit(got) == want
+
+
+# exact division against independent oracles ---------------------------------
+
+def _schoolbook_div_exact(a: QTPoly, b: QTPoly) -> QTPoly | None:
+    """The earlier long division, kept as an oracle: find the leading
+    remainder term by a scan of the whole remainder at every step."""
+    if a.is_zero():
+        return ZERO_P
+    if b.is_zero():
+        return None
+    if b.is_monomial():
+        (dq, dt), c = next(iter(b.terms.items()))
+        out = {}
+        for (x, y), v in a.terms.items():
+            if v % c:
+                return None
+            out[(x - dq, y - dt)] = v // c
+        return QTPoly(out)
+    amin, bmin = a.min_exps(), b.min_exps()
+    a = a.shift(-amin[0], -amin[1])
+    b = b.shift(-bmin[0], -bmin[1])
+    amax, bmax = a.max_exps(), b.max_exps()
+    if amax[0] < bmax[0] or amax[1] < bmax[1]:
+        return None
+    rem = dict(a.terms)
+    bk = max(b.terms)
+    bc = b.terms[bk]
+    out = {}
+    while rem:
+        ak = max(rem)
+        if rem[ak] % bc:
+            return None
+        k = (ak[0] - bk[0], ak[1] - bk[1])
+        if k[0] < 0 or k[1] < 0:
+            return None
+        qc = rem[ak] // bc
+        out[k] = qc
+        for (x, y), v in b.terms.items():
+            kk = (x + k[0], y + k[1])
+            s = rem.get(kk, 0) - v * qc
+            if s:
+                rem[kk] = s
+            else:
+                rem.pop(kk, None)
+        if rem and max(rem) >= ak:
+            return None
+    sq, st = amin[0] - bmin[0], amin[1] - bmin[1]
+    return QTPoly({(x + sq, y + st): v for (x, y), v in out.items()})
+
+
+wide_exps = st.integers(min_value=-3, max_value=3)
+wide_polys = st.dictionaries(st.tuples(wide_exps, wide_exps), coeffs, max_size=5).map(QTPoly)
+
+
+@st.composite
+def divisors(draw):
+    """Nonzero divisors; about half have a lex-leading term (largest dq, then dt)
+    below their top t-power, the case where a packed key could wrap."""
+    b = draw(wide_polys.filter(lambda p: not p.is_zero()))
+    if draw(st.booleans()):
+        (lq, lt), _ = max(b.terms.items())
+        extra = QTPoly.monomial(draw(coeffs.filter(bool)), lq - draw(st.integers(1, 2)), lt + draw(st.integers(1, 3)))
+        b = b + extra if not (b + extra).is_zero() else extra
+    return b
+
+
+@st.composite
+def division_pairs(draw):
+    """(g u, g) half the time, else an arbitrary dividend."""
+    b = draw(divisors())
+    if draw(st.booleans()):
+        return b * draw(wide_polys), b
+    return draw(wide_polys), b
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_pairs())
+def test_div_exact_matches_schoolbook(pair):
+    a, b = pair
+    got = div_exact(a, b)
+    assert got == _schoolbook_div_exact(a, b)
+    if got is not None:
+        assert got * b == a
+
+
+def test_div_exact_skewed_binomials():
+    # every binomial a = q^i t^j +- q^k t^l (exponents 0..3) over every b =
+    # q^m t^s +- c q^m' t^s' with m' < m and s' > s: the divisors whose
+    # lex-leading term is below their top t-power, where an unbounded quotient
+    # term would wrap into the next q-row of the packed keys, as in
+    # (t + q^2) / (q + t)
+    box = [(i, j) for i in range(4) for j in range(4)]
+    dividends = [QTPoly({e: 1, f: c}) for n, e in enumerate(box) for f in box[n + 1:] for c in (1, -1)]
+    divs = [QTPoly({(m, s): 1, (m2, s + ds): c})
+            for m in (1, 2) for m2 in range(m) for s in (0, 1) for ds in (1, 2) for c in (1, -1, 2)]
+    for b in divs:
+        for a in dividends:
+            got = div_exact(a, b)
+            assert got == _schoolbook_div_exact(a, b), (a, b)
+            assert got is None or got * b == a
+
+
+def test_div_exact_quotient_t_range():
+    # b's lex-leading term q is not its top t-power; an unbounded quotient
+    # term 3 q^2 t^2 would wrap into the next q-row of the packed keys
+    a, b = P(t2=3, q3t=-3), P(q=1, t=-1)
+    assert div_exact(a, b) is None
+    assert _schoolbook_div_exact(a, b) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_pairs())
+def test_div_exact_matches_sympy(sympy, pair):
+    a, b = pair
+    # b divides a in the Laurent ring iff b's shift to nonnegative exponents
+    # with no monomial factor divides a's in Z[q, t]
+    quo, rem = sympy.div(_sym(sympy, a), _sym(sympy, b), domain="QQ")
+    got = div_exact(a, b)
+    if a.is_zero():
+        assert got == ZERO_P
+    elif rem.is_zero and all(c.is_integer for c in quo.coeffs()):
+        (aq, at), (bq, bt) = a.min_exps(), b.min_exps()
+        want = QTPoly({k: int(c) for k, c in quo.terms()}).shift(aq - bq, at - bt)
+        assert got == want
+    else:
+        assert got is None
