@@ -20,9 +20,7 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from multiprocessing import get_context
 
 from .roots import root_system
 from .polyring import (
@@ -76,7 +74,12 @@ def _weight_line(job) -> tuple[str, str | None]:
 
 def _cmd_weights(args) -> int:
     """`e` and `p`: one line per weight, in order; --jobs > 1 spreads the weights over processes."""
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
     parallel = args.jobs > 1 and len(args.weight) > 1
+    if parallel:  # the pool modules add about a third to start-up, so only a pool imports them
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
     with ProcessPoolExecutor(args.jobs, mp_context=get_context("spawn")) if parallel else nullcontext() as pool:
         for line, note in (pool.map if parallel else map)(_weight_line, [(args, w) for w in args.weight]):
             print(line)

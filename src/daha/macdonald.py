@@ -4,13 +4,17 @@ E_lam is the unique element with unitriangular expansion
 
     E_lam = e^lam + sum over mu strictly below lam (Cherednik order)
 
-that is an eigenvector of Y^{mu*} for a fixed strictly dominant coroot vector
-mu*.  For dominant lam the triangular eigenproblem is solved exactly by
-back-substitution over Q(q, t): row i gives c_i = sum_{j > i} m_ij c_j /
-(y - m_ii).  Each c_j is kept as a numerator over a product of irreducible
-factors of the eigenvalue gaps; a row's sum is formed over the row's common
-factored denominator and reduced once, by exact division with those factors,
-so no gcd is ever computed.
+that is an eigenvector of one Y-operator Y^mu, mu strictly dominant.  The
+operator is chosen once, for both solvers, from its predicted spectrum: mu
+is the first mu_candidates entry whose eigenvalue-exponent formula gives lam
+an eigenvalue that no other weight of the lower set shares.  For dominant
+lam the matrix of that one Y^mu is built on the integer kernel, its diagonal
+is checked against the predicted eigenvalues, and the triangular
+eigenproblem is solved exactly by back-substitution over Q(q, t): row i gives
+c_i = sum_{j > i} m_ij c_j / (y - m_ii).  Each c_j is kept as a numerator
+over a product of irreducible factors of the eigenvalue gaps; a row's sum is
+formed over the row's common factored denominator and reduced once, by
+exact division with those factors, so no gcd is ever computed.
 
 Any other lam lies in the orbit of a dominant lam_+, and E_lam is reached from
 the solved E_{lam_+} by finite intertwiners, one T_i and one scalar per letter
@@ -29,10 +33,10 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd
 
-from .qt import ONE_P, QTPoly, R_ZERO, RatQT, ZERO_P, div_exact
-from .polyring import QTLaurent, orbit_sum
+from .qt import ONE_P, QTPoly, RatQT, ZERO_P, div_exact
+from .polyring import QTLaurent
 from .roots import LESS, EQUAL, RootSystem, Weight, CorootVec, root_system
-from .hecke import _comb, _t, strictly_dominant_coroot, symmetrizer, y_op
+from .hecke import _comb, _mono, _t, _y, strictly_dominant_coroot, symmetrizer, y_op
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -173,13 +177,13 @@ class _FactoredRat:
         return RatQT(self.num, _cofactor(self.den, {}), _reduced=True)
 
 
-def _common_den(dens) -> dict[QTPoly, int]:
-    """The largest multiplicity of each factor over the given denominators."""
-    out: dict[QTPoly, int] = {}
-    for den in dens:
-        for f, m in den.items():
-            out[f] = max(out.get(f, 0), m)
-    return out
+def _over_common_den(coeffs) -> tuple[dict[QTPoly, int], list[QTPoly]]:
+    """(den, nums) with coeffs[k] = nums[k] / prod(den), den taking each factor's largest multiplicity."""
+    den: dict[QTPoly, int] = {}
+    for c in coeffs:
+        for f, m in c.den.items():
+            den[f] = max(den.get(f, 0), m)
+    return den, [ZERO_P if c.is_zero() else c.num * _cofactor(den, c.den) for c in coeffs]
 
 
 def _cofactor(den: dict[QTPoly, int], part: dict[QTPoly, int]) -> QTPoly:
@@ -202,11 +206,12 @@ def mu_star(rs: RootSystem) -> CorootVec:
 def mu_candidates(rs: RootSystem, n: int):
     """Strictly dominant coroot vectors to pin E_lam on a lower set of n weights.
 
-    First the default mu*, then asymmetric alternates.  A single Y-operator
-    can have colliding eigenvalue monomials on a lower set when the type has
-    a diagram symmetry fixing mu* (the joint spectrum still separates).  The
-    alternates break the symmetry while staying strictly dominant:
-    (j+1) mu* + j sum_i i alpha_i^vee.
+    _operator takes the first whose predicted eigenvalues separate lam; no
+    Y-matrix is built to try one.  First the default mu*, then asymmetric
+    alternates.  A single Y-operator can have colliding eigenvalue monomials
+    on a lower set when the type has a diagram symmetry fixing mu* (the joint
+    spectrum still separates).  The alternates break the symmetry while
+    staying strictly dominant: (j+1) mu* + j sum_i i alpha_i^vee.
 
     All of these lie in one plane, so a weight w with w - lam orthogonal to
     it collides for each.  Then come the moment-curve points
@@ -238,17 +243,16 @@ def mu_candidates(rs: RootSystem, n: int):
             yield cand
 
 
-def y_matrix(rs: RootSystem, basis: list[Weight], mu: CorootVec | None = None) -> list[list[RatQT]]:
-    """Matrix of Y^mu on the span of basis, the lower set of its last weight (columns = images)."""
+def y_matrix(rs: RootSystem, basis: list[Weight], mu: CorootVec) -> list[list[QTPoly]]:
+    """Matrix of Y^mu on the span of basis, the lower set of its last weight (columns = images).
+    Column j is the integer kernel of Y^mu e^nu_j, so the entries are QTPolys."""
     lam = basis[-1]
     index = {w: k for k, w in enumerate(basis)}
     keys = [rs.order_key(w) for w in basis]
-    mstar = mu_star(rs) if mu is None else mu
     n = len(basis)
-    mat = [[R_ZERO] * n for _ in range(n)]
+    mat = [[ZERO_P] * n for _ in range(n)]
     for j, nu in enumerate(basis):
-        img = y_op(rs, mstar, QTLaurent.mono(rs, nu))
-        for w, c in img.terms.items():
+        for w, c in _y(rs, mu, _mono(nu)).items():
             i = index.get(w)
             if i is None:
                 raise OrderViolationError(
@@ -258,20 +262,29 @@ def y_matrix(rs: RootSystem, basis: list[Weight], mu: CorootVec | None = None) -
                 raise OrderViolationError(
                     f"Y e^{nu} has weight {w} not below {nu} in the order"
                 )
-            mat[i][j] = c
+            mat[i][j] = QTPoly(c)
     return mat
+
+
+def _operator(rs: RootSystem, basis: list[Weight]) -> tuple[CorootVec, list[tuple[int, int]]]:
+    """(mu, exps): the first mu_candidates entry whose predicted eigenvalue on E_{basis[-1]} is
+    not predicted for another weight of basis, and the (q, t)-exponents of those eigenvalues."""
+    for mu in mu_candidates(rs, len(basis)):
+        exps = [expected_eigen_exponents(rs, w, mu) for w in basis]
+        if exps[-1] not in exps[:-1]:
+            return mu, exps
+    raise DegenerateSpectrumError(
+        f"all Y-candidates have colliding eigenvalues on the lower set of {basis[-1]}"
+    )
 
 
 def nonsym_e(rs: RootSystem, lam: Weight) -> EigenResult:
     """Nonsymmetric Macdonald polynomial with leading weight lam.
 
-    A dominant lam is solved from the triangular matrix of a Y-operator on
-    its lower set.  If the default operator has a repeated eigenvalue on the
-    set, the solve falls back to the deterministic asymmetric alternates of
-    mu_candidates (recorded in the result); the degenerate-spectrum error is
-    raised only when every candidate collides.  Any other lam is reached
-    from its dominant seed by intertwiners (see _walk), with the operator
-    picked by the same rule.
+    The operator (mu_used) is the first mu_candidates entry whose predicted
+    spectrum separates lam on its lower set (see _operator).  A dominant lam
+    is solved from that operator's triangular matrix; any other lam is
+    reached from its dominant seed by intertwiners (see _walk).
 
     Each call returns a fresh EigenResult (new term dicts and basis list), so
     a caller that mutates it cannot change what later callers get.
@@ -289,40 +302,33 @@ def _nonsym_e_cached(rs_name: str, lam: Weight) -> EigenResult:
 
 
 @lru_cache(maxsize=None)
-def _solve(rs_name: str, lam: Weight) -> tuple[list[Weight], tuple[_FactoredRat, ...], CorootVec, RatQT]:
-    """The triangular eigensolve: (basis, coefficients, operator, its eigenvalue).
+def _solve(rs_name: str, lam: Weight) -> tuple[list[Weight], tuple[_FactoredRat, ...], CorootVec,
+                                                tuple[int, int]]:
+    """The triangular eigensolve: (basis, coefficients, operator, exponents of its eigenvalue).
 
+    The one matrix built must have the predicted eigenvalues on its diagonal.
     Private state: the walk reads its seed from here, never from an
     EigenResult that a caller holds.
     """
     rs = root_system(rs_name)
-    chosen = None
     basis = rs.lower_set(lam)
     n = len(basis)
-    for mu in mu_candidates(rs, n):
-        mat = y_matrix(rs, basis, mu)
-        y = mat[n - 1][n - 1]
-        if all(mat[k][k] != y for k in range(n - 1)):
-            chosen = mu
-            break
-    if chosen is None:
-        raise DegenerateSpectrumError(
-            f"all Y-candidates have colliding eigenvalues on the lower set of {lam}"
-        )
-    assert y.is_polynomial()
+    mu, exps = _operator(rs, basis)
+    mat = y_matrix(rs, basis, mu)
+    for k, w in enumerate(basis):
+        if mat[k][k] != QTPoly.monomial(1, *exps[k]):
+            raise AssertionError(f"Y^{mu} on e^{w} has diagonal {mat[k][k]}, not the predicted eigenvalue")
+    y = mat[n - 1][n - 1]
     coeffs = [_FactoredRat(ZERO_P)] * n
     coeffs[n - 1] = _FactoredRat(ONE_P)
     for i in range(n - 2, -1, -1):
         row = [(mat[i][j], coeffs[j]) for j in range(i + 1, n)
                if not (mat[i][j].is_zero() or coeffs[j].is_zero())]
-        den = _common_den(c.den for _, c in row)
-        s = ZERO_P
-        for mij, c in row:
-            assert mij.is_polynomial()
-            s = s + c.num * (mij.num * _cofactor(den, c.den))
+        den, nums = _over_common_den([c for _, c in row])
+        s = sum((num * mij for (mij, _), num in zip(row, nums)), ZERO_P)
         if not s.is_zero():
-            coeffs[i] = _FactoredRat(s, den).div_gap(y.num - mat[i][i].num)
-    return basis, tuple(coeffs), chosen, y
+            coeffs[i] = _FactoredRat(s, den).div_gap(y - mat[i][i])
+    return basis, tuple(coeffs), mu, exps[-1]
 
 
 def _eigensolve(rs: RootSystem, lam: Weight) -> EigenResult:
@@ -348,8 +354,8 @@ def _walk(rs: RootSystem, lam: Weight) -> EigenResult:
     """
     lam_plus, u = rs.dominant(lam)
     seed_basis, seed, _, _ = _solve(rs.name, lam_plus)
-    den = _common_den(c.den for c in seed)
-    f = {w: (c.num * _cofactor(den, c.den)).terms for w, c in zip(seed_basis, seed) if not c.is_zero()}
+    den, nums = _over_common_den(seed)
+    f = {w: num.terms for w, num in zip(seed_basis, nums) if not num.is_zero()}
     nu = lam_plus
     for i in u:
         assert nu[i - 1] > 0, "intertwiner step does not go up the orbit"
@@ -364,47 +370,41 @@ def _walk(rs: RootSystem, lam: Weight) -> EigenResult:
     basis = rs.lower_set(lam)
     if not f.keys() <= set(basis):
         raise OrderViolationError(f"the intertwiners left the lower set of {lam}")
-    for mu in mu_candidates(rs, len(basis)):
-        exps = [expected_eigen_exponents(rs, w, mu) for w in basis]
-        if exps[-1] not in exps[:-1]:
-            break
-    else:
-        raise DegenerateSpectrumError(
-            f"all Y-candidates have colliding eigenvalues on the lower set of {lam}"
-        )
+    mu, exps = _operator(rs, basis)
     coeffs = tuple(_FactoredRat(QTPoly(f.get(w, {})), den).reduced() for w in basis)
     if not coeffs[-1].to_ratqt().is_one():
         raise AssertionError(f"the intertwiners lost the unit coefficient of e^{lam}")
-    return _result(rs, lam, basis, coeffs, mu, RatQT.monomial(1, *exps[-1]))
+    return _result(rs, lam, basis, coeffs, mu, exps[-1])
+
+
+def _is_eigenvector(rs: RootSystem, mu: CorootVec, cleared: QTLaurent, exps: tuple[int, int]) -> bool:
+    """Y^mu cleared == q^exps[0] t^exps[1] cleared, exactly."""
+    return y_op(rs, mu, cleared) == cleared.scale(RatQT.monomial(1, *exps))
 
 
 def _result(rs: RootSystem, lam: Weight, basis: list[Weight], coeffs: tuple[_FactoredRat, ...],
-            chosen: CorootVec, y: RatQT) -> EigenResult:
-    """The EigenResult of E_lam = sum coeffs[i] e^basis[i], whose eigenvalue under Y^chosen is y,
-    after both exactness checks."""
+            chosen: CorootVec, exps: tuple[int, int]) -> EigenResult:
+    """The EigenResult of E_lam = sum coeffs[i] e^basis[i], whose eigenvalue under Y^chosen is
+    q^exps[0] t^exps[1], after both exactness checks."""
     e = QTLaurent(rs, {w: c.to_ratqt() for w, c in zip(basis, coeffs)})
     # clear denominators without any gcd: the factors are already known
-    universe = _common_den(c.den for c in coeffs)
+    universe, nums = _over_common_den(coeffs)
     clearing = _cofactor(universe, {})
-    cleared = QTLaurent(rs, {
-        w: RatQT(c.num * _cofactor(universe, c.den), ONE_P, _reduced=True) for w, c in zip(basis, coeffs)
-    })
+    cleared = QTLaurent(rs, {w: RatQT(num, ONE_P, _reduced=True) for w, num in zip(basis, nums)})
     # exactness: the operator residual must vanish identically (checked on the
     # polynomial form, which exercises the same Hecke word)
-    if y_op(rs, chosen, cleared) != cleared.scale(y):
+    if not _is_eigenvector(rs, chosen, cleared, exps):
         raise AssertionError("eigen residual is nonzero")
     default = mu_star(rs)
-    eigenvalue = y
     if chosen != default:
         # report the default operator's eigenvalue: E is a joint eigenvector,
         # so read it off and verify by applying the operator
-        q_exp, t_exp = expected_eigen_exponents(rs, lam, default)
-        eigenvalue = RatQT.monomial(1, q_exp, t_exp)
-        if y_op(rs, default, cleared) != cleared.scale(eigenvalue):
+        exps = expected_eigen_exponents(rs, lam, default)
+        if not _is_eigenvector(rs, default, cleared, exps):
             raise AssertionError("joint eigenvector fails for the default operator")
     return EigenResult(
         e_poly=e,
-        eigenvalue=eigenvalue,
+        eigenvalue=RatQT.monomial(1, *exps),
         basis=list(basis),  # a copy: _solve caches the basis it returns
         conjectural=not rs.is_dominant(lam),
         cleared=cleared,
@@ -457,8 +457,7 @@ def eigen_check(rs: RootSystem, lam: Weight, mu: CorootVec, result: EigenResult 
         return EigenCheck(False, 0, 0, str(exc))
     if t_exp < 0:
         return EigenCheck(False, q_exp, t_exp, "negative t-exponent")
-    scalar = RatQT.monomial(1, q_exp, t_exp)
-    if y_op(rs, mu, result.cleared) != result.cleared.scale(scalar):
+    if not _is_eigenvector(rs, mu, result.cleared, (q_exp, t_exp)):
         return EigenCheck(False, q_exp, t_exp, "operator image is not the predicted multiple")
     return EigenCheck(True, q_exp, t_exp)
 
@@ -485,27 +484,11 @@ def sym_p(rs: RootSystem, lam: Weight) -> QTLaurent:
 
 
 def monomial_expand(f: QTLaurent) -> list[tuple[Weight, RatQT]]:
-    """Expansion of a W-invariant element in the orbit-sum basis."""
-    rs = f.rs
+    """Expansion of a W-invariant element in the orbit-sum basis: the orbits are disjoint, each has
+    one dominant weight, and f is constant on each, so its m_mu coefficient is its e^mu one."""
     if not f.is_w_invariant():
         raise ValueError("element is not W-invariant")
-    out = []
-    rem = f
-    while not rem.is_zero():
-        doms = [w for w in rem.support() if rs.is_dominant(w)]
-        if not doms:
-            raise AssertionError("W-invariant element with no dominant support weight")
-        top = max(doms)
-        for w in doms:
-            if w != top and not rs.dominance_leq(w, top):
-                # prefer a dominance-maximal weight
-                if all(not rs.dominance_leq(v, w) or v == w for v in doms):
-                    top = w
-        c = rem.coeff(top)
-        out.append((top, c))
-        rem = rem - orbit_sum(rs, top).scale(c)
-    out.sort(key=lambda p: p[0])
-    return out
+    return sorted(((w, c) for w, c in f.terms.items() if f.rs.is_dominant(w)), key=lambda p: p[0])
 
 
 def classical_demazure(rs: RootSystem, i: int, f: QTLaurent) -> QTLaurent:

@@ -10,7 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .qt import ONE_P, QTPoly, R_ONE, R_ZERO, RatQT, poly_lcm, div_exact, ratqt_from_json, ratqt_to_json
+from .qt import (ONE_P, QTPoly, R_ONE, R_ZERO, RatQT, poly_lcm, div_exact, json_value, ratqt_from_json,
+                 ratqt_to_json)
 from .roots import RootSystem, Weight
 
 
@@ -181,11 +182,14 @@ def laurent_to_json(f: QTLaurent) -> dict:
     }
 
 
-def laurent_from_json(rs: RootSystem, data: Mapping) -> QTLaurent:
-    return QTLaurent(
-        rs,
-        {rs.check_weight(t["weight"]): ratqt_from_json(t["coeff"]) for t in data["terms"]},
-    )
+def laurent_from_json(rs: RootSystem, data: dict) -> QTLaurent:
+    """Inverse of laurent_to_json; ValueError on any other shape or on a non-integer weight entry."""
+    terms = {}
+    for t in json_value(json_value(data, dict, "a polynomial").get("terms"), list, "terms"):
+        weight = json_value(json_value(t, dict, "a term").get("weight"), list, "a weight")
+        lam = rs.check_weight([json_value(v, int, "a weight entry") for v in weight])
+        terms[lam] = ratqt_from_json(t.get("coeff"))
+    return QTLaurent(rs, terms)
 
 
 def _mono_str(rank: int, w: Weight) -> str:

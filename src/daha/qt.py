@@ -51,10 +51,11 @@ the same canonical form on every path, so outputs do not depend on the path.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as _igcd
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 Term = tuple[int, int]  # exponent pair (dq, dt)
@@ -826,13 +827,37 @@ def poly_to_json(p: QTPoly) -> list[list]:
     return [[str(c), a, b] for (a, b), c in p.sorted_terms()]
 
 
-def poly_from_json(data: Iterable) -> QTPoly:
-    return QTPoly({(int(a), int(b)): int(c) for c, a, b in data})
+_JSON_KINDS = {int: "an integer", list: "an array", dict: "an object"}
+
+
+def json_value(x, kind: type, what: str):
+    """x if it is a JSON value of kind int, list or dict (a bool is not an int); ValueError otherwise."""
+    if type(x) is not kind:
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, not {x!r}")
+    return x
+
+
+def _coeff_from_json(c) -> int:
+    """A coefficient: a JSON integer or a decimal-integer string such as "-12"."""
+    if type(c) is int or isinstance(c, str) and re.fullmatch(r"-?[0-9]+", c):
+        return int(c)
+    raise ValueError(f"coefficient must be an integer or a decimal-integer string, not {c!r}")
+
+
+def poly_from_json(data: list) -> QTPoly:
+    """Inverse of poly_to_json: [[coefficient, q-exponent, t-exponent], ...]."""
+    terms = {}
+    for term in json_value(data, list, "a polynomial"):
+        c, a, b = json_value(term, list, "a polynomial term")  # ValueError unless three entries
+        terms[json_value(a, int, "an exponent"), json_value(b, int, "an exponent")] = _coeff_from_json(c)
+    return QTPoly(terms)
 
 
 def ratqt_to_json(r: RatQT) -> dict:
     return {"num": poly_to_json(r.num), "den": poly_to_json(r.den)}
 
 
-def ratqt_from_json(data: Mapping) -> RatQT:
-    return RatQT(poly_from_json(data["num"]), poly_from_json(data["den"]))
+def ratqt_from_json(data: dict) -> RatQT:
+    """Inverse of ratqt_to_json: {"num": polynomial, "den": polynomial}."""
+    json_value(data, dict, "a coefficient")
+    return RatQT(poly_from_json(data.get("num")), poly_from_json(data.get("den")))

@@ -157,6 +157,16 @@ def test_negative_weights_parse(capture, argv, expected):
 
 _ONE_OVER_ZERO = json.dumps({"terms": [{"weight": [1], "coeff": {"num": [["1", 0, 0]], "den": []}}]})
 
+
+def _a1_term(weight=(1,), term=("1", 0, 0)):
+    """An A1 polynomial of one term, with the given weight and numerator term, for --apply."""
+    return json.dumps({"terms": [{"weight": list(weight), "coeff": {"num": [list(term)], "den": [["1", 0, 0]]}}]})
+
+
+# valid JSON of the wrong shape, or a non-integer weight entry, exponent or coefficient
+_BAD_JSON = ["[]", '{"terms": 5}', '"str"', _a1_term(weight=["a"]), _a1_term(weight=[1.0]),
+             _a1_term(weight=[True]), _a1_term(term=("1", 0.5, 0)), _a1_term(term=(1.5, 0, 0))]
+
 BAD_INPUTS = [
     ("e", "--type", "A2", "--weight", "1"),
     ("e", "--type", "A1", "--weight", "1,0"),
@@ -175,6 +185,10 @@ BAD_INPUTS = [
      '{"terms": [{"weight": [1], "coeff": {"num": [["1", 0, 0]], "den": [["1", 0, 0]]}}]}'),
     ("verify", "hecke", "--type", "A2", "--bound=-1"),
     ("sl2", "validate", "-k", "0"),
+    *(("y", "--type", "A1", "--mu", "1", "--apply", bad) for bad in _BAD_JSON),
+    # rejected before any worker pool is started
+    ("e", "--type", "A1", "--weight", "1", "--jobs", "-3"),
+    ("p", "--type", "A1", "--weight", "1", "0", "--jobs", "0"),
 ]
 
 

@@ -291,6 +291,38 @@ class TestDegenerateSpectrum:
         assert e_at_zero(rs, lam) == demazure_key(rs, lam)
 
 
+class TestOperatorChoice:
+    """Both solvers take Y^mu from its predicted spectrum; the eigensolve builds that one matrix."""
+
+    def test_eigensolve_builds_one_matrix(self, monkeypatch, fresh_caches):
+        # (-3, 2, 1) needs the eighth candidate; one y_matrix per candidate took about 15 s
+        rs = root_system("A3")
+        lam = (-3, 2, 1)
+        built = []
+        y_matrix = macdonald.y_matrix
+
+        def counting(rs, basis, mu):
+            built.append(mu)
+            return y_matrix(rs, basis, mu)
+
+        monkeypatch.setattr(macdonald, "y_matrix", counting)
+        solved = _eigensolve(rs, lam)
+        assert built == [(3, 4, 3)]
+        assert _fields(solved) == _fields(nonsym_e(rs, lam))
+
+    def test_diagonal_off_the_prediction_raises(self, monkeypatch, fresh_caches):
+        y_matrix = macdonald.y_matrix
+
+        def perturbed(rs, basis, mu):
+            mat = y_matrix(rs, basis, mu)
+            mat[0][0] = mat[0][0].shift(1, 0)
+            return mat
+
+        monkeypatch.setattr(macdonald, "y_matrix", perturbed)
+        with pytest.raises(AssertionError, match="not the predicted eigenvalue"):
+            _eigensolve(A2, (2, 0))
+
+
 class TestFreshResults:
     def test_mutating_a_result_changes_no_later_answer(self, fresh_caches):
         lam = (1, 1)
@@ -335,6 +367,18 @@ class TestSymmetric:
         assert monomial_expand(f) == [((0,), RatQT.from_int(1)), ((2,), RatQT.from_int(1))]
         sq = (x(1) + x(-1)) * (x(1) + x(-1))
         assert monomial_expand(sq) == [((0,), RatQT.from_int(2)), ((2,), RatQT.from_int(1))]
+
+    def test_monomial_expand_many_orbits(self):
+        # frozen from the dominance-maximal peeling this expansion replaced
+        assert [(w, str(c)) for w, c in monomial_expand(sym_p(A1, (4,)))] == [
+            ((0,), "(1-t+q-2*q*t+q*t^2+2*q^2-3*q^2*t+q^2*t^2+q^3-3*q^3*t+2*q^3*t^2+q^4-2*q^4*t"
+                   "+q^4*t^2-q^5*t+q^5*t^2)/(1-q^2*t-q^3*t+q^5*t^2)"),
+            ((2,), "(1-t+q-q*t+q^2-q^2*t+q^3-q^3*t)/(1-q^3*t)"),
+            ((4,), "1"),
+        ]
+        assert [(w, str(c)) for w, c in monomial_expand(weyl_character(A2, (2, 2)))] == [
+            ((0, 0), "3"), ((0, 3), "1"), ((1, 1), "2"), ((2, 2), "1"), ((3, 0), "1"),
+        ]
 
     def test_monomial_expand_rejects(self):
         with pytest.raises(ValueError):
