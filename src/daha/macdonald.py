@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd
 
-from .qt import ONE_P, QTPoly, RatQT, ZERO_P, div_exact
+from .qt import ONE_P, QTPoly, RatQT, ZERO_P, _canon_unit, div_exact
 from .polyring import QTLaurent
 from .roots import LESS, EQUAL, RootSystem, Weight, CorootVec, root_system
 from .hecke import _comb, _mono, _t, _y, strictly_dominant_coroot, symmetrizer, y_op
@@ -94,15 +94,7 @@ def _split_gap(p: QTPoly) -> tuple[int, int, int, list[QTPoly]]:
         divisors = [d for d in range(1, g + 1) if g % d == 0]
     else:
         divisors = [d for d in range(1, 2 * g + 1) if (2 * g) % d == 0 and g % d != 0]
-    factors = []
-    for d in divisors:
-        f = _subst_monomial(_cyclotomic(d), za, zb)
-        mq, mt = f.min_exps()
-        if mq or mt:
-            f = f.shift(-mq, -mt)
-        if f.terms[min(f.terms)] < 0:
-            f = f.scale(-1)
-        factors.append(f)
+    factors = [_canon_unit(_subst_monomial(_cyclotomic(d), za, zb)) for d in divisors]
     rest = p
     for f in factors:
         rest = div_exact(rest, f)

@@ -188,6 +188,8 @@ def laurent_from_json(rs: RootSystem, data: dict) -> QTLaurent:
     for t in json_value(json_value(data, dict, "a polynomial").get("terms"), list, "terms"):
         weight = json_value(json_value(t, dict, "a term").get("weight"), list, "a weight")
         lam = rs.check_weight([json_value(v, int, "a weight entry") for v in weight])
+        if lam in terms:
+            raise ValueError(f"repeated weight {list(lam)} in a polynomial")
         terms[lam] = ratqt_from_json(t.get("coeff"))
     return QTLaurent(rs, terms)
 

@@ -43,7 +43,9 @@ found in three steps:
      divides G with deg H >= deg G, so H = G up to sign.
   3. Fallback.  Any input the first two steps leave open (unlucky evaluation
      points, or a candidate never accepted) goes to the primitive PRS over
-     Z[t][q].
+     Z[t][q] (Knuth, TAOCP vol. 2, 4.6.1), written in QTPoly products and
+     `div_exact`.  The Z[t] content of each remainder comes from the same
+     routine run in t over Z, where the content is an integer.
 
 The prime and the evaluation points are fixed, and the result is brought to
 the same canonical form on every path, so outputs do not depend on the path.
@@ -246,88 +248,8 @@ ONE_P = QTPoly.const(1)
 
 
 # ---------------------------------------------------------------------------
-# gcd machinery (operates on polynomials with nonnegative exponents)
+# exact division and gcd
 # ---------------------------------------------------------------------------
-
-def _uv_content_pp(p: dict[int, int]) -> tuple[int, dict[int, int]]:
-    g = 0
-    for c in p.values():
-        g = _igcd(g, abs(c))
-    if g == 0:
-        return 0, {}
-    return g, {k: c // g for k, c in p.items()}
-
-
-def _uv_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for k, c in a.items():
-        for k2, c2 in b.items():
-            s = out.get(k + k2, 0) + c * c2
-            if s:
-                out[k + k2] = s
-            else:
-                out.pop(k + k2, None)
-    return out
-
-
-def _uv_scale(a: dict[int, int], c: int) -> dict[int, int]:
-    return {k: v * c for k, v in a.items()} if c else {}
-
-
-def _uv_sub(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, 0) - c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _uv_gcd(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Primitive PRS gcd of univariate integer polynomials (dict degree -> coeff)."""
-    ca, pa = _uv_content_pp(a)
-    cb, pb = _uv_content_pp(b)
-    cont = _igcd(ca, cb)
-    if not pa:
-        g = pb
-    elif not pb:
-        g = pa
-    else:
-        while pb:
-            da, db = max(pa), max(pb)
-            if da < db:
-                pa, pb = pb, pa
-                continue
-            lead = pb[db]
-            r = _uv_sub(_uv_scale(pa, lead), _uv_mul(_uv_scale(pb, pa[da]), {da - db: 1}))
-            if r and max(r) >= da:
-                raise AssertionError("pseudo-division failed to reduce degree")
-            pa = pb
-            pb = _uv_content_pp(r)[1]
-        g = pa
-    g = _uv_content_pp(g)[1]
-    # normalize: strip monomial factor, positive leading sign at min degree
-    if g:
-        m = min(g)
-        if m:
-            g = {k - m: c for k, c in g.items()}
-        if g[min(g)] < 0:
-            g = _uv_scale(g, -1)
-    return _uv_scale(g, cont) if cont != 1 else g
-
-
-def _to_q_coeffs(p: QTPoly) -> dict[int, dict[int, int]]:
-    out: dict[int, dict[int, int]] = {}
-    for (a, b), c in p.terms.items():
-        out.setdefault(a, {})[b] = c
-    return out
-
-
-def _from_q_coeffs(d: dict[int, dict[int, int]]) -> QTPoly:
-    return QTPoly({(a, b): c for a, row in d.items() for b, c in row.items() if c})
-
 
 def div_exact(a: QTPoly, b: QTPoly) -> QTPoly | None:
     """Exact quotient a / b of Laurent polynomials, or None if b does not divide a.
@@ -569,62 +491,45 @@ def _heu_gcd(a: QTPoly, b: QTPoly, bounds: Term) -> QTPoly | None:
     return None
 
 
-def _rows_div(rows: dict[int, dict[int, int]], c: dict[int, int]) -> dict[int, dict[int, int]]:
-    """Each Z[t] row divided exactly by c (a content of the rows), through div_exact."""
-    cp = QTPoly({(0, j): v for j, v in c.items()})
-    out = {}
-    for k, row in rows.items():
-        quo = div_exact(QTPoly({(0, j): v for j, v in row.items()}), cp)
-        assert quo is not None, "a content does not divide its row"
-        out[k] = {j: v for (_, j), v in quo.terms.items()}
-    return out
+def _coeff(p: QTPoly, var: int, d: int) -> QTPoly:
+    """The coefficient of q^d in p (var = 0), a polynomial in t; or of t^d in p free of q (var = 1), an integer."""
+    return QTPoly({(0, k[1]) if var == 0 else (0, 0): c for k, c in p.terms.items() if k[var] == d})
 
 
-def _prs_gcd(a: QTPoly, b: QTPoly) -> QTPoly:
-    """Primitive gcd of primitive a, b with nonnegative exponents: primitive PRS over Z[t][q].
+def _content(ps: tuple[QTPoly, ...], var: int) -> QTPoly:
+    """gcd of the coefficients of all of ps in q over Z[t] (var = 0), or in t over Z (var = 1)."""
+    if var:
+        return QTPoly.const(_igcd(*(p.content() for p in ps)))
+    g = None
+    for p in ps:
+        for d in {k[0] for k in p.terms}:
+            g = _coeff(p, 0, d) if g is None else _prs_gcd(g, _coeff(p, 0, d), 1)
+    return g
 
-    The fallback of `poly_gcd`, and the oracle its fast path is tested against.
+
+def _prs_gcd(a: QTPoly, b: QTPoly, var: int = 0) -> QTPoly:
+    """gcd of nonzero a, b with nonnegative exponents, up to sign, by the primitive PRS.
+
+    The PRS runs in q over Z[t] (var = 0).  Each step replaces the operand of
+    higher degree by the primitive part of lc(b) a - q^(da - db) lc(a) b, and
+    the gcd of the inputs' contents multiplies the last nonzero remainder.
+    The Z[t] contents come from the same PRS run in t over Z (var = 1), where
+    the content is the integer `QTPoly.content`.  The fallback of `poly_gcd`,
+    and the oracle its fast path is tested against.
     """
-    qa, qb = _to_q_coeffs(a), _to_q_coeffs(b)
-    only_t = max(qa) == 0 and max(qb) == 0
-    if only_t:
-        g = _uv_gcd(qa[0], qb[0])
-        return _primitive(_from_q_coeffs({0: g}))
-    # contents with respect to q
-    ca = {}
-    for row in qa.values():
-        ca = _uv_gcd(ca, row) if ca else _uv_content_pp(row)[1]
-    cb = {}
-    for row in qb.values():
-        cb = _uv_gcd(cb, row) if cb else _uv_content_pp(row)[1]
-    cont = _uv_gcd(ca, cb)
-    pa, pb = _rows_div(qa, ca), _rows_div(qb, cb)
-    # primitive PRS in q over Z[t]
-    while pb:
-        da, db = max(pa), max(pb)
+    ca, cb = _content((a,), var), _content((b,), var)
+    a, b = div_exact(a, ca), div_exact(b, cb)
+    while not b.is_zero():
+        da, db = a.max_exps()[var], b.max_exps()[var]
         if da < db:
-            pa, pb = pb, pa
+            a, b = b, a
             continue
-        la, lb = pa[da], pb[db]
-        # lb * pa - la * q^(da-db) * pb
-        r: dict[int, dict[int, int]] = {}
-        for k, row in pa.items():
-            r[k] = _uv_mul(row, lb)
-        for k, row in pb.items():
-            kk = k + da - db
-            r[kk] = _uv_sub(r.get(kk, {}), _uv_mul(row, la))
-        r = {k: row for k, row in r.items() if row}
-        if r and max(r) >= da:
+        x = (da - db, 0) if var == 0 else (0, da - db)
+        r = _coeff(b, var, db) * a - (_coeff(a, var, da) * b).shift(*x)
+        if not r.is_zero() and r.max_exps()[var] >= da:
             raise AssertionError("pseudo-division failed to reduce degree")
-        # primitive part of remainder
-        if r:
-            cr = {}
-            for row in r.values():
-                cr = _uv_gcd(cr, row) if cr else _uv_content_pp(row)[1]
-            r = _rows_div(r, cr)
-        pa, pb = pb, r
-    g = _from_q_coeffs({k: _uv_mul(row, cont) for k, row in pa.items()})
-    return _primitive(g)
+        a, b = b, (r if r.is_zero() else div_exact(r, _content((r,), var)))
+    return a * _content((ca, cb), var)
 
 
 def poly_lcm(a: QTPoly, b: QTPoly) -> QTPoly:
@@ -849,7 +754,10 @@ def poly_from_json(data: list) -> QTPoly:
     terms = {}
     for term in json_value(data, list, "a polynomial"):
         c, a, b = json_value(term, list, "a polynomial term")  # ValueError unless three entries
-        terms[json_value(a, int, "an exponent"), json_value(b, int, "an exponent")] = _coeff_from_json(c)
+        key = json_value(a, int, "an exponent"), json_value(b, int, "an exponent")
+        if key in terms:
+            raise ValueError(f"repeated exponent pair {list(key)} in a polynomial")
+        terms[key] = _coeff_from_json(c)
     return QTPoly(terms)
 
 

@@ -163,9 +163,17 @@ def _a1_term(weight=(1,), term=("1", 0, 0)):
     return json.dumps({"terms": [{"weight": list(weight), "coeff": {"num": [list(term)], "den": [["1", 0, 0]]}}]})
 
 
-# valid JSON of the wrong shape, or a non-integer weight entry, exponent or coefficient
+def _a1_coeff(num):
+    return {"num": num, "den": [["1", 0, 0]]}
+
+
+# valid JSON of the wrong shape, a non-integer weight entry, exponent or coefficient,
+# or a repeated exponent pair or weight
 _BAD_JSON = ["[]", '{"terms": 5}', '"str"', _a1_term(weight=["a"]), _a1_term(weight=[1.0]),
-             _a1_term(weight=[True]), _a1_term(term=("1", 0.5, 0)), _a1_term(term=(1.5, 0, 0))]
+             _a1_term(weight=[True]), _a1_term(term=("1", 0.5, 0)), _a1_term(term=(1.5, 0, 0)),
+             json.dumps({"terms": [{"weight": [1], "coeff": _a1_coeff([["1", 0, 0], ["2", 0, 0]])}]}),
+             json.dumps({"terms": [{"weight": [1], "coeff": _a1_coeff([["1", 0, 0]])},
+                                   {"weight": [1], "coeff": _a1_coeff([["5", 0, 0]])}]})]
 
 BAD_INPUTS = [
     ("e", "--type", "A2", "--weight", "1"),

@@ -111,6 +111,15 @@ class TestGcd:
         b = ONE_MINUS_QT * ONE_MINUS_T * P(c=1, q=1)
         assert poly_gcd(a, b) == ONE_MINUS_QT * ONE_MINUS_T
 
+    def test_prs_shared_content(self):
+        # the gcd 1 + t lies in Z[t]: the PRS in q finds it as the gcd of the contents
+        a, b = P(c=1, t=1) * P(c=1, q=1), P(c=1, t=1) * ONE_MINUS_QT
+        assert _canon_unit(_prs_gcd(a, b)) == P(c=1, t=1)
+
+    def test_prs_free_of_q(self):
+        a, b = ONE_MINUS_T * P(c=2, t=1), ONE_MINUS_T * P(c=1, t2=1)
+        assert _canon_unit(_prs_gcd(a, b)) == ONE_MINUS_T
+
     def test_div_exact(self):
         num = P(c=1, q2t2=-1)
         assert div_exact(num, ONE_MINUS_QT) == P(c=1, qt=1)
@@ -301,6 +310,38 @@ def test_fast_path_matches_prs(pair):
     else:
         got = _heu_gcd(a, b, bounds)
         assert got is None or _canon_unit(got) == want
+
+
+nonneg_exps = st.integers(min_value=0, max_value=2)
+prs_keys = {
+    "q and t": st.tuples(nonneg_exps, nonneg_exps),
+    "t only": st.tuples(st.just(0), nonneg_exps),
+    "q only": st.tuples(nonneg_exps, st.just(0)),
+}
+
+
+def nonzero_nonneg_polys(keys):
+    return st.dictionaries(keys, coeffs.filter(bool), min_size=1, max_size=3).map(QTPoly)
+
+
+@st.composite
+def prs_pairs(draw):
+    """Nonzero (g u, g v) with nonnegative exponents, free of q or of t, or
+    in q and t times a shared content c in Z[t] (possibly a power of t)."""
+    kind = draw(st.sampled_from([*prs_keys, "shared content"]))
+    factors = nonzero_nonneg_polys(prs_keys.get(kind, prs_keys["q and t"]))
+    g, u, v = draw(factors), draw(factors), draw(factors)
+    if kind == "shared content":
+        g = g * draw(nonzero_nonneg_polys(prs_keys["t only"]))
+    return g * u, g * v
+
+
+@settings(max_examples=100, deadline=None)
+@given(prs_pairs())
+def test_prs_matches_sympy(sympy, pair):
+    want = sympy.gcd(*(sympy.Poly.from_dict(p.terms, sympy.symbols("q t")) for p in pair))
+    want = _from_sym(sympy, want.as_expr())
+    assert _prs_gcd(*pair) in (want, -want)
 
 
 # exact division against independent oracles ---------------------------------
