@@ -19,8 +19,9 @@ into itself, so they run on one integer kernel: an element is a dict
 exponents.  The public operators (dl_op, dl_inv, word_op, y_op, demazure_op,
 demazure_char, symmetrizer) take and return QTLaurent and convert once per
 call, however many letters they apply.  An input with a non-polynomial
-coefficient is first multiplied by the lcm D of its denominators; the
-operators are Q(q, t)-linear, so the image is the kernel image divided by D.
+coefficient is first multiplied by the lcm D of its denominators, by
+polyring._kernel (the one denominator clearing, shared with integral_form);
+the operators are Q(q, t)-linear, so the image is the kernel image divided by D.
 
 The relation suites run entirely on the kernel: they build e^mu as a kernel,
 apply the kernel operators and compare pruned kernels with ==.  Each check
@@ -32,11 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .qt import ONE_P, QTPoly, RatQT, Term, div_exact, poly_lcm
-from .polyring import QTLaurent
+from .qt import QTPoly, RatQT, Term
+from .polyring import Kernel, QTLaurent, _kernel
 from .roots import RootSystem, Weight, WeylWord, CorootVec, weight_box
-
-Kernel = dict[Weight, dict[Term, int]]
 
 
 def _pairing(rs: RootSystem, i: int, mu: Weight) -> int:
@@ -143,16 +142,6 @@ def _y(rs: RootSystem, mu: CorootVec, f: Kernel) -> Kernel:
     for i in rs.translation_word(minus) if any(minus) else ():
         f = _t_inv(rs, i, f)
     return _word(rs, rs.translation_word(plus), f) if any(plus) else f
-
-
-def _kernel(f: QTLaurent) -> tuple[Kernel, QTPoly]:
-    """(k, D) with f = k / D and D the lcm of the coefficient denominators."""
-    den = ONE_P
-    for c in f.terms.values():
-        if not c.is_polynomial():
-            den = poly_lcm(den, c.den)
-    return {w: c.num.terms if c.den == den else (c.num * div_exact(den, c.den)).terms
-            for w, c in f.terms.items()}, den
 
 
 def _lifted(rs: RootSystem, op, f: QTLaurent) -> QTLaurent:

@@ -76,24 +76,22 @@ def _cyclotomic(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def _split_gap(p: QTPoly) -> tuple[int, int, int, list[QTPoly]]:
-    """Factor a two-term polynomial as unit * product of irreducible factors.
+    """Factor a difference of two monomials as unit * product of irreducible factors.
 
-    Writes p = c1 m1 + c2 m2 = unit * prod of cyclotomics evaluated at the
-    primitive monomial of m2/m1, each normalized canonically (no monomial
-    content, lexicographically least term positive).  The unit is returned as
-    (sign, shift_q, shift_t) and the decomposition is verified by exact
-    division.
+    Every gap is y - m_ii or 1 - q^-a t^(1-b), so p = m1 - m2 up to sign.
+    Writes p = unit * prod over d | g of the cyclotomic Phi_d evaluated at the
+    primitive monomial z of m2/m1 = z^g, each normalized canonically (no
+    monomial content, lexicographically least term positive).  The unit is
+    returned as (sign, shift_q, shift_t) and the decomposition is verified by
+    exact division.
     """
     assert len(p.terms) == 2, "eigenvalue gap is not a binomial"
     (k1, c1), (k2, c2) = sorted(p.terms.items())
-    assert abs(c1) == 1 and abs(c2) == 1, "gap with non-unit coefficients"
+    assert c1 * c2 == -1, "gap is not a difference of two monomials"
     dq, dt = k2[0] - k1[0], k2[1] - k1[1]
     g = gcd(abs(dq), abs(dt))
     za, zb = dq // g, dt // g
-    if (c1 > 0) != (c2 > 0):
-        divisors = [d for d in range(1, g + 1) if g % d == 0]
-    else:
-        divisors = [d for d in range(1, 2 * g + 1) if (2 * g) % d == 0 and g % d != 0]
+    divisors = [d for d in range(1, g + 1) if g % d == 0]
     factors = [_canon_unit(_subst_monomial(_cyclotomic(d), za, zb)) for d in divisors]
     rest = p
     for f in factors:

@@ -11,7 +11,7 @@ Checks, over the box |lam_i| <= bound:
     the affine index as well.  Where s_i lam = lam for a finite i the lower
     set need not be s_i-stable (in A3, the lower set of lam = (-2,1,0) holds
     alpha_3 but not -alpha_3); there the check is the exact identity
-    T_i E_lam = t E_lam, for every lam whose lower set has at most max_lower
+    T_i E_lam = t E_lam, for every lam whose lower set has at most MAX_LOWER
     weights (irreducible types only, as E_lam needs the affine node);
   * closure of lower sets under the Y-operators (the affine convexity that
     the triangular eigensolver depends on).
@@ -31,8 +31,11 @@ from .polyring import QTLaurent
 from .qt import RatQT
 from .roots import EQUAL, GREATER, LESS, RootSystem, weight_box
 
+# the T_i E_lam = t E_lam and Y-closure checks skip lam whose lower set is larger
+MAX_LOWER = 60
 
-def verify_order(rs: RootSystem, bound: int, max_lower: int = 60) -> RelationReport:
+
+def verify_order(rs: RootSystem, bound: int) -> RelationReport:
     report = RelationReport(f"Cherednik order properties for {rs.name}, box {bound}")
     box = weight_box([bound] * rs.rank)
     keys = {a: rs.order_key(a) for a in box}
@@ -87,7 +90,7 @@ def verify_order(rs: RootSystem, bound: int, max_lower: int = 60) -> RelationRep
             for i in tuple(range(1, rs.rank + 1)) + affine_set:
                 si_lam = rs.reflect_affine(i, lam)
                 if i and si_lam == lam and rs.irreducible:
-                    if len(ls) <= max_lower:
+                    if len(ls) <= MAX_LOWER:
                         e = nonsym_e(rs, lam).cleared
                         if dl_op(rs, i, e) != e.scale(RatQT.monomial(1, 0, 1)):
                             yield f"T_{i} E_lam = t E_lam fails at lam={lam}, i={i}"
@@ -110,7 +113,7 @@ def verify_order(rs: RootSystem, bound: int, max_lower: int = 60) -> RelationRep
         def escapes():
             for lam in box:
                 ls = rs.lower_set(lam)
-                if len(ls) <= max_lower:
+                if len(ls) <= MAX_LOWER:
                     checked.append(lam)
                     if not set(y_op(rs, mstar, QTLaurent.mono(rs, lam)).support()) <= set(ls):
                         yield f"Y-image of e^{lam} escapes its lower set"

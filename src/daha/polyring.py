@@ -3,16 +3,25 @@
 A QTLaurent is a finite sum  sum_lam  c_lam e^lam  with c_lam in RatQT and
 lam a weight of a fixed root system.  This is the carrier of the polynomial
 representation that the Hecke operators act on.
+
+Denominator clearing lives here once: _kernel writes f as k / D, with D the
+lcm of the coefficient denominators and k the integer numerators as term
+dicts {weight: {(dq, dt): int}}.  The Hecke operators (daha.hecke) run on k,
+and integral_form normalizes k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from itertools import chain
+from math import gcd
+from typing import Iterable, Mapping
 
-from .qt import (ONE_P, QTPoly, R_ONE, R_ZERO, RatQT, poly_lcm, div_exact, json_value, ratqt_from_json,
-                 ratqt_to_json)
+from .qt import (ONE_P, QTPoly, R_ONE, R_ZERO, RatQT, Term, div_exact, format_poly, format_power, json_value,
+                 poly_lcm, ratqt_from_json, ratqt_to_json)
 from .roots import RootSystem, Weight
+
+Kernel = dict[Weight, dict[Term, int]]
 
 
 class QTLaurent:
@@ -61,15 +70,7 @@ class QTLaurent:
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other: "QTLaurent") -> "QTLaurent":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return QTLaurent(self.rs, out)
+        return QTLaurent(self.rs, _sum_terms(chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self) -> "QTLaurent":
         return QTLaurent(self.rs, {w: -c for w, c in self.terms.items()})
@@ -85,30 +86,12 @@ class QTLaurent:
         return QTLaurent(self.rs, {w: v * c for w, v in self.terms.items()})
 
     def __mul__(self, other: "QTLaurent") -> "QTLaurent":
-        out: dict[Weight, RatQT] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = tuple(a + b for a, b in zip(w1, w2))
-                c = c1 * c2
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return QTLaurent(self.rs, out)
+        return QTLaurent(self.rs, _sum_terms(
+            (tuple(a + b for a, b in zip(w1, w2)), c1 * c2)
+            for w1, c1 in self.terms.items() for w2, c2 in other.terms.items()))
 
     def map_weights(self, fn) -> "QTLaurent":
-        out: dict[Weight, RatQT] = {}
-        for w, c in self.terms.items():
-            w2 = fn(w)
-            s = out.get(w2)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w2, None)
-            else:
-                out[w2] = s
-        return QTLaurent(self.rs, out)
+        return QTLaurent(self.rs, _sum_terms((fn(w), c) for w, c in self.terms.items()))
 
     def subs_t_eq_q(self) -> "QTLaurent":
         return QTLaurent(self.rs, {w: c.subs_t_eq_q() for w, c in self.terms.items()})
@@ -121,6 +104,29 @@ class QTLaurent:
                 if self.terms.get(self.rs.reflect(i, w), R_ZERO) != c:
                     return False
         return True
+
+
+def _sum_terms(pairs: Iterable[tuple[Weight, RatQT]]) -> dict[Weight, RatQT]:
+    """Sum c e^w over (w, c) pairs; a weight whose sum cancels is dropped, and re-enters last."""
+    out: dict[Weight, RatQT] = {}
+    for w, c in pairs:
+        s = out.get(w)
+        s = c if s is None else s + c
+        if s.is_zero():
+            out.pop(w, None)
+        else:
+            out[w] = s
+    return out
+
+
+def _kernel(f: QTLaurent) -> tuple[Kernel, QTPoly]:
+    """(k, D) with f = k / D and D the lcm of the coefficient denominators."""
+    den = ONE_P
+    for c in f.terms.values():
+        if not c.is_polynomial():
+            den = poly_lcm(den, c.den)
+    return {w: c.num.terms if c.den == den else (c.num * div_exact(den, c.den)).terms
+            for w, c in f.terms.items()}, den
 
 
 def orbit_sum(rs: RootSystem, lam: Weight) -> QTLaurent:
@@ -136,27 +142,16 @@ def integral_form(f: QTLaurent, leading: Weight) -> QTLaurent:
     leading = tuple(leading)
     if leading not in f.terms:
         raise ValueError(f"leading weight {leading} not in support")
-    den = ONE_P
-    for c in f.terms.values():
-        den = poly_lcm(den, c.den)
-    g = f.scale(RatQT(den))
-    content = 0
-    from math import gcd
-    for c in g.terms.values():
-        assert c.is_polynomial()
-        content = gcd(content, c.num.content())
-    if content > 1:
-        g = g.scale(RatQT(ONE_P, QTPoly.const(content)))
-    minq = min(c.num.min_exps()[0] for c in g.terms.values())
-    mint = min(c.num.min_exps()[1] for c in g.terms.values())
-    if minq < 0 or mint < 0:
-        g = g.scale(RatQT.monomial(1, max(0, -minq), max(0, -mint)))
-    lead_val = g.terms[leading].eval(0, 0)
-    if lead_val == -1:
-        g = g.scale(RatQT.from_int(-1))
-    elif lead_val != 1:
+    nums = {w: QTPoly(k) for w, k in _kernel(f)[0].items()}
+    content = gcd(*(p.content() for p in nums.values()))
+    sq = max(0, -min(p.min_exps()[0] for p in nums.values()))
+    st = max(0, -min(p.min_exps()[1] for p in nums.values()))
+    # the value at q = t = 0 of the shifted leading numerator is its coefficient of q^-sq t^-st
+    lead_val = nums[leading].terms.get((-sq, -st), 0) // content
+    if lead_val not in (1, -1):
         raise ValueError(f"cannot normalize leading coefficient, value at 0 is {lead_val}")
-    return g
+    return QTLaurent(f.rs, {w: RatQT(p.shift(sq, st).int_div(lead_val * content), ONE_P, _reduced=True)
+                            for w, p in nums.items()})
 
 
 def specialize_dim(f: QTLaurent) -> Fraction:
@@ -194,78 +189,34 @@ def laurent_from_json(rs: RootSystem, data: dict) -> QTLaurent:
     return QTLaurent(rs, terms)
 
 
-def _mono_str(rank: int, w: Weight) -> str:
-    if all(v == 0 for v in w):
-        return "1"
-    if rank == 1:
-        return "x" if w[0] == 1 else f"x^{w[0]}"
-    parts = []
-    for i, v in enumerate(w):
-        if v == 0:
-            continue
-        parts.append(f"x_{i+1}" if v == 1 else f"x_{i+1}^{v}")
-    return "*".join(parts)
+def _mono_str(rank: int, w: Weight, latex: bool = False) -> str:
+    """e^w as a product of powers of x (rank one) or of x_1, ..., x_r; empty for w = 0."""
+    names = ("x",) if rank == 1 else tuple(f"x_{{{i}}}" if latex else f"x_{i}" for i in range(1, rank + 1))
+    return ("" if latex else "*").join(format_power(x, v, latex) for x, v in zip(names, w) if v)
 
 
 def laurent_to_text(f: QTLaurent) -> str:
-    if f.is_zero():
-        return "0"
     parts = []
     for w, c in sorted(f.terms.items()):
         mono = _mono_str(f.rs.rank, w)
         m = c.as_monomial()
-        plain = m is not None and m[0] > 0
+        coeff = str(c) if m is not None and m[0] > 0 else f"({c})"  # a positive monomial goes bare
         if c.is_one():
-            body = mono
-        elif mono == "1":
-            body = str(c) if plain else f"({c})"
-        elif plain:
-            body = f"{c}*{mono}"
+            parts.append(mono or "1")
         else:
-            body = f"({c})*{mono}"
-        parts.append(body)
-    return " + ".join(parts)
+            parts.append(f"{coeff}*{mono}" if mono else coeff)
+    return " + ".join(parts) or "0"
 
 
 def laurent_to_latex(f: QTLaurent) -> str:
-    if f.is_zero():
-        return "0"
     parts = []
     for w, c in sorted(f.terms.items()):
-        if all(v == 0 for v in w):
-            mono = ""
-        elif f.rs.rank == 1:
-            mono = "x" if w[0] == 1 else f"x^{{{w[0]}}}"
-        else:
-            mono = "".join(
-                "" if v == 0 else (f"x_{{{i+1}}}" if v == 1 else f"x_{{{i+1}}}^{{{v}}}")
-                for i, v in enumerate(w)
-            )
-        coeff = _poly_latex(c)
-        if mono and coeff == "1":
+        mono = _mono_str(f.rs.rank, w, latex=True)
+        coeff = format_poly(c.num, latex=True)
+        if not c.is_polynomial():
+            coeff = f"\\frac{{{coeff}}}{{{format_poly(c.den, latex=True)}}}"
+        if mono and c.is_one():
             parts.append(mono)
         else:
             parts.append(f"\\left({coeff}\\right){mono}" if mono else coeff)
-    return " + ".join(parts)
-
-
-def _poly_latex(c: RatQT) -> str:
-    def pl(p: QTPoly) -> str:
-        if p.is_zero():
-            return "0"
-        bits = []
-        for (a, b), v in p.sorted_terms():
-            s = []
-            if abs(v) != 1 or (a == 0 and b == 0):
-                s.append(str(abs(v)))
-            if a:
-                s.append("q" if a == 1 else f"q^{{{a}}}")
-            if b:
-                s.append("t" if b == 1 else f"t^{{{b}}}")
-            body = " ".join(s)
-            bits.append(("+" if v > 0 else "-") + body if bits else ("-" + body if v < 0 else body))
-        return "".join(bits)
-
-    if c.is_polynomial():
-        return pl(c.num)
-    return f"\\frac{{{pl(c.num)}}}{{{pl(c.den)}}}"
+    return " + ".join(parts) or "0"

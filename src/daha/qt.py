@@ -222,29 +222,32 @@ class QTPoly:
         return sorted(self.terms.items())
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for (a, b), c in self.sorted_terms():
-            factors = []
-            if abs(c) != 1 or (a == 0 and b == 0):
-                factors.append(str(abs(c)))
-            if a:
-                factors.append("q" if a == 1 else f"q^{a}")
-            if b:
-                factors.append("t" if b == 1 else f"t^{b}")
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+" if c > 0 else "-") + body)
-        return "".join(parts)
+        return format_poly(self)
 
     __repr__ = __str__
 
 
 ZERO_P = QTPoly()
 ONE_P = QTPoly.const(1)
+
+
+def format_power(var: str, e: int, latex: bool = False) -> str:
+    """var^e as text (q^-2) or LaTeX (q^{-2}); the exponent 1 is left out."""
+    if e == 1:
+        return var
+    return f"{var}^{{{e}}}" if latex else f"{var}^{e}"
+
+
+def format_poly(p: QTPoly, latex: bool = False) -> str:
+    """p in lex term order, as text (2-3*q^2*t) or LaTeX (2-3 q^{2} t)."""
+    if not p.terms:
+        return "0"
+    parts: list[str] = []
+    for (a, b), c in p.sorted_terms():
+        factors = [str(abs(c))] if abs(c) != 1 or a == b == 0 else []
+        factors += [format_power(v, e, latex) for v, e in (("q", a), ("t", b)) if e]
+        parts.append(("-" if c < 0 else "+" if parts else "") + (" " if latex else "*").join(factors))
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

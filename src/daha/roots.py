@@ -152,25 +152,11 @@ class RootSystem:
     # -- roots ----------------------------------------------------------------
 
     def roots(self) -> list[tuple[tuple[int, ...], Weight]]:
-        """All roots as (simple-root coordinates, weight coordinates)."""
+        """All roots as (simple-root coordinates, weight coordinates): the W-orbits of the simple roots."""
         if "roots" not in self._caches:
-            seen = {}
-            frontier = []
-            for i in range(self.rank):
-                rc = tuple(1 if k == i else 0 for k in range(self.rank))
-                wc = self.simple_root(i + 1)
-                seen[rc] = wc
-                frontier.append((rc, wc))
-            while frontier:
-                rc, wc = frontier.pop()
-                for i in range(1, self.rank + 1):
-                    m = wc[i - 1]
-                    rc2 = tuple(rc[k] - m * (1 if k == i - 1 else 0) for k in range(self.rank))
-                    if rc2 not in seen:
-                        wc2 = self.reflect(i, wc)
-                        seen[rc2] = wc2
-                        frontier.append((rc2, wc2))
-            self._caches["roots"] = sorted(seen.items())
+            weights = set().union(*(self.orbit(self.simple_root(i)) for i in range(1, self.rank + 1)))
+            self._caches["roots"] = sorted(
+                (tuple(x // self.root_den for x in self.scaled_root_coords(w)), w) for w in weights)
         return self._caches["roots"]
 
     def positive_roots(self) -> list[tuple[tuple[int, ...], Weight]]:

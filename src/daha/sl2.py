@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .qt import QTPoly, RatQT
-from .polyring import QTLaurent, specialize_dim
+from .polyring import QTLaurent, _sum_terms, specialize_dim
 from .roots import root_system
 from .macdonald import a1_integral_scalar, nonsym_e, eigen_check
 
@@ -332,19 +333,8 @@ def fusion(k: int, alphas: tuple | None = None) -> FiniteRep:
     if len(alphas) != k or len(set(alphas)) != k:
         raise ValueError("need k pairwise distinct evaluation parameters")
     blocks = [deformed_block(a) for a in alphas]
-    dims = [b.dim for b in blocks]
-    index: dict[tuple[int, ...], int] = {}
-    labels: list[tuple[int, ...]] = []
-
-    def rec(pref):
-        if len(pref) == k:
-            index[tuple(pref)] = len(labels)
-            labels.append(tuple(pref))
-            return
-        for i in range(dims[len(pref)]):
-            rec(pref + [i])
-
-    rec([])
+    labels = list(product(*(range(b.dim) for b in blocks)))
+    index = {lab: n for n, lab in enumerate(labels)}
     weights = [sum(blocks[f].weights[i] for f, i in enumerate(lab)) for lab in labels]
     xidegs = [sum(blocks[f].xidegs[i] for f, i in enumerate(lab)) for lab in labels]
 
@@ -404,19 +394,16 @@ def graded_character(rep: FiniteRep) -> QTLaurent:
             out[key] = out.get(key, 0) + 1
         return out
 
-    char: dict[tuple[int, ...], RatQT] = {}
+    terms: list[tuple[tuple[int], RatQT]] = []
     prev: dict[tuple[int, int], int] = {}
     for m, ech in enumerate(layers):
         dims = component_dims(ech)
         for (wt, b), d in dims.items():
             delta = d - prev.get((wt, b), 0)
             if delta:
-                c = RatQT(QTPoly.monomial(delta * (-1) ** (b % 2) if b % 2 else delta, m, b))
-                key = (wt,)
-                cur = char.get(key)
-                char[key] = c if cur is None else cur + c
+                terms.append(((wt,), RatQT.monomial((-1) ** (b % 2) * delta, m, b)))
         prev = dims
-    out = QTLaurent(rs, char)
+    out = QTLaurent(rs, _sum_terms(terms))
     _assert_supercharacter(out)
     return out
 
@@ -453,15 +440,11 @@ class TwistRule:
             return f
         anchor = min(w[0] for w in f.terms)
         out: dict[tuple[int, ...], RatQT] = {}
-        for w, c in f.terms.items():
-            m = w[0]
+        for (m,), c in f.terms.items():  # m -> 1 - m is one-to-one, so nothing is summed
             shift = self.slope * (m - anchor)
             if shift.denominator != 1:
                 raise ValueError(f"twist produces fractional q-power at weight {m}")
-            c2 = c * RatQT.monomial(1, int(shift), 0)
-            key = (1 - m,)
-            cur = out.get(key)
-            out[key] = c2 if cur is None else cur + c2
+            out[(1 - m,)] = c * RatQT.monomial(1, int(shift), 0)
         return QTLaurent(rs, out)
 
 

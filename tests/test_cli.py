@@ -43,6 +43,11 @@ class TestEVerb:
         assert rc == 0
         assert "\\left" in out and "x^{-1}" in out
 
+    def test_latex_rank_two(self, capture):
+        rc, out = capture("e", "--type", "A2", "--weight", "1,-1", "--format", "latex")
+        assert rc == 0
+        assert out == "\\left(\\frac{1-t}{1-q t^{2}}\\right)x_{2} + x_{1}x_{2}^{-1}"
+
     def test_multiple_weights(self, capture):
         rc, out = capture("e", "--type", "A1", "--weight", "1", "0")
         assert rc == 0
@@ -95,6 +100,19 @@ class TestOtherVerbs:
         assert rc == 0
         assert out == "q^-1*x"
 
+    def test_y_apply_stdin(self, capture, monkeypatch):
+        poly = '{"terms":[{"weight":[1],"coeff":{"num":[["1",0,0]],"den":[["1",0,0]]}}]}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(poly))
+        rc, out = capture("y", "--type", "A1", "--mu", "1", "--apply", "-")
+        assert rc == 0
+        assert out == "q^-1*x"
+
+    def test_y_apply_empty_stdin(self, capture, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        rc, out = capture("y", "--type", "A1", "--mu", "1", "--apply", "-")
+        assert rc == 2
+        assert out == ""
+
     def test_verify_pass(self, capture):
         rc, out = capture("verify", "hecke", "--type", "A1", "--bound", "2")
         assert rc == 0
@@ -109,6 +127,11 @@ class TestOtherVerbs:
         rc, out = capture("sl2", "validate", "-k", "1")
         assert rc == 0
         assert "PASS k=1" in out
+
+    def test_sl2_build(self, capture):
+        rc, out = capture("sl2", "build", "-k", "2")
+        assert rc == 0
+        assert out == "fusion(2): dimension 16, cyclic, brackets verified"
 
     def test_sl2_char(self, capture):
         rc, out = capture("sl2", "char", "-k", "1")

@@ -18,6 +18,7 @@ from daha.hecke import (
     verify_demazure,
     verify_relations,
     verify_symmetrizer,
+    word_op,
     y_op,
 )
 
@@ -74,6 +75,15 @@ class TestOperatorValues:
 
     def test_t_inv_on_t(self):
         assert dl_inv(A1, 1, QTLaurent.one(A1).scale(R_T)) == QTLaurent.one(A1)
+
+    @pytest.mark.parametrize("rs, word", [(A1, (0, 1, 0)), (A2, (1, 2, 0, 1)), (B2, (2, 1, 2, 0))])
+    def test_word_op_composes_dl_op(self, rs, word):
+        # first letter outermost; a rational coefficient exercises the cleared path
+        f = QTLaurent.mono(rs, (1,) + (-1,) * (rs.rank - 1)).scale(E_MINUS_COEFF) + QTLaurent.one(rs)
+        g = f
+        for i in reversed(word):
+            g = dl_op(rs, i, g)
+        assert word_op(rs, word, f) == g
 
 
 class TestYOperator:

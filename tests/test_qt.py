@@ -71,6 +71,29 @@ class TestQTPoly:
         assert str(P(q2t=3, c=-2)) == "-2+3*q^2*t"
 
 
+class TestPowers:
+    def test_poly_pow_is_repeated_product(self):
+        p = P(c=2, qm1t=-1, q2=1)
+        acc = ONE_P
+        for n in range(6):
+            assert p ** n == acc
+            acc = acc * p
+
+    def test_ratqt_pow_is_repeated_product(self):
+        r = rat(P(c=2, qt=-1), ONE_MINUS_T * P(c=1, q=1))
+        acc = inv = RatQT.from_int(1)
+        for n in range(5):
+            assert r ** n == acc
+            assert r ** -n == inv
+            acc, inv = acc * r, inv * r.inverse()
+
+    def test_ratqt_sub_is_add_negative(self):
+        a = rat(ONE_MINUS_QT, ONE_MINUS_T)
+        b = rat(P(c=3, q=1), ONE_MINUS_QT)
+        for x, y in ((a, b), (b, a), (a, a), (a, RatQT.from_int(0))):
+            assert x - y == x + (-y)
+
+
 class TestGcd:
     def test_gcd_common_factor(self):
         a = ONE_MINUS_QT * ONE_MINUS_T
