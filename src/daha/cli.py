@@ -231,7 +231,7 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _COMMANDS[args.verb](args)
-    except (ValueError, KeyError, ZeroDivisionError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, ZeroDivisionError, OverflowError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -131,8 +131,15 @@ def _dword(rs: RootSystem, word: WeylWord, f: Kernel) -> Kernel:
 
 
 def _sym(rs: RootSystem, f: Kernel) -> Kernel:
-    """P f = sum over the finite Weyl group of T_w f, on the kernel form."""
-    return _comb(*((_word(rs, word, f), 0, 0, 1, 0) for word in rs.weyl_elements().values()))
+    """P f = sum over the finite Weyl group of T_w f, on the kernel form.
+
+    weyl_elements() is built breadth first, and each word there is (i,) + the word of its
+    parent s_i w, listed earlier; so T_w f = T_i (T_{s_i w} f) costs one T_i per element
+    instead of one per letter, and the images are the kernels _word would build."""
+    images: dict[WeylWord, Kernel] = {}
+    for word in rs.weyl_elements().values():
+        images[word] = _t(rs, word[0], images[word[1:]]) if word else f
+    return _comb(*((k, 0, 0, 1, 0) for k in images.values()))
 
 
 def _y(rs: RootSystem, mu: CorootVec, f: Kernel) -> Kernel:
@@ -189,12 +196,15 @@ def _dominant_decomposition(rs: RootSystem, mu: CorootVec) -> tuple[CorootVec, C
 
 
 def strictly_dominant_coroot(rs: RootSystem) -> CorootVec:
-    """Smallest coroot-lattice vector with all simple-root pairings >= 1."""
-    for total in range(1, 8 * rs.rank):
-        for c in _compositions(total, rs.rank):
-            if all(rs.coroot_pair(c, rs.simple_root(j + 1)) >= 1 for j in range(rs.rank)):
-                return c
-    raise AssertionError("no strictly dominant coroot vector found")
+    """Smallest coroot-lattice vector with all simple-root pairings >= 1 (searched once per root system)."""
+    if "strictly_dominant_coroot" not in rs._caches:
+        for total in range(1, 8 * rs.rank):
+            for c in _compositions(total, rs.rank):
+                if all(rs.coroot_pair(c, rs.simple_root(j + 1)) >= 1 for j in range(rs.rank)):
+                    rs._caches["strictly_dominant_coroot"] = c
+                    return c
+        raise AssertionError("no strictly dominant coroot vector found")
+    return rs._caches["strictly_dominant_coroot"]
 
 
 def _compositions(total: int, parts: int):

@@ -44,7 +44,8 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd, lcm
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 
 Weight = tuple[int, ...]
@@ -151,16 +152,19 @@ class RootSystem:
 
     # -- roots ----------------------------------------------------------------
 
-    def roots(self) -> list[tuple[tuple[int, ...], Weight]]:
+    def roots(self) -> tuple[tuple[tuple[int, ...], Weight], ...]:
         """All roots as (simple-root coordinates, weight coordinates): the W-orbits of the simple roots."""
         if "roots" not in self._caches:
             weights = set().union(*(self.orbit(self.simple_root(i)) for i in range(1, self.rank + 1)))
-            self._caches["roots"] = sorted(
-                (tuple(x // self.root_den for x in self.scaled_root_coords(w)), w) for w in weights)
+            self._caches["roots"] = tuple(sorted(
+                (tuple(x // self.root_den for x in self.scaled_root_coords(w)), w) for w in weights))
         return self._caches["roots"]
 
-    def positive_roots(self) -> list[tuple[tuple[int, ...], Weight]]:
-        return [(rc, wc) for rc, wc in self.roots() if all(c >= 0 for c in rc)]
+    def positive_roots(self) -> tuple[tuple[tuple[int, ...], Weight], ...]:
+        if "positive_roots" not in self._caches:
+            self._caches["positive_roots"] = tuple(
+                (rc, wc) for rc, wc in self.roots() if all(c >= 0 for c in rc))
+        return self._caches["positive_roots"]
 
     def theta(self) -> Weight:
         """Highest root, weight coordinates (irreducible types only)."""
@@ -173,7 +177,9 @@ class RootSystem:
     def _highest_root(self) -> tuple[tuple[int, ...], Weight]:
         if not self.irreducible:
             raise ValueError(f"{self.name} is reducible: no highest root")
-        return max(self.positive_roots(), key=lambda p: sum(p[0]))
+        if "highest_root" not in self._caches:
+            self._caches["highest_root"] = max(self.positive_roots(), key=lambda p: sum(p[0]))
+        return self._caches["highest_root"]
 
     def theta_coroot(self) -> CorootVec:
         """theta^vee in the simple-coroot basis: theta is long, so theta^vee = sum_i c_i (d_i/d_max) alpha_i^vee."""
@@ -284,8 +290,11 @@ class RootSystem:
 
     # -- Weyl group elements ----------------------------------------------------
 
-    def weyl_elements(self) -> dict[tuple[Weight, ...], WeylWord]:
-        """Map from element (images of the fundamental weights) to one reduced word."""
+    def weyl_elements(self) -> Mapping[tuple[Weight, ...], WeylWord]:
+        """Read-only map from element (images of the fundamental weights) to one reduced word.
+
+        Built breadth first, so the elements come in order of length and each word is
+        (i,) + the word of its parent s_i w, which comes earlier."""
         if "weyl" not in self._caches:
             ident = self.element_of_word(())
             out = {ident: ()}
@@ -302,7 +311,7 @@ class RootSystem:
                             nxt.append(elt2)
                 frontier = nxt
             self._caches["weyl"] = out
-        return self._caches["weyl"]
+        return MappingProxyType(self._caches["weyl"])
 
     def element_of_word(self, word: WeylWord) -> tuple[Weight, ...]:
         fw = [tuple(1 if k == i else 0 for k in range(self.rank)) for i in range(self.rank)]
@@ -386,18 +395,27 @@ class RootSystem:
         return self.compare_keys(self.order_key(lam), self.order_key(mu))
 
     def lower_set(self, lam: Weight) -> list[Weight]:
-        """P[<= lam] in the Cherednik order, in its lexicographically least linear extension (a fresh list)."""
+        """P[<= lam] in the Cherednik order, in its lexicographically least linear extension (a fresh list).
+
+        Built from whole W-orbits.  Order keys compare mu_- - lam_- = w_0 (mu_+ - lam_+), and
+        w_0 Q_+ = -Q_+, so a weight mu is below lam only if lam_+ - mu_+ lies in Q_+, and for a
+        dominant nu != lam_+ with lam_+ - nu in Q_+ the whole orbit W nu is below lam.  The
+        candidates are these orbits and W lam_+; the comparison with lam drops weights of W lam_+
+        only.  Such nu lie in the hull of W lam_+, so in the box 0 <= nu_k <= max of w_k over
+        W lam_+, and every weight of W nu has the same key half M nu_-.
+        """
         key = ("lower", lam)
         if key not in self._caches:
-            orbit = self.orbit(self.dominant(lam)[0])
+            lam_plus = self.dominant(lam)[0]
             top = self.order_key(lam)
             keys = {}
-            # the lower set lies in the hull of the orbit, so in its bounding box
-            for mu in weight_box([max(abs(w[k]) for w in orbit) for k in range(self.rank)]):
-                if all((x - y) % self.root_den == 0 for x, y in zip(self.scaled_root_coords(mu), top[1])):
-                    k = self.order_key(mu)
-                    if self.compare_keys(k, top) in (LESS, EQUAL):
-                        keys[mu] = k
+            for nu in product(*(range(max(c) + 1) for c in zip(*self.orbit(lam_plus)))):
+                if self.dominance_leq(nu, lam_plus):
+                    low = self.scaled_root_coords(self.antidominant(nu)[0])
+                    for mu in self.orbit(nu):
+                        k = (low, self.scaled_root_coords(mu))
+                        if self.compare_keys(k, top) in (LESS, EQUAL):
+                            keys[mu] = k
             self._caches[key] = _linear_extension(keys)
         return list(self._caches[key])
 

@@ -216,6 +216,9 @@ BAD_INPUTS = [
      '{"terms": [{"weight": [1], "coeff": {"num": [["1", 0, 0]], "den": [["1", 0, 0]]}}]}'),
     ("verify", "hecke", "--type", "A2", "--bound=-1"),
     ("sl2", "validate", "-k", "0"),
+    # a weight too large for an index-sized integer
+    ("e", "--type", "A1", "--weight", "99999999999999999999"),
+    ("p", "--type", "A1", "--weight", "99999999999999999999"),
     *(("y", "--type", "A1", "--mu", "1", "--apply", bad) for bad in _BAD_JSON),
     # rejected before any worker pool is started
     ("e", "--type", "A1", "--weight", "1", "--jobs", "-3"),

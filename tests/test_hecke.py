@@ -212,6 +212,23 @@ def hecke_inputs(draw, rational):
     return rs, i, QTLaurent(rs, terms)
 
 
+SYM_TYPES = {name: root_system(name) for name in ("A1", "A1xA1", "A2", "B2", "C2", "A3")}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_symmetrizer_is_the_sum_of_word_ops(data):
+    # the oracle applies each T_w anew along its whole reduced word, not along the Weyl group's tree
+    rs = SYM_TYPES[data.draw(st.sampled_from(sorted(SYM_TYPES)))]
+    weights = st.tuples(*[st.integers(-2, 2)] * rs.rank)
+    f = QTLaurent(rs, {w: rat(p) for w, p in data.draw(
+        st.dictionaries(weights, small_polys, min_size=1, max_size=3)).items()})
+    total = QTLaurent.zero(rs)
+    for word in rs.weyl_elements().values():
+        total = total + word_op(rs, word, f)
+    assert symmetrizer(rs, f) == total
+
+
 def _const(rs, c):
     return QTLaurent.mono(rs, rs.zero(), c)
 

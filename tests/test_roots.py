@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from daha import orders
 from daha.hecke import dl_op
 from daha.macdonald import nonsym_e
 from daha.orders import verify_order
@@ -52,6 +53,12 @@ class TestCartanData:
         assert len(A2.positive_roots()) == 3
         assert len(B2.positive_roots()) == 4
         assert len(root_system("A3").positive_roots()) == 6
+
+    @pytest.mark.parametrize("name", ["A1", "A1xA1", "A2", "B2", "C2", "A3"])
+    def test_positive_roots_are_the_nonnegative_roots(self, name):
+        rs = root_system(name)
+        assert isinstance(rs.positive_roots(), tuple)
+        assert rs.positive_roots() == tuple(r for r in rs.roots() if all(c >= 0 for c in r[0]))
 
     def test_braid_orders(self):
         assert A2.braid_order(1, 2) == 3
@@ -151,6 +158,33 @@ class TestWeylGroup:
             (1, 2, 1, 2),
             (2, 1, 2, 1),
         ]
+
+
+class TestSharedCaches:
+    # root_system() shares one RootSystem per type, so what it hands out must not be mutable;
+    # a fresh instance keeps a failure here from reaching the other tests
+
+    def test_roots_are_read_only(self):
+        rs = RootSystem("A2")
+        with pytest.raises(AttributeError):
+            rs.roots().clear()
+        with pytest.raises(AttributeError):
+            rs.positive_roots().clear()
+        assert len(rs.roots()) == 6 and len(rs.positive_roots()) == 3
+        assert rs.theta() == (1, 1)
+
+    def test_weyl_elements_are_read_only(self):
+        rs = RootSystem("A2")
+        elements = rs.weyl_elements()
+        ident = rs.element_of_word(())
+        with pytest.raises(TypeError):
+            elements[ident] = (1, 2)
+        with pytest.raises(TypeError):
+            del elements[ident]
+        with pytest.raises(AttributeError):
+            elements.clear()
+        assert len(rs.weyl_elements()) == 6 and rs.weyl_elements()[ident] == ()
+        assert len(rs.longest_word()) == 3
 
 
 class TestCherednikOrder:
@@ -327,9 +361,9 @@ class TestIntegerKernel:
         assert rs.cherednik_cmp(a, b) == ref.cherednik_cmp(a, b)
         assert rs.compare_keys(rs.order_key(a), rs.order_key(b)) == ref.cherednik_cmp(a, b)
 
-    @pytest.mark.parametrize("name,bound", [("A1", 4), ("A2", 2), ("B2", 2), ("C2", 2), ("A3", 1)])
+    @pytest.mark.parametrize("name,bound", [("A1", 4), ("A2", 2), ("B2", 2), ("C2", 2), ("A3", 1), ("A1xA1", 2)])
     def test_lower_sets_match_pairwise_sort(self, name, bound):
-        # the weights of the e-table benchmark boxes, element for element
+        # the weights of the e-table benchmark boxes, and the reducible type, element for element
         rs, ref = RootSystem(name), _REFERENCE[name]
         for lam in weight_box([bound] * rs.rank):
             assert rs.lower_set(lam) == ref.lower_set(lam), lam
@@ -344,6 +378,17 @@ class TestVerifyOrder:
         report = verify_order(rs, 3)
         check = next(c for c in report.checks if c[0] == "root-string convexity of strict lower sets")
         assert check[1:] == (False, "string gap at lam=(3,), mu=(-1,), i=1, c=1")
+
+    def test_skipped_fixed_points_are_counted(self, monkeypatch):
+        # in A2 box 1 the s_i-fixed (-1,0) and (0,-1) have lower sets of 3 weights, the others of 1
+        name = "reflection compatibility of lower sets (finite indices{})"
+        assert (name.format(""), True, "") in verify_order(A2, 1).checks
+        monkeypatch.setattr(orders, "MAX_LOWER", 2)
+        skipped = "; T_i E = t E skipped for 2 weights with lower sets over 2"
+        assert (name.format(skipped), True, "") in verify_order(A2, 1).checks
+        monkeypatch.setattr(orders, "MAX_LOWER", 0)
+        skipped = "; T_i E = t E skipped for 5 weights with lower sets over 0"
+        assert (name.format(skipped), True, "") in verify_order(A2, 1).checks
 
     def test_fixed_point_identity_a3(self):
         # lam = (-2,1,0) is s_3-fixed, yet its lower set holds alpha_3 and not -alpha_3:
