@@ -15,13 +15,17 @@ makes Y^{alpha^vee} = T_0 T_1.
 
 Coefficient ring.  T_i, T_i^{-1}, Y and the symmetrizer map Z[q^±, t^±][P]
 into itself, so they run on one integer kernel: an element is a dict
-{weight: {(dq, dt): int}}, and T_i only adds integer coefficients at shifted
-exponents.  The public operators (dl_op, dl_inv, word_op, y_op, demazure_op,
-demazure_char, symmetrizer) take and return QTLaurent and convert once per
-call, however many letters they apply.  An input with a non-polynomial
-coefficient is first multiplied by the lcm D of its denominators, by
-polyring._kernel (the one denominator clearing, shared with integral_form);
-the operators are Q(q, t)-linear, so the image is the kernel image divided by D.
+{weight: {packed: int}} (polyring.Kernel), where q^a t^b is the one integer
+key a * 2^64 + b, and T_i only adds integer coefficients at shifted keys: a
+shift by q^a t^b is one integer add, with no tuple built per term.  The
+alpha_i-string of T_i e^mu (its target weights, packed offsets and integer
+coefficients) is built once per (i, mu) and root system, in rs._caches.  The
+public operators (dl_op, dl_inv, word_op, y_op, demazure_op, demazure_char,
+symmetrizer) take and return QTLaurent and convert once per call in _lifted,
+however many letters they apply.  An input with a non-polynomial coefficient
+is first multiplied by the lcm D of its denominators, by polyring._kernel
+(the one denominator clearing, shared with integral_form); the operators are
+Q(q, t)-linear, so the image is the kernel image divided by D.
 
 The relation suites run entirely on the kernel: they build e^mu as a kernel,
 apply the kernel operators and compare pruned kernels with ==.  Each check
@@ -33,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .qt import QTPoly, RatQT, Term
-from .polyring import Kernel, QTLaurent, _kernel
+from .qt import QTPoly, RatQT
+from .polyring import _Q, Kernel, QTLaurent, _kernel, _pack, _unpack
 from .roots import RootSystem, Weight, WeylWord, CorootVec, weight_box
 
 
@@ -54,57 +58,81 @@ def _alpha_step(rs: RootSystem, i: int) -> tuple[Weight, int]:
 # the integer kernel
 # ---------------------------------------------------------------------------
 
-def _acc(out: Kernel, w: Weight, c: dict[Term, int], dq: int, dt: int, c0: int, c1: int):
-    """out[w] += q^dq t^dt (c0 + c1 t) c."""
+def _acc(out: Kernel, w: Weight, c: dict[int, int], off: int, c0: int, c1: int):
+    """out[w] += (c0 + c1 t) x c, where off is the packed key of the monomial x."""
     d = out.get(w)
     if d is None:
+        if not c1:  # a fresh weight and a monomial: one copy, no merge
+            out[w] = {k + off: c0 * x for k, x in c.items()}
+            return
         d = out[w] = {}
-    for (a, b), v in c.items():
-        if c0:
-            k = (a + dq, b + dt)
-            d[k] = d.get(k, 0) + c0 * v
-        if c1:
-            k = (a + dq, b + dt + 1)
-            d[k] = d.get(k, 0) + c1 * v
+    for v, o in ((c0, off), (c1, off + 1)):
+        if v:
+            for k, x in c.items():
+                k += o
+                d[k] = d.get(k, 0) + v * x
 
 
 def _pruned(out: Kernel) -> Kernel:
-    return {w: d for w, c in out.items() if (d := {k: v for k, v in c.items() if v})}
+    """out without its zero coefficients and empty weights, in place: only a dict holding a zero is rebuilt."""
+    for w in [w for w, c in out.items() if 0 in c.values()]:
+        if d := {k: v for k, v in out[w].items() if v}:
+            out[w] = d
+        else:
+            del out[w]
+    return out
 
 
 def _comb(*parts: tuple[Kernel, int, int, int, int]) -> Kernel:
     """The sum of q^dq t^dt (c0 + c1 t) k over the parts (k, dq, dt, c0, c1), pruned."""
     out: Kernel = {}
     for k, dq, dt, c0, c1 in parts:
+        off = dq * _Q + dt
         for w, c in k.items():
-            _acc(out, w, c, dq, dt, c0, c1)
+            _acc(out, w, c, off, c0, c1)
     return _pruned(out)
 
 
 def _mono(mu: Weight) -> Kernel:
     """The kernel of e^mu."""
-    return {tuple(mu): {(0, 0): 1}}
+    return {tuple(mu): {0: 1}}
 
 
 def _shift(k: Kernel, lam: Weight, dq: int = 0) -> Kernel:
     """q^dq e^lam k."""
-    return {tuple(a + b for a, b in zip(w, lam)): {(a + dq, b): v for (a, b), v in c.items()}
-            for w, c in k.items()}
+    off = dq * _Q
+    return {tuple(a + b for a, b in zip(w, lam)): {e + off: v for e, v in c.items()} for w, c in k.items()}
+
+
+def _alpha_string(rs: RootSystem, i: int, mu: Weight, memo: dict) -> tuple[tuple[Weight, int, int], ...]:
+    """T_i e^mu as (target, packed offset, coefficient) triples, stored in memo[mu].
+
+    With m = <alpha_i^vee, mu>, s_i e^mu = X^{-m alpha_i} e^mu and T_i e^mu = t X^{-m alpha_i} e^mu
+    + (1 - t) sum_{k=1..m} X^{-k alpha_i} e^mu (the k = m terms add up to X^{-m alpha_i} e^mu), or
+    + (t - 1) sum_{k=0..-m-1} X^{k alpha_i} e^mu when m <= 0.  A shift (k, c0, c1) stands for
+    (c0 + c1 t) X^{k alpha_i} e^mu, and gives one triple for c0 and one, at offset + 1, for c1."""
+    m = _pairing(rs, i, mu)
+    step_w, step_q = _alpha_step(rs, i)
+    shifts = ([(-k, 1, -1) for k in range(1, m)] + [(-m, 1, 0)] if m > 0
+              else [(-m, 0, 1)] + [(k, -1, 1) for k in range(-m)])
+    s = memo[mu] = tuple((tuple(a + k * b for a, b in zip(mu, step_w)), k * step_q * _Q + dt, v)
+                         for k, c0, c1 in shifts for dt, v in ((0, c0), (1, c1)) if v)
+    return s
 
 
 def _t(rs: RootSystem, i: int, f: Kernel) -> Kernel:
-    """T_i on the kernel form.  With m = <alpha_i^vee, mu>, s_i e^mu = X^{-m alpha_i} e^mu and
-    T_i e^mu = t X^{-m alpha_i} e^mu + (1 - t) sum_{k=1..m} X^{-k alpha_i} e^mu (the k = m terms
-    add up to X^{-m alpha_i} e^mu), or + (t - 1) sum_{k=0..-m-1} X^{k alpha_i} e^mu when m <= 0.
-    A shift (k, c0, c1) stands for (c0 + c1 t) X^{k alpha_i} e^mu."""
+    """T_i on the kernel form, along the alpha_i-strings memoized once per root system."""
+    memo = rs._caches.setdefault(("alpha_strings", i), {})
     out: Kernel = {}
-    step_w, step_q = _alpha_step(rs, i)
     for mu, c in f.items():
-        m = _pairing(rs, i, mu)
-        shifts = ([(-k, 1, -1) for k in range(1, m)] + [(-m, 1, 0)] if m > 0
-                  else [(-m, 0, 1)] + [(k, -1, 1) for k in range(-m)])
-        for k, c0, c1 in shifts:
-            _acc(out, tuple(a + k * b for a, b in zip(mu, step_w)), c, k * step_q, 0, c0, c1)
+        for w, off, v in memo.get(mu) or _alpha_string(rs, i, mu, memo):
+            d = out.get(w)
+            if d is None:
+                out[w] = {k + off: v * x for k, x in c.items()}
+            else:
+                for k, x in c.items():
+                    k += off
+                    d[k] = d.get(k, 0) + v * x
     return _pruned(out)
 
 
@@ -154,7 +182,8 @@ def _y(rs: RootSystem, mu: CorootVec, f: Kernel) -> Kernel:
 def _lifted(rs: RootSystem, op, f: QTLaurent) -> QTLaurent:
     """Run a kernel operator on a QTLaurent, converting once each way."""
     k, den = _kernel(f)
-    return QTLaurent(rs, {w: RatQT(QTPoly(c), den, _reduced=den.is_one()) for w, c in op(k).items()})
+    image = op({w: _pack(c) for w, c in k.items()})
+    return QTLaurent(rs, {w: RatQT(QTPoly(_unpack(c)), den, _reduced=den.is_one()) for w, c in image.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +393,14 @@ def verify_symmetrizer(rs: RootSystem, bound: int) -> RelationReport:
     orbits = {lam: rs.orbit(lam) for lam in doms}
     report.first_failure("commutes with multiplication by m_mu", (
         f"m_{lam} does not commute at e^{mu}" for lam in doms for mu in box
-        if _sym(rs, {rs.add(w, mu): {(0, 0): 1} for w in orbits[lam]})
+        if _sym(rs, {rs.add(w, mu): {0: 1} for w in orbits[lam]})
         != _comb(*((_shift(sym[mu], w), 0, 0, 1, 0) for w in orbits[lam]))))
     return report
 
 
 def _classical(rs: RootSystem, word: WeylWord, lam: Weight) -> dict[Weight, int]:
     """The q^0 t^0 coefficients of the iterated Demazure character."""
-    return {w: v for w, c in _dword(rs, word, _mono(lam)).items() if (v := c.get((0, 0)))}
+    return {w: v for w, c in _dword(rs, word, _mono(lam)).items() if (v := c.get(0))}
 
 
 def verify_demazure(rs: RootSystem, bound: int) -> RelationReport:

@@ -34,9 +34,12 @@ from functools import lru_cache
 from math import gcd
 
 from .qt import ONE_P, QTPoly, RatQT, ZERO_P, _canon_unit, div_exact
-from .polyring import QTLaurent
+from .polyring import QTLaurent, _pack, _unpack
 from .roots import LESS, EQUAL, RootSystem, Weight, CorootVec, root_system
-from .hecke import _comb, _mono, _t, _y, strictly_dominant_coroot, symmetrizer, y_op
+from .hecke import _comb, _t, _y, strictly_dominant_coroot, symmetrizer, y_op
+
+
+_COLS = 1 << 24  # y_matrix packs column j < 2^24 at j * 2^40, between the q and t slots of a kernel key
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -235,24 +238,39 @@ def mu_candidates(rs: RootSystem, n: int):
 
 def y_matrix(rs: RootSystem, basis: list[Weight], mu: CorootVec) -> list[list[QTPoly]]:
     """Matrix of Y^mu on the span of basis, the lower set of its last weight (columns = images).
-    Column j is the integer kernel of Y^mu e^nu_j, so the entries are QTPolys."""
+
+    One pass of the translation word maps every column at once: column j starts as e^nu_j at
+    the kernel key j * 2^40, between the q and t slots of a * 2^64 + b.  A column starts at
+    q^0 t^0 and a letter moves b by at most 1, so b stays far inside (-2^39, 2^39) and the
+    Hecke action never carries a key into another column.  The keys stay as short as any
+    kernel's: a slot above q would lengthen every key, and each add and hash with it.  A
+    weight of the image outside the lower set, or not below nu_j, is an OrderViolationError
+    for the least such column j."""
+    if len(basis) >= _COLS:
+        raise ValueError(f"a lower set of {len(basis)} weights has more columns than a kernel key holds")
     lam = basis[-1]
     index = {w: k for k, w in enumerate(basis)}
     keys = [rs.order_key(w) for w in basis]
     n = len(basis)
-    mat = [[ZERO_P] * n for _ in range(n)]
-    for j, nu in enumerate(basis):
-        for w, c in _y(rs, mu, _mono(nu)).items():
-            i = index.get(w)
+    cells: dict[tuple[int, int], dict[int, int]] = {}
+    bad: dict[int, str] = {}
+    for w, c in _y(rs, mu, {nu: {j << 40: 1} for j, nu in enumerate(basis)}).items():
+        i = index.get(w)
+        for key, v in c.items():
+            j = ((key + (1 << 39)) >> 40) & (_COLS - 1)
             if i is None:
-                raise OrderViolationError(
-                    f"Y e^{nu} has weight {w} outside the lower set of {lam}"
-                )
-            if rs.compare_keys(keys[i], keys[j]) not in (LESS, EQUAL):
-                raise OrderViolationError(
-                    f"Y e^{nu} has weight {w} not below {nu} in the order"
-                )
-            mat[i][j] = QTPoly(c)
+                bad.setdefault(j, f"Y e^{basis[j]} has weight {w} outside the lower set of {lam}")
+            elif (cell := cells.get((i, j))) is None:
+                cells[i, j] = {key - (j << 40): v}
+            else:
+                cell[key - (j << 40)] = v
+    mat = [[ZERO_P] * n for _ in range(n)]
+    for (i, j), cell in cells.items():
+        if rs.compare_keys(keys[i], keys[j]) not in (LESS, EQUAL):
+            bad.setdefault(j, f"Y e^{basis[j]} has weight {basis[i]} not below {basis[j]} in the order")
+        mat[i][j] = QTPoly(_unpack(cell))
+    if bad:
+        raise OrderViolationError(bad[min(bad)])
     return mat
 
 
@@ -345,7 +363,7 @@ def _walk(rs: RootSystem, lam: Weight) -> EigenResult:
     lam_plus, u = rs.dominant(lam)
     seed_basis, seed, _, _ = _solve(rs.name, lam_plus)
     den, nums = _over_common_den(seed)
-    f = {w: num.terms for w, num in zip(seed_basis, nums) if not num.is_zero()}
+    f = {w: _pack(num.terms) for w, num in zip(seed_basis, nums) if not num.is_zero()}
     nu = lam_plus
     for i in u:
         assert nu[i - 1] > 0, "intertwiner step does not go up the orbit"
@@ -361,7 +379,7 @@ def _walk(rs: RootSystem, lam: Weight) -> EigenResult:
     if not f.keys() <= set(basis):
         raise OrderViolationError(f"the intertwiners left the lower set of {lam}")
     mu, exps = _operator(rs, basis)
-    coeffs = tuple(_FactoredRat(QTPoly(f.get(w, {})), den).reduced() for w in basis)
+    coeffs = tuple(_FactoredRat(QTPoly(_unpack(f.get(w, {}))), den).reduced() for w in basis)
     if not coeffs[-1].to_ratqt().is_one():
         raise AssertionError(f"the intertwiners lost the unit coefficient of e^{lam}")
     return _result(rs, lam, basis, coeffs, mu, exps[-1])
@@ -420,10 +438,12 @@ def expected_eigen_exponents(rs: RootSystem, lam: Weight, mu: CorootVec) -> tupl
 
     q-exponent is -<mu, lam>; the t-exponent is
     (len(t_mu) + <u_lam^{-1}(2 rho), mu>) / 2 with u_lam the minimal element
-    making lam antidominant.
+    making lam antidominant.  len(t_mu) enters as the sum of <mu, beta> over
+    the positive roots beta (the length for dominant mu), and the positive
+    roots sum to 2 rho, so it is <mu, 2 rho>.
     """
     q_exp = -rs.coroot_pair(mu, lam)
-    length = sum(rs.coroot_pair(mu, wc) for _, wc in rs.positive_roots())
+    length = rs.coroot_pair(mu, rs.two_rho())
     _, u = rs.antidominant(lam)
     u_inv = tuple(reversed(u))
     shifted = rs.apply_word(u_inv, rs.two_rho())

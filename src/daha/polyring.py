@@ -6,8 +6,18 @@ representation that the Hecke operators act on.
 
 Denominator clearing lives here once: _kernel writes f as k / D, with D the
 lcm of the coefficient denominators and k the integer numerators as term
-dicts {weight: {(dq, dt): int}}.  The Hecke operators (daha.hecke) run on k,
-and integral_form normalizes k.
+dicts {weight: {(dq, dt): int}}.  integral_form normalizes k, and the Hecke
+operators (daha.hecke) run on it in packed form.
+
+The packed form is a Kernel {weight: {key: int}}: the exponent pair (a, b) of
+q^a t^b becomes the one integer key a * 2^64 + b (Kronecker substitution;
+Harvey, Faster polynomial multiplication via multipoint Kronecker
+substitution, JSC 2009).  The key is linear, so a product by q^a t^b is one
+integer add, and _unpack recovers (a, b) while |b| < 2^63.  _pack admits
+|b| < 2^62 only and raises OverflowError beyond; an operator step moves b by
+a few units (a T_i letter by at most 1), so no run comes near 2^63.  The q
+slot is unbounded.  A caller whose t-exponents stay small may use the high
+bits of the t slot: y_matrix packs a column index there.
 """
 
 from __future__ import annotations
@@ -21,7 +31,30 @@ from .qt import (ONE_P, QTPoly, R_ONE, R_ZERO, RatQT, Term, div_exact, format_po
                  poly_lcm, ratqt_from_json, ratqt_to_json)
 from .roots import RootSystem, Weight
 
-Kernel = dict[Weight, dict[Term, int]]
+Kernel = dict[Weight, dict[int, int]]  # {weight: {a * 2^64 + b: coefficient of q^a t^b}}
+
+_Q = 1 << 64  # the packed key of q
+_HALF = 1 << 63
+_T_BOUND = 1 << 62  # the largest |b| that _pack admits
+
+
+def _pack(terms: Mapping[Term, int]) -> dict[int, int]:
+    """{(a, b): c} as {a * 2^64 + b: c}; OverflowError for a t-exponent of 2^62 or more in size."""
+    out = {}
+    for (a, b), c in terms.items():
+        if not -_T_BOUND < b < _T_BOUND:
+            raise OverflowError(f"t-exponent {b} is outside the packed range (-2^62, 2^62)")
+        out[a * _Q + b] = c
+    return out
+
+
+def _unpack(packed: Mapping[int, int]) -> dict[Term, int]:
+    """The inverse of _pack: key = a * 2^64 + b with -2^63 <= b < 2^63 gives (a, b)."""
+    out = {}
+    for k, c in packed.items():
+        b = ((k + _HALF) & (_Q - 1)) - _HALF
+        out[(k - b) >> 64, b] = c
+    return out
 
 
 class QTLaurent:
@@ -119,7 +152,7 @@ def _sum_terms(pairs: Iterable[tuple[Weight, RatQT]]) -> dict[Weight, RatQT]:
     return out
 
 
-def _kernel(f: QTLaurent) -> tuple[Kernel, QTPoly]:
+def _kernel(f: QTLaurent) -> tuple[dict[Weight, dict[Term, int]], QTPoly]:
     """(k, D) with f = k / D and D the lcm of the coefficient denominators."""
     den = ONE_P
     for c in f.terms.values():

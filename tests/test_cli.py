@@ -107,6 +107,14 @@ class TestOtherVerbs:
         assert rc == 0
         assert out == "q^-1*x"
 
+    def test_y_apply_keeps_large_exponents(self, capture):
+        # q^a t^b is packed as a * 2^64 + b inside the Hecke kernel: a t-exponent above 2^32
+        # must not wrap into the q slot, and the q slot has no bound
+        rc, out = capture("y", "--type", "A1", "--mu", "1", "--apply", _a1_term(term=("1", 0, 5000000000)))
+        assert (rc, out) == (0, "q^-1*t^5000000000*x")
+        rc, out = capture("y", "--type", "A1", "--mu", "1", "--apply", _a1_term(term=("1", 10**30, -7)))
+        assert (rc, out) == (0, f"q^{10**30 - 1}*t^-7*x")
+
     def test_y_apply_empty_stdin(self, capture, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         rc, out = capture("y", "--type", "A1", "--mu", "1", "--apply", "-")
@@ -216,6 +224,9 @@ BAD_INPUTS = [
      '{"terms": [{"weight": [1], "coeff": {"num": [["1", 0, 0]], "den": [["1", 0, 0]]}}]}'),
     ("verify", "hecke", "--type", "A2", "--bound=-1"),
     ("sl2", "validate", "-k", "0"),
+    # a t-exponent beyond the packed range of the Hecke kernel, (-2^62, 2^62)
+    ("y", "--type", "A1", "--mu", "1", "--apply", _a1_term(term=("1", 0, 2**62))),
+    ("y", "--type", "A1", "--mu", "1", "--apply", _a1_term(term=("1", 3, -2**62))),
     # a weight too large for an index-sized integer
     ("e", "--type", "A1", "--weight", "99999999999999999999"),
     ("p", "--type", "A1", "--weight", "99999999999999999999"),

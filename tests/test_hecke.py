@@ -1,11 +1,13 @@
 """Demazure-Lusztig operators: frozen values, string-sum oracle, suites."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from daha.qt import QTPoly, RatQT, rat
 from daha.roots import root_system
-from daha.polyring import QTLaurent
+from daha.polyring import QTLaurent, _pack, _unpack
 from daha import hecke
 from daha.hecke import (
     RelationReport,
@@ -227,6 +229,108 @@ def test_symmetrizer_is_the_sum_of_word_ops(data):
     for word in rs.weyl_elements().values():
         total = total + word_op(rs, word, f)
     assert symmetrizer(rs, f) == total
+
+
+# the oracle for the packed kernel: T_i on tuple-keyed kernels {weight: {(dq, dt): int}}, one tuple per term
+
+def _tuple_pruned(out):
+    return {w: d for w, c in out.items() if (d := {k: v for k, v in c.items() if v})}
+
+
+def _tuple_t(rs, i, f):
+    """T_i e^mu = t X^{-m alpha_i} e^mu + (1 - t) sum_{k=1..m} X^{-k alpha_i} e^mu for m > 0, and
+    + (t - 1) sum_{k=0..-m-1} X^{k alpha_i} e^mu for m <= 0, m = <alpha_i^vee, mu>; X^{alpha_0} = q e^{-theta}."""
+    if i == 0:
+        step_w, step_q, m_of = tuple(-c for c in rs.theta()), 1, lambda mu: -rs.theta_pair(mu)
+    else:
+        step_w, step_q, m_of = rs.simple_root(i), 0, lambda mu: mu[i - 1]
+    out = {}
+    for mu, c in f.items():
+        m = m_of(mu)
+        shifts = ([(-k, 1, -1) for k in range(1, m)] + [(-m, 1, 0)] if m > 0
+                  else [(-m, 0, 1)] + [(k, -1, 1) for k in range(-m)])
+        for k, c0, c1 in shifts:
+            d = out.setdefault(tuple(a + k * b for a, b in zip(mu, step_w)), {})
+            for (a, b), v in c.items():
+                for key, coeff in (((a + k * step_q, b), c0), ((a + k * step_q, b + 1), c1)):
+                    d[key] = d.get(key, 0) + coeff * v
+    return _tuple_pruned(out)
+
+
+def _tuple_sum(parts):
+    """The sum of the tuple kernels k times q^dq t^dt times s over the parts (k, dq, dt, s)."""
+    out = {}
+    for k, dq, dt, s in parts:
+        for w, c in k.items():
+            d = out.setdefault(w, {})
+            for (a, b), v in c.items():
+                d[a + dq, b + dt] = d.get((a + dq, b + dt), 0) + s * v
+    return _tuple_pruned(out)
+
+
+def _tuple_t_inv(rs, i, f):
+    """T_i^{-1} = t^{-1} T_i + t^{-1} - 1."""
+    return _tuple_sum([(_tuple_t(rs, i, f), 0, -1, 1), (f, 0, -1, 1), (f, 0, 0, -1)])
+
+
+def _tuple_word(rs, word, f):
+    for i in reversed(word):
+        f = _tuple_t(rs, i, f)
+    return f
+
+
+def _tuple_y(rs, mu, f):
+    plus, minus = hecke._dominant_decomposition(rs, mu)
+    for i in rs.translation_word(minus) if any(minus) else ():
+        f = _tuple_t_inv(rs, i, f)
+    return _tuple_word(rs, rs.translation_word(plus), f) if any(plus) else f
+
+
+def _tuple_sym(rs, f):
+    return _tuple_sum([(_tuple_word(rs, word, f), 0, 0, 1) for word in rs.weyl_elements().values()])
+
+
+PACKED_TYPES = {name: root_system(name) for name in ("A1", "A1xA1", "A2", "B2", "C2")}
+# small exponents of both signs, and now and then one far out: a q-exponent beyond 2^64 and a
+# t-exponent up to 2^61, inside the range (-2^62, 2^62) that a packed key admits
+q_exps = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+t_exps = st.one_of(st.integers(-3, 3), st.integers(-2**61, 2**61))
+tuple_coeffs = st.dictionaries(st.tuples(q_exps, t_exps), st.integers(-5, 5).filter(bool), min_size=1, max_size=3)
+
+
+def _short_translations(rs):
+    """The coroot vectors mu in [-1, 1]^r, negative ones included, whose Y^mu takes at most 16 letters."""
+    def letters(mu):
+        return sum(len(rs.translation_word(v)) for v in hecke._dominant_decomposition(rs, mu) if any(v))
+    return [mu for mu in product((-1, 0, 1), repeat=rs.rank) if letters(mu) <= 16]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_packed_kernel_matches_tuple_kernel(data):
+    rs = PACKED_TYPES[data.draw(st.sampled_from(sorted(PACKED_TYPES)))]
+    i = data.draw(st.integers(0 if rs.irreducible else 1, rs.rank))
+    weights = st.tuples(*[st.integers(-3, 3)] * rs.rank)
+    f = data.draw(st.dictionaries(weights, tuple_coeffs, min_size=1, max_size=3))
+    packed = {w: _pack(c) for w, c in f.items()}
+
+    def unpacked(k):
+        return {w: _unpack(c) for w, c in k.items()}
+
+    assert unpacked(hecke._t(rs, i, packed)) == _tuple_t(rs, i, f)
+    assert unpacked(hecke._t_inv(rs, i, packed)) == _tuple_t_inv(rs, i, f)
+    assert unpacked(hecke._sym(rs, packed)) == _tuple_sym(rs, f)
+    if rs.irreducible:
+        mu = data.draw(st.sampled_from(_short_translations(rs)))
+        assert unpacked(hecke._y(rs, mu, packed)) == _tuple_y(rs, mu, f)
+
+
+def test_pack_rejects_t_exponents_beyond_its_range():
+    assert _unpack(_pack({(-2**80, 2**62 - 1): 3, (5, -2**62 + 1): -1})) == {(-2**80, 2**62 - 1): 3,
+                                                                             (5, -2**62 + 1): -1}
+    for b in (2**62, -2**62):
+        with pytest.raises(OverflowError):
+            _pack({(0, b): 1})
 
 
 def _const(rs, c):

@@ -6,16 +6,18 @@ double-checked numerically at two rational points before freezing.
 """
 
 from fractions import Fraction
+from itertools import count, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from daha import macdonald
+from daha import hecke, macdonald
 from daha.qt import QTPoly, RatQT, poly_to_json, rat, ratqt_to_json
-from daha.roots import root_system, weight_box
-from daha.polyring import QTLaurent, integral_form, laurent_to_json, laurent_to_text, specialize_dim
+from daha.roots import EQUAL, LESS, root_system, weight_box
+from daha.polyring import QTLaurent, _unpack, integral_form, laurent_to_json, laurent_to_text, specialize_dim
 from daha.macdonald import (
     DegenerateSpectrumError,
+    OrderViolationError,
     _eigensolve,
     _walk,
     a1_integral_scalar,
@@ -411,3 +413,83 @@ class TestIntegralScalar:
         assert a1_integral_scalar(1) == poly({(0, 0): 1, (1, 1): -1})
         two = a1_integral_scalar(2)
         assert two == poly({(0, 0): 1, (1, 1): -1}) * poly({(0, 0): 1, (2, 1): -1})
+
+
+# y_matrix maps every column in one pass; the oracle builds each column on its own, as Y^mu e^nu_j
+
+_E_TABLE_DOMINANT = ([("A1", (k,)) for k in range(5)]
+                     + [(t, w) for t in ("A2", "B2", "C2") for w in product(range(3), repeat=2)]
+                     + [("A3", w) for w in product(range(2), repeat=3)])
+
+
+def _per_column_y_matrix(rs, basis, mu):
+    """The matrix column by column, raising at the first weight out of place in the first bad column."""
+    index = {w: k for k, w in enumerate(basis)}
+    keys = [rs.order_key(w) for w in basis]
+    mat = [[QTPoly()] * len(basis) for _ in basis]
+    for j, nu in enumerate(basis):
+        for w, c in hecke._y(rs, mu, hecke._mono(nu)).items():
+            i = index.get(w)
+            if i is None:
+                raise OrderViolationError(f"Y e^{nu} has weight {w} outside the lower set of {basis[-1]}")
+            if rs.compare_keys(keys[i], keys[j]) not in (LESS, EQUAL):
+                raise OrderViolationError(f"Y e^{nu} has weight {w} not below {nu} in the order")
+            mat[i][j] = QTPoly(_unpack(c))
+    return mat
+
+
+def _leaking(real_t, source, leak, letters):
+    """T_i plus a linear leak at the last letter of each word of `letters` letters: there the
+    coefficient of e^source is added at e^leak as well, so e^leak is the one weight out of place."""
+    calls = count(1)
+
+    def t_op(rs, i, f):
+        out = real_t(rs, i, f)
+        if next(calls) % letters or source not in f:
+            return out
+        return hecke._comb((out, 0, 0, 1, 0), ({leak: f[source]}, 0, 0, 1, 0))
+    return t_op
+
+
+class TestYMatrix:
+    @pytest.mark.parametrize("name, lam", _E_TABLE_DOMINANT)
+    def test_one_pass_matches_per_column(self, name, lam):
+        rs = root_system(name)
+        basis = rs.lower_set(lam)
+        mu, _ = macdonald._operator(rs, basis)
+        assert macdonald.y_matrix(rs, basis, mu) == _per_column_y_matrix(rs, basis, mu)
+
+    @pytest.mark.parametrize("name, lam", [("A1", (2,)), ("A2", (1, 1)), ("C2", (1, 1))])
+    def test_one_pass_matches_per_column_for_y_inverse(self, name, lam):
+        # Y^{-mu} runs T_i^{-1}, whose t^{-1} gives the image negative t-exponents
+        rs = root_system(name)
+        basis = rs.lower_set(lam)
+        mu = tuple(-m for m in macdonald._operator(rs, basis)[0])
+        assert macdonald.y_matrix(rs, basis, mu) == _per_column_y_matrix(rs, basis, mu)
+
+    def test_more_columns_than_the_key_holds_raise(self, monkeypatch):
+        basis = B2.lower_set((2, 0))
+        mu, _ = macdonald._operator(B2, basis)
+        monkeypatch.setattr(macdonald, "_COLS", 8)  # 10 columns: j = 8, 9 would alias 0, 1
+        with pytest.raises(ValueError, match="more columns than a kernel key holds"):
+            macdonald.y_matrix(B2, basis, mu)
+
+    @pytest.mark.parametrize("name, lam, source, leak, kind", [
+        ("A2", (1, 1), (0, 0), (7, 7), "outside the lower set"),
+        ("B2", (2, 0), (1, 0), (9, -8), "outside the lower set"),
+        ("A2", (1, 1), (0, 0), (1, 1), "not below"),
+        ("C2", (1, 1), (1, -1), (1, 1), "not below"),
+    ])
+    def test_leaked_weight_raises_for_the_same_column(self, monkeypatch, name, lam, source, leak, kind):
+        rs = root_system(name)
+        basis = rs.lower_set(lam)
+        mu, _ = macdonald._operator(rs, basis)
+        real_t, letters = hecke._t, len(rs.translation_word(mu))
+        monkeypatch.setattr(hecke, "_t", _leaking(real_t, source, leak, letters))
+        with pytest.raises(OrderViolationError) as per_column:
+            _per_column_y_matrix(rs, basis, mu)
+        monkeypatch.setattr(hecke, "_t", _leaking(real_t, source, leak, letters))
+        with pytest.raises(OrderViolationError) as one_pass:
+            macdonald.y_matrix(rs, basis, mu)
+        assert kind in str(one_pass.value)
+        assert str(one_pass.value) == str(per_column.value)

@@ -60,6 +60,13 @@ class TestCartanData:
         assert isinstance(rs.positive_roots(), tuple)
         assert rs.positive_roots() == tuple(r for r in rs.roots() if all(c >= 0 for c in r[0]))
 
+    @pytest.mark.parametrize("name", ["A1", "A1xA1", "A2", "B2", "C2", "A3"])
+    def test_positive_roots_sum_to_two_rho(self, name):
+        # so sum over beta > 0 of <mu, beta> is <mu, 2 rho> for every coroot vector mu
+        rs = root_system(name)
+        for mu in weight_box([2] * rs.rank):
+            assert sum(rs.coroot_pair(mu, wc) for _, wc in rs.positive_roots()) == rs.coroot_pair(mu, rs.two_rho())
+
     def test_braid_orders(self):
         assert A2.braid_order(1, 2) == 3
         assert B2.braid_order(1, 2) == 4
