@@ -29,7 +29,7 @@ character used as an independent specialization oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -292,20 +292,14 @@ def nonsym_e(rs: RootSystem, lam: Weight) -> EigenResult:
     The operator (mu_used) is the first mu_candidates entry whose predicted
     spectrum separates lam on its lower set (see _operator).  A dominant lam
     is solved from that operator's triangular matrix; any other lam is
-    reached from its dominant seed by intertwiners (see _walk).
+    reached from its dominant seed by intertwiners (see _walk).  The result
+    carries root_system(rs.name).
 
-    Each call returns a fresh EigenResult (new term dicts and basis list), so
-    a caller that mutates it cannot change what later callers get.
+    Each call builds a fresh EigenResult (new term dicts and basis list) from
+    the memoized solve of the dominant seed, so a caller that mutates it
+    cannot change what later callers get.
     """
-    r = _nonsym_e_cached(rs.name, rs.check_weight(lam))
-    e, cleared = r.e_poly, r.cleared
-    return replace(r, e_poly=QTLaurent(e.rs, e.terms), cleared=QTLaurent(cleared.rs, cleared.terms),
-                   basis=list(r.basis))
-
-
-@lru_cache(maxsize=None)
-def _nonsym_e_cached(rs_name: str, lam: Weight) -> EigenResult:
-    rs = root_system(rs_name)
+    rs, lam = root_system(rs.name), rs.check_weight(lam)
     return _eigensolve(rs, lam) if rs.is_dominant(lam) else _walk(rs, lam)
 
 

@@ -279,14 +279,6 @@ def div_exact(a: QTPoly, b: QTPoly) -> QTPoly | None:
         return ZERO_P
     if b.is_zero():
         return None
-    if b.is_monomial():
-        (dq, dt), c = next(iter(b.terms.items()))
-        out: dict[Term, int] = {}
-        for (x, y), v in a.terms.items():
-            if v % c:
-                return None
-            out[(x - dq, y - dt)] = v // c
-        return QTPoly(out)
     (aq, at), (aq1, at1) = a.min_exps(), a.max_exps()
     (bq, bt), (bq1, bt1) = b.min_exps(), b.max_exps()
     wq, wt = (aq1 - aq) - (bq1 - bq), (at1 - at) - (bt1 - bt)

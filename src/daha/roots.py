@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -64,6 +64,10 @@ _CARTAN = {
 }
 
 _BRAID_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
+
+# the most integer points a box may hold: far above every box in use, and small enough that
+# a box from a huge weight or bound is refused before any of it is allocated
+MAX_BOX = 1 << 24
 
 
 class RootSystem:
@@ -409,7 +413,7 @@ class RootSystem:
             lam_plus = self.dominant(lam)[0]
             top = self.order_key(lam)
             keys = {}
-            for nu in product(*(range(max(c) + 1) for c in zip(*self.orbit(lam_plus)))):
+            for nu in _box([range(max(c) + 1) for c in zip(*self.orbit(lam_plus))]):
                 if self.dominance_leq(nu, lam_plus):
                     low = self.scaled_root_coords(self.antidominant(nu)[0])
                     for mu in self.orbit(nu):
@@ -466,7 +470,17 @@ def weight_box(bounds: Sequence[int]) -> list[Weight]:
     """All integer points with |x_k| <= bounds[k], in lexicographic order."""
     if any(b < 0 for b in bounds):
         raise ValueError(f"negative box bound in {list(bounds)}")
-    return list(product(*(range(-b, b + 1) for b in bounds)))
+    return list(_box([range(-b, b + 1) for b in bounds]))
+
+
+def _box(ranges: list[range]):
+    """The points of the product of the unit-step ranges, lazily; a ValueError above MAX_BOX points.
+
+    itertools.product turns each range into a tuple first, so the size is checked before it runs."""
+    size = prod(r.stop - r.start for r in ranges)
+    if size > MAX_BOX:
+        raise ValueError(f"a box of {size} integer points is more than the {MAX_BOX} allowed")
+    return product(*ranges)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,11 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -244,6 +249,37 @@ def test_bad_input_exits_2(capsys, argv):
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     assert "Traceback" not in out.err
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# boxes of 10^9 and 2 * 10^8 + 1 points; run in a child process with a 1 GB address space, so a
+# box that is allocated before it is refused ends the child with a MemoryError, not the machine
+@pytest.mark.parametrize("argv", [
+    ("e", "--type", "A1", "--weight", "1000000000"),
+    ("verify", "hecke", "--type", "A1", "--bound", "100000000"),
+], ids=" ".join)
+def test_huge_box_exits_2(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "daha.cli", *argv], capture_output=True, text=True,
+                          env=env, preexec_fn=_limit_address_space, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: a box of ") and proc.stderr.count("\n") == 1
+
+
+def test_readme_command_lines(capsys):
+    # every daha line of the README's command-line block runs and exits 0
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("daha ")]
+    assert len(lines) == 8
+    for argv in lines:
+        assert run(argv) == 0, argv
+        out = capsys.readouterr().out
+        if "--integral" in argv:
+            assert out == "(1-q*t)*x^-1 + (1-t)*x\n"
 
 
 def _joined(values):

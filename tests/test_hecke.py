@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from daha.qt import QTPoly, RatQT, rat
-from daha.roots import root_system
+from daha.roots import RootSystem, root_system
 from daha.polyring import QTLaurent, _pack, _unpack
 from daha import hecke
 from daha.hecke import (
@@ -405,6 +405,15 @@ class TestMutation:
         assert lines[0] == "FAIL T_i P = P T_i = t P (9 monomials): T_1 P at e^(-1, -1)"
         assert lines[3] == "FAIL commutes with multiplication by m_mu: m_(0, 1) does not commute at e^(-1, -1)"
 
+    def test_m_mu_commutation_covers_every_dominant_weight(self, monkeypatch):
+        # (2, 2) is the last of the nine dominant weights of the A2 box 2; a duplicated orbit
+        # weight breaks m_(2,2) alone, so the check fails only if it reaches every dominant weight
+        rs = RootSystem("A2")
+        real = rs.orbit
+        monkeypatch.setattr(rs, "orbit", lambda lam: [*real(lam), lam] if lam == (2, 2) else real(lam))
+        assert verify_symmetrizer(rs, 2).lines()[-1] == (
+            "FAIL commutes with multiplication by m_mu: m_(2, 2) does not commute at e^(-2, -2)")
+
     def test_unmutated_suites_pass(self):
         assert verify_relations(A2, 1).passed
         assert verify_demazure(A2, 2).passed
@@ -419,9 +428,10 @@ class TestFirstFailure:
         assert drawn == [0, 1, 2]
         assert report.lines() == ["FAIL check: bad 2"]
 
-    def test_pass_and_late_name(self):
-        seen = []
+    def test_pass_draws_everything(self):
+        drawn = []
         report = RelationReport("t")
-        report.first_failure(lambda: f"check ({len(seen)} items)", (k for k in range(3) if seen.append(k)))
+        report.first_failure("check", (k for k in range(3) if drawn.append(k)))
+        assert drawn == [0, 1, 2]
         assert report.passed
-        assert report.lines() == ["PASS check (3 items)"]
+        assert report.lines() == ["PASS check"]

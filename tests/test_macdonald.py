@@ -213,13 +213,9 @@ def _fields(r):
 @pytest.fixture
 def fresh_caches():
     """Empty the E_lam caches before and after, so nothing computed here leaks into other tests."""
-    def clear():
-        macdonald._nonsym_e_cached.cache_clear()
-        macdonald._solve.cache_clear()
-
-    clear()
+    macdonald._solve.cache_clear()
     yield
-    clear()
+    macdonald._solve.cache_clear()
 
 
 class TestIntertwinerWalk:
@@ -346,6 +342,18 @@ class TestFreshResults:
             assert nonsym_e(A2, lam).basis == [(0, 1), (1, -1), (-1, 0), (2, 0)]
         finally:
             A2._caches.pop(("lower", lam), None)
+
+    @pytest.mark.parametrize("name,bound", [("A2", 2), ("B2", 2), ("C2", 2), ("A3", 1)])
+    def test_answers_do_not_depend_on_memo_state(self, name, bound, fresh_caches):
+        rs = root_system(name)
+        box = weight_box([bound] * rs.rank)
+        warm = [_fields(nonsym_e(rs, lam)) for lam in box]
+        cold = []
+        for lam in box:
+            macdonald._solve.cache_clear()
+            rs._caches.clear()
+            cold.append(_fields(nonsym_e(rs, lam)))
+        assert cold == warm
 
 
 class TestSymmetric:

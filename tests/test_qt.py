@@ -451,6 +451,30 @@ def test_div_exact_matches_schoolbook(pair):
         assert got * b == a
 
 
+@st.composite
+def monomial_division_pairs(draw):
+    """(a, c q^i t^j, divides) with c in +-1..+-3: a is a multiple of the divisor, or such a
+    multiple plus r q^k t^l with 0 < r < |c|, which leaves a coefficient that c does not divide."""
+    c = draw(st.sampled_from([1, 2, 3, -1, -2, -3]))
+    b = QTPoly.monomial(c, draw(wide_exps), draw(wide_exps))
+    a = b * draw(wide_polys)
+    if abs(c) == 1 or draw(st.booleans()):
+        return a, b, True
+    return a + QTPoly.monomial(draw(st.integers(1, abs(c) - 1)), draw(wide_exps), draw(wide_exps)), b, False
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_division_pairs())
+def test_div_exact_by_monomials_matches_schoolbook(triple):
+    # div_exact has one path for every divisor; the oracle keeps its own monomial branch
+    a, b, divides = triple
+    got = div_exact(a, b)
+    assert got == _schoolbook_div_exact(a, b)
+    assert (got is not None) == divides
+    if got is not None:
+        assert got * b == a
+
+
 def test_div_exact_skewed_binomials():
     # every binomial a = q^i t^j +- q^k t^l (exponents 0..3) over every b =
     # q^m t^s +- c q^m' t^s' with m' < m and s' > s: the divisors whose

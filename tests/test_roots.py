@@ -12,6 +12,7 @@ from daha import orders
 from daha.hecke import dl_op
 from daha.macdonald import nonsym_e
 from daha.orders import verify_order
+from daha.polyring import QTLaurent
 from daha.qt import RatQT
 from daha.roots import (
     EQUAL,
@@ -386,16 +387,41 @@ class TestVerifyOrder:
         check = next(c for c in report.checks if c[0] == "root-string convexity of strict lower sets")
         assert check[1:] == (False, "string gap at lam=(3,), mu=(-1,), i=1, c=1")
 
-    def test_skipped_fixed_points_are_counted(self, monkeypatch):
-        # in A2 box 1 the s_i-fixed (-1,0) and (0,-1) have lower sets of 3 weights, the others of 1
-        name = "reflection compatibility of lower sets (finite indices{})"
-        assert (name.format(""), True, "") in verify_order(A2, 1).checks
-        monkeypatch.setattr(orders, "MAX_LOWER", 2)
-        skipped = "; T_i E = t E skipped for 2 weights with lower sets over 2"
-        assert (name.format(skipped), True, "") in verify_order(A2, 1).checks
-        monkeypatch.setattr(orders, "MAX_LOWER", 0)
-        skipped = "; T_i E = t E skipped for 5 weights with lower sets over 0"
-        assert (name.format(skipped), True, "") in verify_order(A2, 1).checks
+    # each fault below sits at a weight with over 60 weights below it: the checks cover large
+    # lower sets, so the report fails there and names the weight
+
+    def test_fixed_point_identity_runs_on_large_lower_sets(self, monkeypatch):
+        # A3 (-2,-2,0) is s_3-fixed and has 68 weights below it; E_lam is solved once per lam
+        rs, lam = root_system("A3"), (-2, -2, 0)
+        assert len(rs.lower_set(lam)) == 68
+        real, calls = orders.nonsym_e, []
+
+        def faulty(rs, mu):
+            calls.append(mu)
+            r = real(rs, mu)
+            if mu == lam:
+                r.cleared = r.cleared + QTLaurent.mono(rs, (0, 0, 1))
+            return r
+
+        monkeypatch.setattr(orders, "nonsym_e", faulty)
+        check = next(c for c in verify_order(rs, 2).checks if c[0].startswith("reflection compatibility"))
+        assert check == ("reflection compatibility of lower sets (finite indices)", False,
+                         f"T_3 E_lam = t E_lam fails at lam={lam}, i=3")
+        assert calls[-1] == lam and len(calls) == len(set(calls))
+
+    def test_y_closure_runs_on_large_lower_sets(self, monkeypatch):
+        # A2 (-4,-4) has 61 weights below it
+        rs, lam = root_system("A2"), (-4, -4)
+        assert len(rs.lower_set(lam)) == 61
+        real = orders.y_op
+
+        def faulty(rs, mu, f):
+            out = real(rs, mu, f)
+            return out + QTLaurent.mono(rs, (5, 5)) if f == QTLaurent.mono(rs, lam) else out
+
+        monkeypatch.setattr(orders, "y_op", faulty)
+        assert verify_order(rs, 4).lines()[-1] == (
+            f"FAIL Y-operator closure of lower sets (81 weights): Y-image of e^{lam} escapes its lower set")
 
     def test_fixed_point_identity_a3(self):
         # lam = (-2,1,0) is s_3-fixed, yet its lower set holds alpha_3 and not -alpha_3:
