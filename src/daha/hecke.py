@@ -39,7 +39,7 @@ from typing import Iterable
 
 from .qt import QTPoly, RatQT
 from .polyring import _Q, Kernel, QTLaurent, _kernel, _pack, _unpack
-from .roots import RootSystem, Weight, WeylWord, CorootVec, weight_box
+from .roots import MAX_BOX, RootSystem, Weight, WeylWord, CorootVec, weight_box
 
 
 def _pairing(rs: RootSystem, i: int, mu: Weight) -> int:
@@ -58,21 +58,6 @@ def _alpha_step(rs: RootSystem, i: int) -> tuple[Weight, int]:
 # the integer kernel
 # ---------------------------------------------------------------------------
 
-def _acc(out: Kernel, w: Weight, c: dict[int, int], off: int, c0: int, c1: int):
-    """out[w] += (c0 + c1 t) x c, where off is the packed key of the monomial x."""
-    d = out.get(w)
-    if d is None:
-        if not c1:  # a fresh weight and a monomial: one copy, no merge
-            out[w] = {k + off: c0 * x for k, x in c.items()}
-            return
-        d = out[w] = {}
-    for v, o in ((c0, off), (c1, off + 1)):
-        if v:
-            for k, x in c.items():
-                k += o
-                d[k] = d.get(k, 0) + v * x
-
-
 def _pruned(out: Kernel) -> Kernel:
     """out without its zero coefficients and empty weights, in place: only a dict holding a zero is rebuilt."""
     for w in [w for w, c in out.items() if 0 in c.values()]:
@@ -89,7 +74,17 @@ def _comb(*parts: tuple[Kernel, int, int, int, int]) -> Kernel:
     for k, dq, dt, c0, c1 in parts:
         off = dq * _Q + dt
         for w, c in k.items():
-            _acc(out, w, c, off, c0, c1)
+            d = out.get(w)
+            if d is None:
+                if not c1:  # a fresh weight and a monomial: one copy, no merge
+                    out[w] = {e + off: c0 * x for e, x in c.items()}
+                    continue
+                d = out[w] = {}
+            for v, o in ((c0, off), (c1, off + 1)):
+                if v:
+                    for e, x in c.items():
+                        e += o
+                        d[e] = d.get(e, 0) + v * x
     return _pruned(out)
 
 
@@ -112,6 +107,8 @@ def _alpha_string(rs: RootSystem, i: int, mu: Weight, memo: dict) -> tuple[tuple
     + (t - 1) sum_{k=0..-m-1} X^{k alpha_i} e^mu when m <= 0.  A shift (k, c0, c1) stands for
     (c0 + c1 t) X^{k alpha_i} e^mu, and gives one triple for c0 and one, at offset + 1, for c1."""
     m = _pairing(rs, i, mu)
+    if abs(m) > MAX_BOX:
+        raise ValueError(f"an alpha_{i}-string of {abs(m)} shifts is more than the {MAX_BOX} allowed")
     step_w, step_q = _alpha_step(rs, i)
     shifts = ([(-k, 1, -1) for k in range(1, m)] + [(-m, 1, 0)] if m > 0
               else [(-m, 0, 1)] + [(k, -1, 1) for k in range(-m)])
@@ -211,17 +208,12 @@ def y_op(rs: RootSystem, mu: CorootVec, f: QTLaurent) -> QTLaurent:
 
 
 def _dominant_decomposition(rs: RootSystem, mu: CorootVec) -> tuple[CorootVec, CorootVec]:
-    """Write mu = mu_+ - mu_- with both dominant (greedy over dominant coroot generators)."""
-    if all(rs.coroot_pair(mu, wc) >= 0 for _, wc in rs.positive_roots()):
-        return mu, (0,) * rs.rank
-    # mu + N rho^vee-like correction: use the smallest strictly dominant vector
+    """mu = mu_+ - n mu*, mu* the strictly dominant coroot and n >= 0 least: <mu + n mu*, alpha_j>
+    is linear in n with slope >= 1, so n is 0 or the largest ceil(-<mu, alpha_j> / <mu*, alpha_j>)."""
     base = strictly_dominant_coroot(rs)
-    n = 1
-    while True:
-        cand = tuple(m + n * b for m, b in zip(mu, base))
-        if all(rs.coroot_pair(cand, wc) >= 0 for _, wc in rs.positive_roots()):
-            return cand, tuple(n * b for b in base)
-        n += 1
+    simple = [rs.simple_root(j) for j in range(1, rs.rank + 1)]
+    n = max(0, *(-(rs.coroot_pair(mu, a) // rs.coroot_pair(base, a)) for a in simple))
+    return tuple(m + n * b for m, b in zip(mu, base)), tuple(n * b for b in base)
 
 
 def strictly_dominant_coroot(rs: RootSystem) -> CorootVec:

@@ -16,6 +16,10 @@ Checks, over the box |lam_i| <= bound:
   * closure of lower sets under the Y-operators (the affine convexity that
     the triangular eigensolver depends on).
 
+Pairs are compared from the order keys as they are read (a box of over 2^24
+pairs is refused), each lower set is computed once per run, and T_i and Y run
+on the integer kernel of hecke.py, on E_lam's denominator-cleared numerators.
+
 The weight-projected raising/lowering transcription for the affine index is
 false in rank two: reflecting a lower set as a plain set of weights loses the
 loop degree that rides along with the affine reflection.  Rank-one keeps it
@@ -25,35 +29,43 @@ rank-independent replacement carrying the same content.
 
 from __future__ import annotations
 
-from .hecke import RelationReport, dl_op, y_op
+from functools import cache
+
+from .hecke import RelationReport, _comb, _mono, _t, _y
 from .macdonald import mu_star, nonsym_e
-from .polyring import QTLaurent
-from .qt import RatQT
-from .roots import EQUAL, GREATER, LESS, RootSystem, weight_box
+from .polyring import _pack
+from .roots import EQUAL, GREATER, LESS, MAX_BOX, RootSystem, weight_box
 
 
 def verify_order(rs: RootSystem, bound: int) -> RelationReport:
     report = RelationReport(f"Cherednik order properties for {rs.name}, box {bound}")
     box = weight_box([bound] * rs.rank)
+    if len(box) ** 2 > MAX_BOX:
+        raise ValueError(f"an order check of {len(box)}^2 weight pairs is more than the {MAX_BOX} allowed")
     keys = {a: rs.order_key(a) for a in box}
-    cmp = {(a, b): rs.compare_keys(keys[a], keys[b]) for a in box for b in box}
+
+    def cmp(a, b):
+        return rs.compare_keys(keys[a], keys[b])
+
+    lower = cache(lambda lam: frozenset(rs.lower_set(lam)))
 
     def antisymmetry():
         for a in box:
-            if cmp[a, a] != EQUAL:
+            if cmp(a, a) != EQUAL:
                 yield f"reflexivity fails at {a}"
             for b in box:
-                if a != b and cmp[a, b] == EQUAL:
+                c = cmp(a, b)
+                if a != b and c == EQUAL:
                     yield f"antisymmetry fails at {a}, {b}"
-                if cmp[a, b] == LESS and cmp[b, a] != GREATER:
+                if c == LESS and cmp(b, a) != GREATER:
                     yield f"asymmetry fails at {a}, {b}"
 
     report.first_failure(f"antisymmetry on {len(box)} weights", antisymmetry())
 
-    lesses = {a: [b for b in box if cmp[a, b] == LESS] for a in box}
+    lesses = {a: [b for b in box if cmp(a, b) == LESS] for a in box}
     report.first_failure("transitivity", (
         f"transitivity fails at {a} < {b} < {c}"
-        for a in box for b in lesses[a] for c in lesses[b] if cmp[a, c] != LESS))
+        for a in box for b in lesses[a] for c in lesses[b] if cmp(a, c) != LESS))
 
     directions = [(i, rs.simple_root(i)) for i in range(1, rs.rank + 1)]
     if rs.irreducible:
@@ -61,7 +73,7 @@ def verify_order(rs: RootSystem, bound: int) -> RelationReport:
 
     def string_gaps():
         for lam in box:
-            strict = set(rs.lower_set(lam)) - {lam}
+            strict = lower(lam) - {lam}
             for i, step in directions:
                 # nu = base + c step, with base the same for the whole line through nu
                 k = next(k for k, b in enumerate(step) if b)
@@ -83,19 +95,19 @@ def verify_order(rs: RootSystem, bound: int) -> RelationReport:
 
     def reflection_failures():
         for lam in box:
-            ls = set(rs.lower_set(lam))
+            ls = lower(lam)
             e = None
             for i in tuple(range(1, rs.rank + 1)) + affine_set:
                 si_lam = rs.reflect_affine(i, lam)
                 if i and si_lam == lam and rs.irreducible:
                     if e is None:
-                        e = nonsym_e(rs, lam).cleared
-                    if dl_op(rs, i, e) != e.scale(RatQT.monomial(1, 0, 1)):
+                        e = {w: _pack(c.num.terms) for w, c in nonsym_e(rs, lam).cleared.terms.items()}
+                    if _t(rs, i, e) != _comb((e, 0, 1, 1, 0)):
                         yield f"T_{i} E_lam = t E_lam fails at lam={lam}, i={i}"
                     continue
                 reflected = {rs.reflect_affine(i, mu) for mu in ls}
                 if rs.cherednik_cmp(lam, si_lam) in (LESS, EQUAL):
-                    target = set(rs.lower_set(si_lam))
+                    target = lower(si_lam)
                     if not (reflected <= target and ls <= target):
                         yield f"raising reflection fails at lam={lam}, i={i}"
                 elif not reflected <= ls:
@@ -108,5 +120,5 @@ def verify_order(rs: RootSystem, bound: int) -> RelationReport:
         mstar = mu_star(rs)
         report.first_failure(f"Y-operator closure of lower sets ({len(box)} weights)", (
             f"Y-image of e^{lam} escapes its lower set" for lam in box
-            if not set(y_op(rs, mstar, QTLaurent.mono(rs, lam)).support()) <= set(rs.lower_set(lam))))
+            if not _y(rs, mstar, _mono(lam)).keys() <= lower(lam)))
     return report

@@ -636,16 +636,10 @@ class RatQT:
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "RatQT":
+        """Canonical as it stands: num^n, den^n stay coprime and den^n keeps den's normalisation."""
         if n < 0:
             return self.inverse() ** (-n)
-        out = R_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return RatQT(self.num ** n, self.den ** n, _reduced=True)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -34,7 +34,8 @@ and M lam >= M mu (one orbit lies in one coset of the root lattice).
 Lower-set contract.  lower_set(lam) lists P[<= lam] in the lexicographically
 least linear extension of the Cherednik order: at each step the least weight
 (as a tuple) all of whose predecessors are already listed.  Inside a lower set
-every weight lies in lam + Q, so no divisibility test is needed there.
+every weight lies in lam + Q, so no divisibility test is needed there.  It has
+no memo: a caller that needs one lam more than once keeps the set itself.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ _CARTAN = {
 
 _BRAID_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
 
-# the most integer points a box may hold: far above every box in use, and small enough that
-# a box from a huge weight or bound is refused before any of it is allocated
+# the most integer points a box may hold, and the most weight pairs, alpha_i-string shifts or
+# translation-word letters one step may ask for: far above every use, small enough to refuse first
 MAX_BOX = 1 << 24
 
 
@@ -399,7 +400,7 @@ class RootSystem:
         return self.compare_keys(self.order_key(lam), self.order_key(mu))
 
     def lower_set(self, lam: Weight) -> list[Weight]:
-        """P[<= lam] in the Cherednik order, in its lexicographically least linear extension (a fresh list).
+        """P[<= lam] in the Cherednik order, in its lexicographically least linear extension (computed afresh).
 
         Built from whole W-orbits.  Order keys compare mu_- - lam_- = w_0 (mu_+ - lam_+), and
         w_0 Q_+ = -Q_+, so a weight mu is below lam only if lam_+ - mu_+ lies in Q_+, and for a
@@ -408,20 +409,17 @@ class RootSystem:
         only.  Such nu lie in the hull of W lam_+, so in the box 0 <= nu_k <= max of w_k over
         W lam_+, and every weight of W nu has the same key half M nu_-.
         """
-        key = ("lower", lam)
-        if key not in self._caches:
-            lam_plus = self.dominant(lam)[0]
-            top = self.order_key(lam)
-            keys = {}
-            for nu in _box([range(max(c) + 1) for c in zip(*self.orbit(lam_plus))]):
-                if self.dominance_leq(nu, lam_plus):
-                    low = self.scaled_root_coords(self.antidominant(nu)[0])
-                    for mu in self.orbit(nu):
-                        k = (low, self.scaled_root_coords(mu))
-                        if self.compare_keys(k, top) in (LESS, EQUAL):
-                            keys[mu] = k
-            self._caches[key] = _linear_extension(keys)
-        return list(self._caches[key])
+        lam_plus = self.dominant(lam)[0]
+        top = self.order_key(lam)
+        keys = {}
+        for nu in _box([range(max(c) + 1) for c in zip(*self.orbit(lam_plus))]):
+            if self.dominance_leq(nu, lam_plus):
+                low = self.scaled_root_coords(self.antidominant(nu)[0])
+                for mu in self.orbit(nu):
+                    k = (low, self.scaled_root_coords(mu))
+                    if self.compare_keys(k, top) in (LESS, EQUAL):
+                        keys[mu] = k
+        return _linear_extension(keys)
 
     # -- affine Weyl group words ---------------------------------------------------
 
@@ -440,6 +438,8 @@ class RootSystem:
             pairings = [self.coroot_pair(mu, wc) for _, wc in self.positive_roots()]
             if any(p < 0 for p in pairings):
                 raise ValueError(f"{mu} is not dominant")
+            if sum(pairings) > MAX_BOX:
+                raise ValueError(f"a translation word of {sum(pairings)} letters is more than the {MAX_BOX} allowed")
             letters = []
             if any(pairings):
                 rho = (1,) * self.rank

@@ -255,6 +255,13 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _run_limited(argv, timeout):
+    """Run daha in a child process with a 1 GB address space, and fail past the timeout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "daha.cli", *argv], capture_output=True, text=True,
+                          env=env, preexec_fn=_limit_address_space, timeout=timeout)
+
+
 # boxes of 10^9 and 2 * 10^8 + 1 points; run in a child process with a 1 GB address space, so a
 # box that is allocated before it is refused ends the child with a MemoryError, not the machine
 @pytest.mark.parametrize("argv", [
@@ -262,9 +269,7 @@ def _limit_address_space():
     ("verify", "hecke", "--type", "A1", "--bound", "100000000"),
 ], ids=" ".join)
 def test_huge_box_exits_2(argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-m", "daha.cli", *argv], capture_output=True, text=True,
-                          env=env, preexec_fn=_limit_address_space, timeout=120)
+    proc = _run_limited(argv, timeout=120)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: a box of ") and proc.stderr.count("\n") == 1
 
@@ -289,6 +294,23 @@ def _joined(values):
 def _mono_json(weight):
     coeff = {"num": [["1", 0, 0]], "den": [["1", 0, 0]]}
     return json.dumps({"terms": [{"weight": list(weight), "coeff": coeff}]})
+
+
+# inputs past MAX_BOX that ran out of memory or ran on without end before they were refused: an
+# order check of 14,641^2 weight pairs, alpha_1-strings of 10^8 shifts, translation words of 2 * 10^8
+# letters, and the search for the dominant decomposition of mu = -10^8
+@pytest.mark.parametrize("argv", [
+    ("verify", "order", "--type", "A2", "--bound", "60"),
+    ("demazure", "--type", "A1", "--word", "1", "--weight", "100000000"),
+    ("y", "--type", "A1", "--mu", "1", "--apply", _mono_json((10 ** 8,))),
+    ("y", "--type", "A1", "--mu", "100000000", "--apply", _mono_json((1,))),
+    ("y", "--type", "A1", "--mu", "-100000000", "--apply", _mono_json((1,))),
+], ids=["order-pairs", "demazure-string", "y-string", "y-word", "y-negative-mu"])
+def test_huge_operator_input_exits_2(argv):
+    proc = _run_limited(argv, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "more than the 16777216 allowed" in proc.stderr
 
 
 def _option(name, value, attached):

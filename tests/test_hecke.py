@@ -305,6 +305,27 @@ def _short_translations(rs):
     return [mu for mu in product((-1, 0, 1), repeat=rs.rank) if letters(mu) <= 16]
 
 
+def _searched_decomposition(rs, mu):
+    """mu = mu_+ - n mu* by the search the closed form replaced: the least n >= 1 making
+    mu + n mu* pair nonnegatively with every positive root, when mu is not dominant already."""
+    if all(rs.coroot_pair(mu, wc) >= 0 for _, wc in rs.positive_roots()):
+        return tuple(mu), (0,) * rs.rank
+    base = hecke.strictly_dominant_coroot(rs)
+    n = 1
+    while True:
+        cand = tuple(m + n * b for m, b in zip(mu, base))
+        if all(rs.coroot_pair(cand, wc) >= 0 for _, wc in rs.positive_roots()):
+            return cand, tuple(n * b for b in base)
+        n += 1
+
+
+@pytest.mark.parametrize("name,bound", [("A1", 8), ("A2", 4), ("B2", 4), ("C2", 4), ("A3", 3), ("A4", 2)])
+def test_dominant_decomposition_matches_search(name, bound):
+    rs = root_system(name)
+    for mu in product(range(-bound, bound + 1), repeat=rs.rank):
+        assert hecke._dominant_decomposition(rs, mu) == _searched_decomposition(rs, mu), mu
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_packed_kernel_matches_tuple_kernel(data):

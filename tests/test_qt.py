@@ -80,12 +80,13 @@ class TestPowers:
             acc = acc * p
 
     def test_ratqt_pow_is_repeated_product(self):
-        r = rat(P(c=2, qt=-1), ONE_MINUS_T * P(c=1, q=1))
-        acc = inv = RatQT.from_int(1)
-        for n in range(5):
-            assert r ** n == acc
-            assert r ** -n == inv
-            acc, inv = acc * r, inv * r.inverse()
+        # the second fraction has the Laurent numerator 1 + q^-1
+        for r in (rat(P(c=2, qt=-1), ONE_MINUS_T * P(c=1, q=1)), rat(P(c=1, qm1=1), ONE_MINUS_T)):
+            acc = inv = RatQT.from_int(1)
+            for n in range(5):
+                assert r ** n == acc
+                assert r ** -n == inv
+                acc, inv = acc * r, inv * r.inverse()
 
     def test_ratqt_sub_is_add_negative(self):
         a = rat(ONE_MINUS_QT, ONE_MINUS_T)

@@ -413,15 +413,29 @@ class TestVerifyOrder:
         # A2 (-4,-4) has 61 weights below it
         rs, lam = root_system("A2"), (-4, -4)
         assert len(rs.lower_set(lam)) == 61
-        real = orders.y_op
+        real = orders._y
 
         def faulty(rs, mu, f):
             out = real(rs, mu, f)
-            return out + QTLaurent.mono(rs, (5, 5)) if f == QTLaurent.mono(rs, lam) else out
+            return {**out, (5, 5): {0: 1}} if f == {lam: {0: 1}} else out
 
-        monkeypatch.setattr(orders, "y_op", faulty)
+        monkeypatch.setattr(orders, "_y", faulty)
         assert verify_order(rs, 4).lines()[-1] == (
             f"FAIL Y-operator closure of lower sets (81 weights): Y-image of e^{lam} escapes its lower set")
+
+    def test_each_lower_set_is_computed_once_per_run(self):
+        rs, asked = RootSystem("A2"), []
+        real = rs.lower_set
+
+        def recording(lam):
+            asked.append(lam)
+            return real(lam)
+
+        rs.lower_set = recording
+        report = verify_order(rs, 2)
+        assert asked and len(asked) == len(set(asked))
+        # E_lam is solved on root_system("A2"), not on rs; the kernels compare all the same
+        assert report.passed
 
     def test_fixed_point_identity_a3(self):
         # lam = (-2,1,0) is s_3-fixed, yet its lower set holds alpha_3 and not -alpha_3:
