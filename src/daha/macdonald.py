@@ -11,16 +11,20 @@ an eigenvalue that no other weight of the lower set shares.  For dominant
 lam the matrix of that one Y^mu is built on the integer kernel, its diagonal
 is checked against the predicted eigenvalues, and the triangular
 eigenproblem is solved exactly by back-substitution over Q(q, t): row i gives
-c_i = sum_{j > i} m_ij c_j / (y - m_ii).  Each c_j is kept as a numerator
-over a product of irreducible factors of the eigenvalue gaps; a row's sum is
-formed over the row's common factored denominator and reduced once, by
-exact division with those factors, so no gcd is ever computed.
+c_i = sum_{j > i} m_ij c_j / (y - m_ii).
 
 Any other lam lies in the orbit of a dominant lam_+, and E_lam is reached from
 the solved E_{lam_+} by finite intertwiners, one T_i and one scalar per letter
 (Cherednik, Nonsymmetric Macdonald polynomials, IMRN 1995; Macdonald, Affine
-Hecke Algebras and Orthogonal Polynomials, ch. 5), with the same factored
-denominators and no eigensolve.
+Hecke Algebras and Orthogonal Polynomials, ch. 5), with no eigensolve.
+
+Both solvers carry every coefficient in one form, the pair (num, den): a
+QTPoly numerator over {irreducible canonical factor: multiplicity}.  Each
+gap they divide by (y - m_ii, or an intertwiner's binomial) is a difference
+of two monomials; _add_gap adds its cyclotomic factors to den.  A sum is
+formed over the common factored denominator and reduced once, by exact
+division with those factors (_reduced), so no gcd is ever computed; the
+product of the factors is the canonical denominator of the result.
 
 Also here: the eigenvalue-exponent check, symmetric P_lam via the Cherednik
 symmetrizer, monomial expansion, and a classical Demazure-operator Weyl
@@ -65,8 +69,11 @@ class EigenResult:
 
 
 # ---------------------------------------------------------------------------
-# factored rational values for the back-substitution
+# coefficients as (num, den): a QTPoly over {irreducible canonical factor: multiplicity}
 # ---------------------------------------------------------------------------
+
+_Frac = tuple[QTPoly, dict[QTPoly, int]]  # num / prod(f^m for f, m in den.items())
+
 
 @lru_cache(maxsize=None)
 def _cyclotomic(n: int) -> tuple[tuple[int, int], ...]:
@@ -78,15 +85,15 @@ def _cyclotomic(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((k, c) for (k, _), c in poly.terms.items()))
 
 
-def _split_gap(p: QTPoly) -> tuple[int, int, int, list[QTPoly]]:
-    """Factor a difference of two monomials as unit * product of irreducible factors.
+def _add_gap(den: dict[QTPoly, int], p: QTPoly) -> tuple[int, int, int]:
+    """Add the irreducible factors of a gap p to den, in place; return the unit (sign, shift_q, shift_t)
+    that a numerator over den is divided by.
 
     Every gap is y - m_ii or 1 - q^-a t^(1-b), so p = m1 - m2 up to sign.
-    Writes p = unit * prod over d | g of the cyclotomic Phi_d evaluated at the
-    primitive monomial z of m2/m1 = z^g, each normalized canonically (no
-    monomial content, lexicographically least term positive).  The unit is
-    returned as (sign, shift_q, shift_t) and the decomposition is verified by
-    exact division.
+    Writes p = sign q^shift_q t^shift_t * prod over d | g of the cyclotomic
+    Phi_d evaluated at the primitive monomial z of m2/m1 = z^g, each
+    normalized canonically (no monomial content, lexicographically least
+    term positive).  The decomposition is verified by exact division.
     """
     assert len(p.terms) == 2, "eigenvalue gap is not a binomial"
     (k1, c1), (k2, c2) = sorted(p.terms.items())
@@ -94,20 +101,17 @@ def _split_gap(p: QTPoly) -> tuple[int, int, int, list[QTPoly]]:
     dq, dt = k2[0] - k1[0], k2[1] - k1[1]
     g = gcd(abs(dq), abs(dt))
     za, zb = dq // g, dt // g
-    divisors = [d for d in range(1, g + 1) if g % d == 0]
-    factors = [_canon_unit(_subst_monomial(_cyclotomic(d), za, zb)) for d in divisors]
     rest = p
-    for f in factors:
-        rest = div_exact(rest, f)
-        assert rest is not None, "binomial factorization failed"
+    for d in range(1, g + 1):
+        if g % d == 0:
+            f = _canon_unit(QTPoly({(k * za, k * zb): c for k, c in _cyclotomic(d)}))
+            rest = div_exact(rest, f)
+            assert rest is not None, "binomial factorization failed"
+            den[f] = den.get(f, 0) + 1
     assert rest.is_monomial(), "binomial factorization left a non-unit"
     (uq, ut), uc = next(iter(rest.terms.items()))
     assert abs(uc) == 1
-    return uc, uq, ut, factors
-
-
-def _subst_monomial(phi: tuple[tuple[int, int], ...], za: int, zb: int) -> QTPoly:
-    return QTPoly({(k * za, k * zb): c for k, c in phi})
+    return uc, uq, ut
 
 
 def _ieval(p: QTPoly) -> int:
@@ -119,64 +123,36 @@ def _ieval(p: QTPoly) -> int:
     return total
 
 
-class _FactoredRat:
-    """num / prod(factor^mult) with irreducible canonical factors."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: QTPoly, den: dict[QTPoly, int] | None = None):
-        self.num = num
-        self.den = den or {}
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def div_gap(self, p: QTPoly) -> "_FactoredRat":
-        """Divide by a two-term gap polynomial, splitting it into irreducibles."""
-        sign, uq, ut, factors = _split_gap(p)
-        num = self.num.shift(-uq, -ut)
-        if sign < 0:
-            num = num.scale(-1)
-        den = dict(self.den)
-        for f in factors:
-            den[f] = den.get(f, 0) + 1
-        return _FactoredRat(num, den).reduced()
-
-    def reduced(self) -> "_FactoredRat":
-        num = self.num
-        if num.is_zero():
-            return _FactoredRat(num)
-        den = {}
-        ne = _ieval(num)
-        for f, m in self.den.items():
-            fe = _ieval(f)
-            while m > 0:
-                if fe not in (0, 1, -1) and ne % fe:
-                    break
-                q = div_exact(num, f)
-                if q is None:
-                    break
-                num = q
-                ne = ne // fe if fe else _ieval(num)  # _ieval is multiplicative
-                m -= 1
-            if m:
-                den[f] = m
-        return _FactoredRat(num, den)
-
-    def to_ratqt(self) -> RatQT:
-        """Convert.  The factors are irreducible and already divided out, and
-        each is canonical (no monomial content, least term positive), so their
-        product is the canonical denominator of the reduced fraction."""
-        return RatQT(self.num, _cofactor(self.den, {}), _reduced=True)
+def _reduced(num: QTPoly, den: dict[QTPoly, int]) -> _Frac:
+    """num / prod(den) in lowest terms: divide out each factor of den that divides num.  A factor
+    is tried only if its value at (2, 3) divides num's there, so most failing divisions are skipped."""
+    if num.is_zero():
+        return num, {}
+    out = {}
+    ne = _ieval(num)
+    for f, m in den.items():
+        fe = _ieval(f)
+        while m > 0:
+            if fe not in (0, 1, -1) and ne % fe:
+                break
+            q = div_exact(num, f)
+            if q is None:
+                break
+            num = q
+            ne = ne // fe if fe else _ieval(num)  # _ieval is multiplicative
+            m -= 1
+        if m:
+            out[f] = m
+    return num, out
 
 
 def _over_common_den(coeffs) -> tuple[dict[QTPoly, int], list[QTPoly]]:
     """(den, nums) with coeffs[k] = nums[k] / prod(den), den taking each factor's largest multiplicity."""
     den: dict[QTPoly, int] = {}
-    for c in coeffs:
-        for f, m in c.den.items():
+    for _, part in coeffs:
+        for f, m in part.items():
             den[f] = max(den.get(f, 0), m)
-    return den, [ZERO_P if c.is_zero() else c.num * _cofactor(den, c.den) for c in coeffs]
+    return den, [ZERO_P if num.is_zero() else num * _cofactor(den, part) for num, part in coeffs]
 
 
 def _cofactor(den: dict[QTPoly, int], part: dict[QTPoly, int]) -> QTPoly:
@@ -304,8 +280,7 @@ def nonsym_e(rs: RootSystem, lam: Weight) -> EigenResult:
 
 
 @lru_cache(maxsize=None)
-def _solve(rs_name: str, lam: Weight) -> tuple[list[Weight], tuple[_FactoredRat, ...], CorootVec,
-                                                tuple[int, int]]:
+def _solve(rs_name: str, lam: Weight) -> tuple[list[Weight], tuple[_Frac, ...], CorootVec, tuple[int, int]]:
     """The triangular eigensolve: (basis, coefficients, operator, exponents of its eigenvalue).
 
     The one matrix built must have the predicted eigenvalues on its diagonal.
@@ -321,15 +296,15 @@ def _solve(rs_name: str, lam: Weight) -> tuple[list[Weight], tuple[_FactoredRat,
         if mat[k][k] != QTPoly.monomial(1, *exps[k]):
             raise AssertionError(f"Y^{mu} on e^{w} has diagonal {mat[k][k]}, not the predicted eigenvalue")
     y = mat[n - 1][n - 1]
-    coeffs = [_FactoredRat(ZERO_P)] * n
-    coeffs[n - 1] = _FactoredRat(ONE_P)
+    coeffs = [(ZERO_P, {})] * (n - 1) + [(ONE_P, {})]
     for i in range(n - 2, -1, -1):
         row = [(mat[i][j], coeffs[j]) for j in range(i + 1, n)
-               if not (mat[i][j].is_zero() or coeffs[j].is_zero())]
+               if not (mat[i][j].is_zero() or coeffs[j][0].is_zero())]
         den, nums = _over_common_den([c for _, c in row])
         s = sum((num * mij for (mij, _), num in zip(row, nums)), ZERO_P)
         if not s.is_zero():
-            coeffs[i] = _FactoredRat(s, den).div_gap(y - mat[i][i])
+            sign, uq, ut = _add_gap(den, y - mat[i][i])
+            coeffs[i] = _reduced(s.shift(-uq, -ut).scale(sign), den)
     return basis, tuple(coeffs), mu, exps[-1]
 
 
@@ -362,19 +337,17 @@ def _walk(rs: RootSystem, lam: Weight) -> EigenResult:
     for i in u:
         assert nu[i - 1] > 0, "intertwiner step does not go up the orbit"
         a, b = expected_eigen_exponents(rs, nu, tuple(int(k == i - 1) for k in range(rs.rank)))
-        sign, uq, ut, factors = _split_gap(QTPoly({(0, 0): 1, (-a, 1 - b): -1}))
+        sign, uq, ut = _add_gap(den, QTPoly({(0, 0): 1, (-a, 1 - b): -1}))
         ti = _t(rs, i, f)
         # (1 - q^-a t^(1-b)) T_i f + (1 - t) f, divided by the unit sign q^uq t^ut of the binomial
         f = _comb((ti, -uq, -ut, sign, 0), (ti, -a - uq, 1 - b - ut, -sign, 0), (f, -uq, -ut, sign, -sign))
-        for g in factors:
-            den[g] = den.get(g, 0) + 1
         nu = rs.reflect(i, nu)
     basis = rs.lower_set(lam)
     if not f.keys() <= set(basis):
         raise OrderViolationError(f"the intertwiners left the lower set of {lam}")
     mu, exps = _operator(rs, basis)
-    coeffs = tuple(_FactoredRat(QTPoly(_unpack(f.get(w, {}))), den).reduced() for w in basis)
-    if not coeffs[-1].to_ratqt().is_one():
+    coeffs = tuple(_reduced(QTPoly(_unpack(f.get(w, {}))), den) for w in basis)
+    if coeffs[-1] != (ONE_P, {}):
         raise AssertionError(f"the intertwiners lost the unit coefficient of e^{lam}")
     return _result(rs, lam, basis, coeffs, mu, exps[-1])
 
@@ -384,11 +357,12 @@ def _is_eigenvector(rs: RootSystem, mu: CorootVec, cleared: QTLaurent, exps: tup
     return y_op(rs, mu, cleared) == cleared.scale(RatQT.monomial(1, *exps))
 
 
-def _result(rs: RootSystem, lam: Weight, basis: list[Weight], coeffs: tuple[_FactoredRat, ...],
+def _result(rs: RootSystem, lam: Weight, basis: list[Weight], coeffs: tuple[_Frac, ...],
             chosen: CorootVec, exps: tuple[int, int]) -> EigenResult:
     """The EigenResult of E_lam = sum coeffs[i] e^basis[i], whose eigenvalue under Y^chosen is
-    q^exps[0] t^exps[1], after both exactness checks."""
-    e = QTLaurent(rs, {w: c.to_ratqt() for w, c in zip(basis, coeffs)})
+    q^exps[0] t^exps[1], after both exactness checks.  Each coefficient is reduced and its factors
+    are canonical, so the product of its factors is the canonical denominator of its RatQT."""
+    e = QTLaurent(rs, {w: RatQT(num, _cofactor(den, {}), _reduced=True) for w, (num, den) in zip(basis, coeffs)})
     # clear denominators without any gcd: the factors are already known
     universe, nums = _over_common_den(coeffs)
     clearing = _cofactor(universe, {})
@@ -430,35 +404,28 @@ class EigenCheck:
 def expected_eigen_exponents(rs: RootSystem, lam: Weight, mu: CorootVec) -> tuple[int, int]:
     """(q-exponent, t-exponent) predicted for Y^mu on E_lam.
 
-    q-exponent is -<mu, lam>; the t-exponent is
-    (len(t_mu) + <u_lam^{-1}(2 rho), mu>) / 2 with u_lam the minimal element
-    making lam antidominant.  len(t_mu) enters as the sum of <mu, beta> over
-    the positive roots beta (the length for dominant mu), and the positive
-    roots sum to 2 rho, so it is <mu, 2 rho>.
+    q-exponent is -<mu, lam>; the t-exponent is the sum of <mu, gamma> over
+    the positive roots gamma with (lam, gamma) <= 0.  That is
+    (len(t_mu) + <mu, u_lam^{-1}(2 rho)>) / 2 with u_lam the minimal element
+    making lam antidominant: len(t_mu) = <mu, 2 rho>, and u_lam^{-1} keeps
+    positive exactly the roots that u_lam does not invert, those with
+    (lam, gamma) <= 0, so 2 rho + u_lam^{-1}(2 rho) is twice their sum.  For
+    gamma = sum_i c_i alpha_i, (lam, gamma) has the sign of sum_i c_i d_i lam_i.
     """
-    q_exp = -rs.coroot_pair(mu, lam)
-    length = rs.coroot_pair(mu, rs.two_rho())
-    _, u = rs.antidominant(lam)
-    u_inv = tuple(reversed(u))
-    shifted = rs.apply_word(u_inv, rs.two_rho())
-    t_num = length + rs.coroot_pair(mu, shifted)
-    if t_num % 2:
-        raise AssertionError(f"half-integral t-exponent for lam={lam}, mu={mu}")
-    return q_exp, t_num // 2
+    t_exp = sum(rs.coroot_pair(mu, gamma) for coords, gamma in rs.positive_roots()
+                if sum(c * d * l for c, d, l in zip(coords, rs.d, lam)) <= 0)
+    return -rs.coroot_pair(mu, lam), t_exp
 
 
 def eigen_check(rs: RootSystem, lam: Weight, mu: CorootVec, result: EigenResult | None = None) -> EigenCheck:
-    """Verify Y^mu E_lam = q^{-<mu,lam>} t^{(l(t_mu)+<u^{-1}(2rho),mu>)/2} E_lam exactly.
+    """Verify Y^mu E_lam = q^{-<mu,lam>} t^{(l(t_mu)+<mu,u^{-1}(2rho)>)/2} E_lam exactly.
 
     Scaling by the clearing polynomial commutes with Y, so the identity is
     checked on the denominator-free companion form.
     """
     if result is None:
         result = nonsym_e(rs, lam)
-    try:
-        q_exp, t_exp = expected_eigen_exponents(rs, lam, mu)
-    except AssertionError as exc:
-        return EigenCheck(False, 0, 0, str(exc))
+    q_exp, t_exp = expected_eigen_exponents(rs, lam, mu)
     if t_exp < 0:
         return EigenCheck(False, q_exp, t_exp, "negative t-exponent")
     if not _is_eigenvector(rs, mu, result.cleared, (q_exp, t_exp)):

@@ -75,7 +75,7 @@ class RootSystem:
     """Cartan data plus cached Weyl-group and affine combinatorics."""
 
     def __init__(self, name: str):
-        key = name.upper()
+        key = _canonical_name(name)
         if key in _CARTAN:
             cartan = _CARTAN[key]
         elif key.startswith("A") and key[1:].isdigit() and int(key[1:]) >= 1:
@@ -86,7 +86,7 @@ class RootSystem:
             )
         else:
             raise ValueError(f"unsupported root system {name!r}")
-        self.name = name.upper()
+        self.name = key
         self.cartan = cartan
         self.rank = len(cartan)
         self._simple_roots = tuple(zip(*cartan))  # alpha_i is column i of the Cartan matrix
@@ -461,8 +461,21 @@ class RootSystem:
         return self._caches[key]
 
 
-@lru_cache(maxsize=None)
+def _canonical_name(name: str) -> str:
+    """The type name in upper case, with A_n written A{n}: a2, A2 and A02 all name A2."""
+    key = name.upper()
+    if key.startswith("A") and key[1:].isdigit():
+        key = f"A{int(key[1:])}"
+    return key
+
+
 def root_system(name: str) -> RootSystem:
+    """The one RootSystem of the type that name spells (see _canonical_name)."""
+    return _root_system(_canonical_name(name))
+
+
+@lru_cache(maxsize=None)
+def _root_system(name: str) -> RootSystem:
     return RootSystem(name)
 
 

@@ -78,6 +78,11 @@ class TestEVerb:
         rc, _ = capture("e", "--type", "G2", "--weight", "1")
         assert rc == 2
 
+    @pytest.mark.parametrize("spelling,name", [("a2", "A2"), ("A02", "A2"), ("A01", "A1")])
+    def test_type_spellings_print_the_same(self, capture, spelling, name):
+        for verb, weight in (("e", "-1" if name == "A1" else "-1,1"), ("p", "1" if name == "A1" else "1,1")):
+            assert capture(verb, "--type", spelling, "--weight", weight) == capture(verb, "--type", name, "--weight", weight)
+
 
 class TestOtherVerbs:
     def test_p(self, capture):
@@ -285,6 +290,17 @@ def test_readme_command_lines(capsys):
         out = capsys.readouterr().out
         if "--integral" in argv:
             assert out == "(1-q*t)*x^-1 + (1-t)*x\n"
+
+
+def test_readme_library_example(capsys):
+    # the README's Python block runs and prints E_(-1,1) of B2 after its monomial eigenvalue
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        "q*t^9",
+        "x_1^-1*x_2 + ((1-t)/(1-q*t^2))*x_2 + ((1-t)/(1-q*t^2))*x_1*x_2^-1",
+    ]
 
 
 def _joined(values):

@@ -6,12 +6,12 @@ double-checked numerically at two rational points before freezing.
 """
 
 from fractions import Fraction
-from itertools import count, product
+from itertools import count, islice, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from daha import hecke, macdonald
+from daha import hecke, macdonald, qt
 from daha.qt import QTPoly, RatQT, poly_to_json, rat, ratqt_to_json
 from daha.roots import EQUAL, LESS, root_system, weight_box
 from daha.polyring import QTLaurent, _unpack, integral_form, laurent_to_json, laurent_to_text, specialize_dim
@@ -25,6 +25,7 @@ from daha.macdonald import (
     eigen_check,
     expected_eigen_exponents,
     monomial_expand,
+    mu_candidates,
     mu_star,
     nonsym_e,
     sym_p,
@@ -130,6 +131,31 @@ class TestEigenChecks:
             assert chk.ok, (mu, chk)
 
 
+def _word_eigen_exponents(rs, lam, mu):
+    """The exponents read off the antidominant word: q^-<mu, lam> and
+    t^((<mu, 2 rho> + <mu, u^-1(2 rho)>) / 2), u minimal with u(lam) antidominant."""
+    _, u = rs.antidominant(lam)
+    t_num = rs.coroot_pair(mu, rs.two_rho()) + rs.coroot_pair(mu, rs.apply_word(tuple(reversed(u)), rs.two_rho()))
+    assert t_num % 2 == 0
+    return -rs.coroot_pair(mu, lam), t_num // 2
+
+
+class TestClosedFormSpectrum:
+    """expected_eigen_exponents sums <mu, gamma> over the positive roots gamma with (lam, gamma) <= 0;
+    the antidominant-word formula is the oracle, on strictly dominant and non-dominant mu."""
+
+    @pytest.mark.parametrize("name,bound", [("A1", 6), ("A2", 4), ("B2", 4), ("C2", 4), ("A3", 2), ("A4", 1)])
+    def test_matches_the_antidominant_word(self, name, bound):
+        rs = root_system(name)
+        base = mu_star(rs)
+        mus = list(islice(mu_candidates(rs, 40), 12)) + [tuple(-m for m in base)] + [
+            tuple(-m if k == i else m for k, m in enumerate(base)) for i in range(rs.rank)]
+        assert any(not rs.is_dominant(mu) for mu in mus)
+        for lam in weight_box([bound] * rs.rank):
+            for mu in mus:
+                assert expected_eigen_exponents(rs, lam, mu) == _word_eigen_exponents(rs, lam, mu), (lam, mu)
+
+
 class TestSupportTriangularity:
     @pytest.mark.parametrize("rs,lam", [(A1, (-4,)), (A2, (1, 1)), (A2, (-2, 1)), (B2, (-1, 1))])
     def test_support_in_lower_set(self, rs, lam):
@@ -216,6 +242,21 @@ def fresh_caches():
     macdonald._solve.cache_clear()
     yield
     macdonald._solve.cache_clear()
+
+
+def test_e_lambda_computes_no_gcd(monkeypatch, fresh_caches):
+    # the eigensolve and the walk carry known factored denominators, so no weight of the
+    # e-table boxes needs a gcd
+    def refuse(a, b):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr(qt, "poly_gcd", refuse)
+    with pytest.raises(AssertionError, match="poly_gcd called"):
+        RatQT(QTPoly({(0, 2): 1, (0, 0): -1}), QTPoly({(0, 1): 1, (0, 0): -1}))
+    for name, bound in _E_TABLE_BOXES.items():
+        rs = root_system(name)
+        for lam in weight_box([bound] * rs.rank):
+            nonsym_e(rs, lam)
 
 
 class TestIntertwinerWalk:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from daha import orders
 from daha.hecke import dl_op
-from daha.macdonald import nonsym_e
+from daha.macdonald import nonsym_e, sym_p
 from daha.orders import verify_order
 from daha.polyring import QTLaurent
 from daha.qt import RatQT
@@ -81,6 +81,22 @@ class TestCartanData:
     def test_no_affine_node_for_reducible(self):
         with pytest.raises(ValueError):
             A1A1.theta()
+
+
+class TestOneInstancePerType:
+    @pytest.mark.parametrize("spelling,name", [("a2", "A2"), ("A02", "A2"), ("A01", "A1"), ("a1xa1", "A1XA1")])
+    def test_spellings_of_a_type_share_one_instance(self, spelling, name):
+        assert root_system(spelling) is root_system(name)
+        assert RootSystem(spelling).name == name
+
+    def test_results_on_two_spellings_are_equal(self):
+        # QTLaurent equality compares root-system identity, so two instances of A2 never compare equal
+        assert sym_p(root_system("a2"), (1, 1)) == sym_p(root_system("A2"), (1, 1))
+
+    @pytest.mark.parametrize("name", ["A0", "A00", "G2", "A", "A-1"])
+    def test_unsupported_names_raise(self, name):
+        with pytest.raises(ValueError, match="unsupported root system"):
+            root_system(name)
 
 
 class TestReflections:
