@@ -426,8 +426,6 @@ def eigen_check(rs: RootSystem, lam: Weight, mu: CorootVec, result: EigenResult 
     if result is None:
         result = nonsym_e(rs, lam)
     q_exp, t_exp = expected_eigen_exponents(rs, lam, mu)
-    if t_exp < 0:
-        return EigenCheck(False, q_exp, t_exp, "negative t-exponent")
     if not _is_eigenvector(rs, mu, result.cleared, (q_exp, t_exp)):
         return EigenCheck(False, q_exp, t_exp, "operator image is not the predicted multiple")
     return EigenCheck(True, q_exp, t_exp)

@@ -7,15 +7,12 @@ Two classes:
     RatQT   -- reduced fraction of two QTPoly values in canonical form, so
                equal rational functions have identical representations.
 
-Canonical form of a fraction:
-
-  * gcd(num, den) is a unit,
-  * den carries no negative exponents and no common monomial factor
-    (monomials are pushed into num, which may be Laurent),
-  * the lexicographically least term of den (ordered by dq, then dt) has
-    positive coefficient.
-
-All values are immutable; operations are pure.
+Canonical form of a fraction: gcd(num, den) is a unit; den carries no
+negative exponents and no common monomial factor (monomials are pushed into
+num, which may be Laurent); the lexicographically least term of den (ordered
+by dq, then dt) has positive coefficient.  RatQT arithmetic builds the
+unreduced pair, (n1 n2, d1 d2) or a sum over a common denominator, and
+`_reduce` alone brings it to canonical form.  Values are immutable.
 
 Exact division (`div_exact`) needs no gcd.  Componentwise minima and maxima of
 exponents add under products, so an exact quotient of a by b lies in a known
@@ -587,12 +584,6 @@ class RatQT:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "RatQT") -> "RatQT":
-        if self.num.is_zero():
-            return other
-        if other.num.is_zero():
-            return self
-        if self.den.is_one() and other.den.is_one():
-            return RatQT(self.num + other.num, ONE_P, _reduced=True)
         if self.den == other.den:
             return RatQT(self.num + other.num, self.den)
         return RatQT(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -604,28 +595,8 @@ class RatQT:
         return self + (-other)
 
     def __mul__(self, other: "RatQT") -> "RatQT":
-        if self.num.is_zero() or other.num.is_zero():
-            return R_ZERO
-        if self.is_one():
-            return other
-        if other.is_one():
-            return self
-        if self.den.is_one() and other.den.is_one():
-            return RatQT(self.num * other.num, ONE_P, _reduced=True)
-        # cross-reduce, then multiply; the result is already reduced (UFD)
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = div_exact(self.num, g1) if not g1.is_one() else self.num
-        d2 = div_exact(other.den, g1) if not g1.is_one() else other.den
-        n2 = div_exact(other.num, g2) if not g2.is_one() else other.num
-        d1 = div_exact(self.den, g2) if not g2.is_one() else self.den
-        den = d1 * d2
-        num = n1 * n2
-        mq, mt = den.min_exps()
-        if mq or mt:
-            den = den.shift(-mq, -mt)
-            num = num.shift(-mq, -mt)
-        return RatQT(num, den, _reduced=True)
+        return RatQT(self.num * other.num, self.den * other.den,
+                     _reduced=self.den.is_one() and other.den.is_one())
 
     def inverse(self) -> "RatQT":
         if self.num.is_zero():
@@ -671,33 +642,17 @@ class RatQT:
 
 
 def _reduce(num: QTPoly, den: QTPoly) -> tuple[QTPoly, QTPoly]:
-    """Bring num/den to canonical form."""
+    """Bring num/den to canonical form: cancel gcd(num, den), then divide both by den's unit."""
     if num.is_zero():
         return ZERO_P, ONE_P
-    # shift both into nonnegative exponents
-    nq, nt = num.min_exps()
-    dq, dt = den.min_exps()
-    sq, st = min(nq, dq), min(nt, dt)
-    if sq < 0 or st < 0:
-        sq, st = min(sq, 0), min(st, 0)
-        num = num.shift(-sq, -st)
-        den = den.shift(-sq, -st)
     if not den.is_one():
         g = poly_gcd(num, den)
         if not g.is_one():
-            n2, d2 = div_exact(num, g), div_exact(den, g)
-            assert n2 is not None and d2 is not None
-            num, den = n2, d2
-    # move den's monomial content into num
-    dq, dt = den.min_exps()
-    if dq or dt:
-        den = den.shift(-dq, -dt)
-        num = num.shift(-dq, -dt)
-    # sign: lex-least term of den positive
-    if den.terms[min(den.terms)] < 0:
-        den = den.scale(-1)
-        num = num.scale(-1)
-    return num, den
+            num, den = div_exact(num, g), div_exact(den, g)
+            assert num is not None and den is not None
+    # the unit +-q^a t^b: den's monomial content, and the sign of its lex-least term
+    (a, b), s = den.min_exps(), -1 if den.terms[min(den.terms)] < 0 else 1
+    return num.shift(-a, -b).scale(s), den.shift(-a, -b).scale(s)
 
 
 R_ZERO = RatQT.from_int(0)

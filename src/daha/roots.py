@@ -152,9 +152,6 @@ class RootSystem:
     def zero(self) -> Weight:
         return (0,) * self.rank
 
-    def two_rho(self) -> Weight:
-        return (2,) * self.rank
-
     # -- roots ----------------------------------------------------------------
 
     def roots(self) -> tuple[tuple[tuple[int, ...], Weight], ...]:

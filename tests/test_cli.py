@@ -13,7 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from daha import sl2
 from daha.cli import run
+from daha.polyring import QTLaurent
+from daha.roots import root_system
 
 
 @pytest.fixture
@@ -145,6 +148,15 @@ class TestOtherVerbs:
         rc, out = capture("sl2", "validate", "-k", "1")
         assert rc == 0
         assert "PASS k=1" in out
+
+    def test_sl2_validate_failure_exits_1(self, capture, monkeypatch):
+        monkeypatch.setattr(sl2, "recursion_e", lambda m: QTLaurent.one(root_system("A1")))
+        rc, out = capture("sl2", "validate", "-k", "1")
+        assert rc == 1
+        assert out.splitlines()[:2] == [
+            "FAIL k=1: dim 4, char (1-q*t)*x^-1 + (1-t)*x",
+            "  FAIL fusion == recursion: (1-q*t)*x^-1 + (1-t)*x vs 1",
+        ]
 
     def test_sl2_build(self, capture):
         rc, out = capture("sl2", "build", "-k", "2")

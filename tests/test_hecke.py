@@ -426,6 +426,15 @@ class TestMutation:
         assert lines[0] == "FAIL T_i P = P T_i = t P (9 monomials): T_1 P at e^(-1, -1)"
         assert lines[3] == "FAIL commutes with multiplication by m_mu: m_(0, 1) does not commute at e^(-1, -1)"
 
+    def test_p_t_i_half_fails(self, monkeypatch):
+        # s_2 fixes (-1, 0), so T_2 e^(-1,0) = t e^(-1,0); a fault in P of that input alone breaks
+        # P T_2 there and leaves every T_i P (P of the monomials) intact
+        real, target = hecke._sym, {(-1, 0): {1: 1}}
+        assert hecke._t(A2, 2, hecke._mono((-1, 0))) == target
+        monkeypatch.setattr(hecke, "_sym",
+                            lambda rs, f: {**real(rs, f), (5, 5): {0: 1}} if f == target else real(rs, f))
+        assert verify_symmetrizer(A2, 1).lines()[0] == "FAIL T_i P = P T_i = t P (9 monomials): P T_2 at e^(-1, 0)"
+
     def test_m_mu_commutation_covers_every_dominant_weight(self, monkeypatch):
         # (2, 2) is the last of the nine dominant weights of the A2 box 2; a duplicated orbit
         # weight breaks m_(2,2) alone, so the check fails only if it reaches every dominant weight

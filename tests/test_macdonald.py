@@ -130,12 +130,29 @@ class TestEigenChecks:
             chk = eigen_check(A2, (-1, 1), mu, r)
             assert chk.ok, (mu, chk)
 
+    @pytest.mark.parametrize("name,bound", [("A1", 3), ("A2", 1), ("B2", 1), ("C2", 1), ("A3", 1)])
+    def test_non_dominant_mu(self, name, bound):
+        # mu = -mu* and mu* with its first coordinate negated: outside the dominant cone a negative
+        # t-exponent is the prediction, e.g. Y^(-1) E_(-2) = q^-2 t^-2 E_(-2) in A1
+        rs = root_system(name)
+        base = mu_star(rs)
+        mus = [tuple(-m for m in base), (-base[0], *base[1:])]
+        t_exps = []
+        for lam in weight_box([bound] * rs.rank):
+            r = nonsym_e(rs, lam)
+            for mu in mus:
+                chk = eigen_check(rs, lam, mu, r)
+                assert chk.ok, (lam, mu, chk)
+                t_exps.append(chk.t_exp)
+        assert min(t_exps) < 0
+
 
 def _word_eigen_exponents(rs, lam, mu):
     """The exponents read off the antidominant word: q^-<mu, lam> and
     t^((<mu, 2 rho> + <mu, u^-1(2 rho)>) / 2), u minimal with u(lam) antidominant."""
     _, u = rs.antidominant(lam)
-    t_num = rs.coroot_pair(mu, rs.two_rho()) + rs.coroot_pair(mu, rs.apply_word(tuple(reversed(u)), rs.two_rho()))
+    two_rho = (2,) * rs.rank
+    t_num = rs.coroot_pair(mu, two_rho) + rs.coroot_pair(mu, rs.apply_word(tuple(reversed(u)), two_rho))
     assert t_num % 2 == 0
     return -rs.coroot_pair(mu, lam), t_num // 2
 

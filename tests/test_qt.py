@@ -319,6 +319,26 @@ def test_ratqt_matches_sympy_cancel(sympy, pair):
     assert r.num * den == r.den * num.shift(nq - dq, nt - dt)
 
 
+def _expr(sympy, r: RatQT):
+    """r as a sympy expression, Laurent exponents kept."""
+    q, t = sympy.symbols("q t")
+    num, den = (sum((c * q**i * t**j for (i, j), c in p.terms.items()), sympy.Integer(0)) for p in (r.num, r.den))
+    return num / den
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratqts(), ratqts())
+def test_arithmetic_matches_sympy_cancel(sympy, a, b):
+    ea, eb = _expr(sympy, a), _expr(sympy, b)
+    results = [(a + b, ea + eb), (a * b, ea * eb)] + ([(a / b, ea / eb)] if not b.is_zero() else [])
+    for r, e in results:
+        assert RatQT(r.num, r.den) == r
+        num, den = (_from_sym(sympy, p) for p in sympy.cancel(e).as_numer_denom())
+        # equal up to a unit +-q^a t^b, which the canonical form fixes
+        assert r.den == _canon_unit(den)
+        assert r.num * den == r.den * num
+
+
 @settings(max_examples=60, deadline=None)
 @given(gcd_pairs())
 def test_fast_path_matches_prs(pair):

@@ -66,7 +66,7 @@ class TestCartanData:
         # so sum over beta > 0 of <mu, beta> is <mu, 2 rho> for every coroot vector mu
         rs = root_system(name)
         for mu in weight_box([2] * rs.rank):
-            assert sum(rs.coroot_pair(mu, wc) for _, wc in rs.positive_roots()) == rs.coroot_pair(mu, rs.two_rho())
+            assert sum(rs.coroot_pair(mu, wc) for _, wc in rs.positive_roots()) == rs.coroot_pair(mu, (2,) * rs.rank)
 
     def test_braid_orders(self):
         assert A2.braid_order(1, 2) == 3
@@ -402,6 +402,41 @@ class TestVerifyOrder:
         report = verify_order(rs, 3)
         check = next(c for c in report.checks if c[0] == "root-string convexity of strict lower sets")
         assert check[1:] == (False, "string gap at lam=(3,), mu=(-1,), i=1, c=1")
+
+    # planted faults in the A1 box 2 order, where (0,) < (2,) < (-2,), (0,) < (-2,) and (1,) < (-1,)
+
+    @staticmethod
+    def _faulty_order(faults):
+        """A fresh A1 whose compare_keys answers faults[(a, b)] for the weight pairs listed there."""
+        rs = RootSystem("A1")
+        names, real = {rs.order_key(a): a for a in weight_box([2])}, rs.compare_keys
+        rs.compare_keys = lambda ka, kb: faults.get((names.get(ka), names.get(kb))) or real(ka, kb)
+        return verify_order(rs, 2).checks
+
+    def test_reflexivity_fails(self):
+        checks = self._faulty_order({((0,), (0,)): LESS})
+        assert checks[0] == ("antisymmetry on 5 weights", False, "reflexivity fails at (0,)")
+
+    def test_antisymmetry_fails(self):
+        checks = self._faulty_order({((-1,), (1,)): EQUAL, ((1,), (-1,)): EQUAL})
+        assert checks[0] == ("antisymmetry on 5 weights", False, "antisymmetry fails at (-1,), (1,)")
+
+    def test_asymmetry_fails(self):
+        checks = self._faulty_order({((-1,), (1,)): INCOMPARABLE})
+        assert checks[0] == ("antisymmetry on 5 weights", False, "asymmetry fails at (1,), (-1,)")
+
+    def test_transitivity_fails(self):
+        checks = self._faulty_order({((0,), (-2,)): INCOMPARABLE, ((-2,), (0,)): INCOMPARABLE})
+        assert checks[0][1]
+        assert checks[1] == ("transitivity", False, "transitivity fails at (0,) < (2,) < (-2,)")
+
+    def test_lowering_reflection_fails(self):
+        # s_1 (-1,) = (1,) is below (-1,), so s_1 must map the lower set of (-1,) into itself
+        rs = RootSystem("A1")
+        real = rs.lower_set
+        rs.lower_set = lambda lam: [*real(lam), (3,)] if lam == (-1,) else real(lam)
+        check = next(c for c in verify_order(rs, 2).checks if c[0].startswith("reflection compatibility"))
+        assert check[1:] == (False, "lowering reflection fails at lam=(-1,), i=1")
 
     # each fault below sits at a weight with over 60 weights below it: the checks cover large
     # lower sets, so the report fails there and names the weight
