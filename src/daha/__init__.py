@@ -1,7 +1,7 @@
 """Exact double affine Hecke algebra engine on the polynomial representation.
 
-Computes nonsymmetric and symmetric Macdonald polynomials by triangular
-Y-eigensolves over Q(q, t), verifies the Hecke operator relations at the
+Computes nonsymmetric and symmetric Macdonald polynomials by Cherednik's
+intertwiners over Q(q, t), verifies the Hecke operator relations at the
 character level, and independently rebuilds the rank-one module theory
 (deformed blocks, fusion products, degree filtrations) to cross-validate
 dimensions, supercharacters, and eigenvalues.

@@ -259,14 +259,6 @@ def symmetrizer(rs: RootSystem, f: QTLaurent) -> QTLaurent:
     return _lifted(rs, lambda k: _sym(rs, k), f)
 
 
-def poincare_polynomial(rs: RootSystem) -> RatQT:
-    """sum_w t^{l(w)} over the finite Weyl group."""
-    total = QTPoly()
-    for word in rs.weyl_elements().values():
-        total = total + QTPoly.monomial(1, 0, len(word))
-    return RatQT(total)
-
-
 # ---------------------------------------------------------------------------
 # relation verification
 # ---------------------------------------------------------------------------

@@ -1,30 +1,23 @@
-"""Nonsymmetric Macdonald polynomials as triangular eigenvectors of Y-operators.
+"""Nonsymmetric Macdonald polynomials built by intertwiners.
 
-E_lam is the unique element with unitriangular expansion
+E_lam is the unique element e^lam + (terms strictly below lam in the
+Cherednik order) that is an eigenvector of one Y-operator Y^mu, mu strictly
+dominant.  mu is the first mu_candidates entry whose eigenvalue-exponent
+formula gives lam an eigenvalue no other weight of the lower set shares; the
+exact residual check of every result runs on it.
 
-    E_lam = e^lam + sum over mu strictly below lam (Cherednik order)
+Every E_lam is built from a monomial by intertwiners (Cherednik,
+Nonsymmetric Macdonald polynomials, IMRN 1995; Macdonald, Affine Hecke
+Algebras and Orthogonal Polynomials, ch. 5): a dominant lam by one affine
+step from a lower dominant E, down to e^0 or a minuscule e^omega (_solve),
+any other lam from its dominant seed by finite steps (_climb, _walk).  No
+linear system is solved; y_matrix serves independent checks only.
 
-that is an eigenvector of one Y-operator Y^mu, mu strictly dominant.  The
-operator is chosen once, for both solvers, from its predicted spectrum: mu
-is the first mu_candidates entry whose eigenvalue-exponent formula gives lam
-an eigenvalue that no other weight of the lower set shares.  For dominant
-lam the matrix of that one Y^mu is built on the integer kernel, its diagonal
-is checked against the predicted eigenvalues, and the triangular
-eigenproblem is solved exactly by back-substitution over Q(q, t): row i gives
-c_i = sum_{j > i} m_ij c_j / (y - m_ii).
-
-Any other lam lies in the orbit of a dominant lam_+, and E_lam is reached from
-the solved E_{lam_+} by finite intertwiners, one T_i and one scalar per letter
-(Cherednik, Nonsymmetric Macdonald polynomials, IMRN 1995; Macdonald, Affine
-Hecke Algebras and Orthogonal Polynomials, ch. 5), with no eigensolve.
-
-Both solvers carry every coefficient in one form, the pair (num, den): a
-QTPoly numerator over {irreducible canonical factor: multiplicity}.  Each
-gap they divide by (y - m_ii, or an intertwiner's binomial) is a difference
-of two monomials; _add_gap adds its cyclotomic factors to den.  A sum is
-formed over the common factored denominator and reduced once, by exact
-division with those factors (_reduced), so no gcd is ever computed; the
-product of the factors is the canonical denominator of the result.
+Every coefficient is one pair (num, den): a QTPoly over {irreducible
+canonical factor: multiplicity}.  Each gap an intertwiner divides by is a
+difference of two monomials, whose cyclotomic factors _add_gap adds to den;
+each coefficient is reduced once by exact division with those factors
+(_reduced), so no gcd is computed.
 
 Also here: the eigenvalue-exponent check, symmetric P_lam via the Cherednik
 symmetrizer, monomial expansion, and a classical Demazure-operator Weyl
@@ -38,12 +31,9 @@ from functools import lru_cache
 from math import gcd
 
 from .qt import ONE_P, QTPoly, RatQT, ZERO_P, _canon_unit, div_exact
-from .polyring import QTLaurent, _pack, _unpack
+from .polyring import Kernel, QTLaurent, _pack, _unpack
 from .roots import LESS, EQUAL, RootSystem, Weight, CorootVec, root_system
-from .hecke import _comb, _t, _y, strictly_dominant_coroot, symmetrizer, y_op
-
-
-_COLS = 1 << 24  # y_matrix packs column j < 2^24 at j * 2^40, between the q and t slots of a kernel key
+from .hecke import _comb, _mono, _shift, _t, _word, _y, strictly_dominant_coroot, symmetrizer, y_op
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -165,7 +155,7 @@ def _cofactor(den: dict[QTPoly, int], part: dict[QTPoly, int]) -> QTPoly:
 
 
 # ---------------------------------------------------------------------------
-# the eigensolver
+# E_lam by intertwiners
 # ---------------------------------------------------------------------------
 
 def mu_star(rs: RootSystem) -> CorootVec:
@@ -215,38 +205,20 @@ def mu_candidates(rs: RootSystem, n: int):
 def y_matrix(rs: RootSystem, basis: list[Weight], mu: CorootVec) -> list[list[QTPoly]]:
     """Matrix of Y^mu on the span of basis, the lower set of its last weight (columns = images).
 
-    One pass of the translation word maps every column at once: column j starts as e^nu_j at
-    the kernel key j * 2^40, between the q and t slots of a * 2^64 + b.  A column starts at
-    q^0 t^0 and a letter moves b by at most 1, so b stays far inside (-2^39, 2^39) and the
-    Hecke action never carries a key into another column.  The keys stay as short as any
-    kernel's: a slot above q would lengthen every key, and each add and hash with it.  A
-    weight of the image outside the lower set, or not below nu_j, is an OrderViolationError
-    for the least such column j."""
-    if len(basis) >= _COLS:
-        raise ValueError(f"a lower set of {len(basis)} weights has more columns than a kernel key holds")
-    lam = basis[-1]
+    A weight of the column Y^mu e^nu_j outside the lower set, or not below nu_j, is an
+    OrderViolationError for the first such column.  No E_lam is built from it: independent
+    checks of nonsym_e solve its triangular eigenproblem."""
     index = {w: k for k, w in enumerate(basis)}
     keys = [rs.order_key(w) for w in basis]
-    n = len(basis)
-    cells: dict[tuple[int, int], dict[int, int]] = {}
-    bad: dict[int, str] = {}
-    for w, c in _y(rs, mu, {nu: {j << 40: 1} for j, nu in enumerate(basis)}).items():
-        i = index.get(w)
-        for key, v in c.items():
-            j = ((key + (1 << 39)) >> 40) & (_COLS - 1)
+    mat = [[ZERO_P] * len(basis) for _ in basis]
+    for j, nu in enumerate(basis):
+        for w, c in _y(rs, mu, _mono(nu)).items():
+            i = index.get(w)
             if i is None:
-                bad.setdefault(j, f"Y e^{basis[j]} has weight {w} outside the lower set of {lam}")
-            elif (cell := cells.get((i, j))) is None:
-                cells[i, j] = {key - (j << 40): v}
-            else:
-                cell[key - (j << 40)] = v
-    mat = [[ZERO_P] * n for _ in range(n)]
-    for (i, j), cell in cells.items():
-        if rs.compare_keys(keys[i], keys[j]) not in (LESS, EQUAL):
-            bad.setdefault(j, f"Y e^{basis[j]} has weight {basis[i]} not below {basis[j]} in the order")
-        mat[i][j] = QTPoly(_unpack(cell))
-    if bad:
-        raise OrderViolationError(bad[min(bad)])
+                raise OrderViolationError(f"Y e^{nu} has weight {w} outside the lower set of {basis[-1]}")
+            if rs.compare_keys(keys[i], keys[j]) not in (LESS, EQUAL):
+                raise OrderViolationError(f"Y e^{nu} has weight {w} not below {nu} in the order")
+            mat[i][j] = QTPoly(_unpack(c))
     return mat
 
 
@@ -257,78 +229,75 @@ def _operator(rs: RootSystem, basis: list[Weight]) -> tuple[CorootVec, list[tupl
         exps = [expected_eigen_exponents(rs, w, mu) for w in basis]
         if exps[-1] not in exps[:-1]:
             return mu, exps
-    raise DegenerateSpectrumError(
-        f"all Y-candidates have colliding eigenvalues on the lower set of {basis[-1]}"
-    )
+    raise DegenerateSpectrumError(f"all Y-candidates have colliding eigenvalues on the lower set of {basis[-1]}")
 
 
 def nonsym_e(rs: RootSystem, lam: Weight) -> EigenResult:
-    """Nonsymmetric Macdonald polynomial with leading weight lam.
+    """Nonsymmetric Macdonald polynomial with leading weight lam (see _solve and _walk), on root_system(rs.name).
 
-    The operator (mu_used) is the first mu_candidates entry whose predicted
-    spectrum separates lam on its lower set (see _operator).  A dominant lam
-    is solved from that operator's triangular matrix; any other lam is
-    reached from its dominant seed by intertwiners (see _walk).  The result
-    carries root_system(rs.name).
-
-    Each call builds a fresh EigenResult (new term dicts and basis list) from
-    the memoized solve of the dominant seed, so a caller that mutates it
-    cannot change what later callers get.
-    """
+    Each call builds a fresh EigenResult (new term dicts and basis list) from the memoized E of the
+    dominant seed, so a caller that mutates it cannot change what later callers get."""
     rs, lam = root_system(rs.name), rs.check_weight(lam)
-    return _eigensolve(rs, lam) if rs.is_dominant(lam) else _walk(rs, lam)
+    return _result(rs, lam, *_solve(rs.name, lam)) if rs.is_dominant(lam) else _walk(rs, lam)
 
 
 @lru_cache(maxsize=None)
 def _solve(rs_name: str, lam: Weight) -> tuple[list[Weight], tuple[_Frac, ...], CorootVec, tuple[int, int]]:
-    """The triangular eigensolve: (basis, coefficients, operator, exponents of its eigenvalue).
+    """E_lam for dominant lam: (basis, coefficients, operator, exponents of its eigenvalue).
 
-    The one matrix built must have the predicted eigenvalues on its diagonal.
-    Private state: the walk reads its seed from here, never from an
-    EigenResult that a caller holds.
+    vartheta is the highest short root, l the length of s_vartheta, h = (l - 1)/2 and
+    p = <vartheta^vee, lam>.  If p < 2, lam is 0 or minuscule, its lower set is {lam}, and
+    E_lam = e^lam.  Otherwise mu = lam - (p - 1) vartheta has <vartheta^vee, mu> = 2 - p <= 0,
+    and the affine reflection of the Y side in vartheta takes it to
+
+        nu = s_vartheta mu + vartheta = mu + (1 - <vartheta^vee, mu>) vartheta = lam:
+
+    at t = 1, E_mu = e^mu and Phi = X^vartheta T_{s_vartheta} is X^vartheta s_vartheta, which maps
+    e^mu to e^nu.  For generic t, Phi is the intertwiner of the Y-side affine root
+    alpha_0 = [-vartheta, 1] without its scalar part (Cherednik, IMRN 1995; Double Affine Hecke
+    Algebras, CUP 2005, ch. 3), so Phi E_mu = a E_nu + b E_mu with
+
+        b = -(1 - t) t^h m / (1 - m),   m = q^(A+1) t^(B - <vartheta^vee, rho>),
+
+    q^A t^B the eigenvalue of Y^{vartheta^vee} on E_mu: m is to alpha_0 what q^-a t^(1-b) is to
+    alpha_i in _climb.  E_nu is monic, so a is the coefficient of e^nu in Phi E_mu.  For
+    E_mu = f / den, (1 - m) Phi f + (1 - t) t^h m f = a (1 - m) den E_lam; so E_lam is that
+    numerator over den (1 - m), divided by its coefficient at e^lam, which must be a unit.
+    Support in the lower set, that unit and the residual check in _result certify the answer,
+    as lam's eigenvalue is simple on its lower set.  |mu|^2 = |lam|^2 - (p - 1) |vartheta|^2,
+    so the seeds mu_+ descend to p < 2.  Private state: _climb reads its seed from here.
     """
     rs = root_system(rs_name)
     basis = rs.lower_set(lam)
-    n = len(basis)
     mu, exps = _operator(rs, basis)
-    mat = y_matrix(rs, basis, mu)
-    for k, w in enumerate(basis):
-        if mat[k][k] != QTPoly.monomial(1, *exps[k]):
-            raise AssertionError(f"Y^{mu} on e^{w} has diagonal {mat[k][k]}, not the predicted eigenvalue")
-    y = mat[n - 1][n - 1]
-    coeffs = [(ZERO_P, {})] * (n - 1) + [(ONE_P, {})]
-    for i in range(n - 2, -1, -1):
-        row = [(mat[i][j], coeffs[j]) for j in range(i + 1, n)
-               if not (mat[i][j].is_zero() or coeffs[j][0].is_zero())]
-        den, nums = _over_common_den([c for _, c in row])
-        s = sum((num * mij for (mij, _), num in zip(row, nums)), ZERO_P)
-        if not s.is_zero():
-            sign, uq, ut = _add_gap(den, y - mat[i][i])
-            coeffs[i] = _reduced(s.shift(-uq, -ut).scale(sign), den)
-    return basis, tuple(coeffs), mu, exps[-1]
+    theta, coroot, word = rs.short_theta()
+    p = rs.coroot_pair(coroot, lam)
+    if p < 2:
+        return basis, ((ZERO_P, {}),) * (len(basis) - 1) + ((ONE_P, {}),), mu, exps[-1]
+    nu = tuple(l - (p - 1) * c for l, c in zip(lam, theta))
+    den, f = _climb(rs, nu)
+    mq, mt = expected_eigen_exponents(rs, nu, coroot)
+    mq, mt = mq + 1, mt - sum(coroot)  # m = q^mq t^mt; rho = (1, ..., 1), so <vartheta^vee, rho> = sum(coroot)
+    sign, uq, ut = _add_gap(den, QTPoly({(0, 0): 1, (mq, mt): -1}))
+    phi = _shift(_word(rs, word, f), theta)
+    h = (len(word) - 1) // 2
+    # (1 - m) Phi f + (1 - t) t^h m f, divided by the unit sign q^uq t^ut of 1 - m
+    f = _comb((phi, -uq, -ut, sign, 0), (phi, mq - uq, mt - ut, -sign, 0), (f, mq - uq, mt + h - ut, sign, -sign))
+    coeffs = _coefficients(lam, basis, den, f)
+    lead, part = coeffs[-1]
+    if part or not lead.is_monomial() or abs(next(iter(lead.terms.values()))) != 1:
+        raise AssertionError(f"the affine intertwiner gave e^{lam} a coefficient that is not a unit")
+    ((lq, lt), lc), = lead.terms.items()
+    return basis, tuple((num.shift(-lq, -lt).scale(lc), part) for num, part in coeffs), mu, exps[-1]
 
 
-def _eigensolve(rs: RootSystem, lam: Weight) -> EigenResult:
-    """E_lam by the triangular eigensolve, for any lam: the walk's oracle."""
-    return _result(rs, lam, *_solve(rs.name, lam))
+def _climb(rs: RootSystem, lam: Weight) -> tuple[dict[QTPoly, int], Kernel]:
+    """(den, f) with E_lam = f / prod(den): E_{lam_+} from _solve, walked up to lam by finite intertwiners.
 
-
-def _walk(rs: RootSystem, lam: Weight) -> EigenResult:
-    """E_lam from the E of its dominant seed lam_+ by finite intertwiners, with no eigensolve.
-
-    With u lam = lam_+, the letters of u lead lam_+ up its orbit to lam; each
-    step mu -> s_i mu has <alpha_i^vee, mu> > 0 and is
-
-        E_{s_i mu} = T_i E_mu + (1 - t) / (1 - q^-a t^(1-b)) E_mu,
-
-    where q^a t^b is the eigenvalue of Y^{alpha_i^vee} on E_mu.  The state is
-    a kernel numerator over a factored denominator: each step multiplies
-    the numerator by the step's binomial and adds the binomial's
-    irreducible factors to the denominator, and each coefficient is reduced
-    once at the end, so no gcd is computed.  Support in the lower set, the
-    unit coefficient of e^lam and the residual check in _result certify the
-    answer, since the eigenvalue of lam is simple on the lower set.
-    """
+    With u lam = lam_+, the letters of u lead lam_+ up its orbit to lam; each step mu -> s_i mu
+    has <alpha_i^vee, mu> > 0 and is E_{s_i mu} = T_i E_mu + (1 - t) / (1 - q^-a t^(1-b)) E_mu,
+    q^a t^b the eigenvalue of Y^{alpha_i^vee} on E_mu.  Each step multiplies f by its binomial
+    and adds the binomial's factors to den."""
     lam_plus, u = rs.dominant(lam)
     seed_basis, seed, _, _ = _solve(rs.name, lam_plus)
     den, nums = _over_common_den(seed)
@@ -342,13 +311,23 @@ def _walk(rs: RootSystem, lam: Weight) -> EigenResult:
         # (1 - q^-a t^(1-b)) T_i f + (1 - t) f, divided by the unit sign q^uq t^ut of the binomial
         f = _comb((ti, -uq, -ut, sign, 0), (ti, -a - uq, 1 - b - ut, -sign, 0), (f, -uq, -ut, sign, -sign))
         nu = rs.reflect(i, nu)
-    basis = rs.lower_set(lam)
+    return den, f
+
+
+def _coefficients(lam: Weight, basis: list[Weight], den: dict[QTPoly, int], f: Kernel) -> tuple[_Frac, ...]:
+    """The reduced coefficients of f / prod(den) on basis, the lower set of lam, which must hold f's support."""
     if not f.keys() <= set(basis):
         raise OrderViolationError(f"the intertwiners left the lower set of {lam}")
-    mu, exps = _operator(rs, basis)
-    coeffs = tuple(_reduced(QTPoly(_unpack(f.get(w, {}))), den) for w in basis)
+    return tuple(_reduced(QTPoly(_unpack(f.get(w, {}))), den) for w in basis)
+
+
+def _walk(rs: RootSystem, lam: Weight) -> EigenResult:
+    """E_lam for non-dominant lam by _climb, certified as in _solve, with the unit 1."""
+    basis = rs.lower_set(lam)
+    coeffs = _coefficients(lam, basis, *_climb(rs, lam))
     if coeffs[-1] != (ONE_P, {}):
         raise AssertionError(f"the intertwiners lost the unit coefficient of e^{lam}")
+    mu, exps = _operator(rs, basis)
     return _result(rs, lam, basis, coeffs, mu, exps[-1])
 
 

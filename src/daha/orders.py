@@ -14,7 +14,7 @@ Checks, over the box |lam_i| <= bound:
     T_i E_lam = t E_lam, on every lam of the box (irreducible types only, as
     E_lam needs the affine node), with E_lam computed once per lam;
   * closure of lower sets under the Y-operators (the affine convexity that
-    the triangular eigensolver depends on).
+    makes the Y-operators triangular on them).
 
 Pairs are compared from the order keys as they are read (a box of over 2^24
 pairs is refused), each lower set is computed once per run, and T_i and Y run

@@ -16,8 +16,7 @@ substitution, JSC 2009).  The key is linear, so a product by q^a t^b is one
 integer add, and _unpack recovers (a, b) while |b| < 2^63.  _pack admits
 |b| < 2^62 only and raises OverflowError beyond; an operator step moves b by
 a few units (a T_i letter by at most 1), so no run comes near 2^63.  The q
-slot is unbounded.  A caller whose t-exponents stay small may use the high
-bits of the t slot: y_matrix packs a column index there.
+slot is unbounded.
 """
 
 from __future__ import annotations
@@ -122,9 +121,6 @@ class QTLaurent:
         return QTLaurent(self.rs, _sum_terms(
             (tuple(a + b for a, b in zip(w1, w2)), c1 * c2)
             for w1, c1 in self.terms.items() for w2, c2 in other.terms.items()))
-
-    def map_weights(self, fn) -> "QTLaurent":
-        return QTLaurent(self.rs, _sum_terms((fn(w), c) for w, c in self.terms.items()))
 
     def subs_t_eq_q(self) -> "QTLaurent":
         return QTLaurent(self.rs, {w: c.subs_t_eq_q() for w, c in self.terms.items()})

@@ -14,9 +14,8 @@ which together normalize t_{-theta^vee} = s_theta s_0, i.e. translation
 elements of the coroot lattice act on weights by lam -> lam + M(mu) with
 M(alpha_i^vee) = (d_max/d_i) alpha_i.
 
-The module also implements the three partial orders on the weight lattice
-(dominance, the W-orbit-comparison order, and the Cherednik order used for
-triangularity of nonsymmetric Macdonald polynomials), finite lower sets, and
+The module also implements the dominance order and the Cherednik order used
+for triangularity of nonsymmetric Macdonald polynomials, finite lower sets, and
 reduced words for translation elements of the affine Weyl group.  The affine
 Weyl group has one implementation, its action on weights: a translation word is
 read off an alcove walk of rho back into the fundamental alcove, reflecting in
@@ -194,16 +193,27 @@ class RootSystem:
         """<theta^vee, lam>."""
         return self.coroot_pair(self.theta_coroot(), lam)
 
+    def short_theta(self) -> tuple[Weight, CorootVec, WeylWord]:
+        """(vartheta, vartheta^vee, a reduced word of s_vartheta) for the highest short root vartheta
+        (irreducible types only): theta in A_n, alpha_1 + alpha_2 in B2 and C2.
+
+        The short roots are the W-orbit of a simple root alpha_j with d_j least, and vartheta is its
+        one dominant weight; for vartheta = sum_i c_i alpha_i, vartheta^vee = sum_i c_i (d_i/d_j)
+        alpha_i^vee.  rho is regular, so the minimal word u with u s_vartheta rho = rho spells
+        s_vartheta^-1 = s_vartheta, reduced."""
+        if not self.irreducible:
+            raise ValueError(f"{self.name} is reducible: no highest short root")
+        if "short_theta" not in self._caches:
+            dmin = min(self.d)
+            th = self.dominant(self.simple_root(self.d.index(dmin) + 1))[0]
+            coroot = tuple(c * d // (self.root_den * dmin) for c, d in zip(self.scaled_root_coords(th), self.d))
+            rho = (1,) * self.rank
+            m = self.coroot_pair(coroot, rho)
+            word = self.dominant(tuple(r - m * c for r, c in zip(rho, th)))[1]
+            self._caches["short_theta"] = th, coroot, word
+        return self._caches["short_theta"]
+
     # -- affine action ----------------------------------------------------------
-
-    def s_theta(self, lam: Weight) -> Weight:
-        th = self.theta()
-        m = self.theta_pair(lam)
-        return tuple(lam[k] - m * th[k] for k in range(self.rank))
-
-    def affine_reflect_q(self, lam: Weight, a: int) -> tuple[Weight, int]:
-        """Level-zero twisted s_0 on pairs: (lam, a) -> (s_theta lam, a + <theta^vee, lam>)."""
-        return self.s_theta(lam), a + self.theta_pair(lam)
 
     def s0_level_one(self, lam: Weight) -> Weight:
         th = self.theta()
@@ -248,9 +258,6 @@ class RootSystem:
 
     def is_dominant(self, lam: Weight) -> bool:
         return all(c >= 0 for c in lam)
-
-    def is_antidominant(self, lam: Weight) -> bool:
-        return all(c <= 0 for c in lam)
 
     def antidominant(self, lam: Weight) -> tuple[Weight, WeylWord]:
         """Antidominant representative and the minimal word u with u(lam) antidominant."""
@@ -350,9 +357,6 @@ class RootSystem:
         """M lam: root_den times the simple-root coordinates of lam."""
         return tuple(sum(m * l for m, l in zip(row, lam)) for row in self.root_mat)
 
-    def in_root_lattice(self, lam: Weight) -> bool:
-        return all(x % self.root_den == 0 for x in self.scaled_root_coords(lam))
-
     def dominance_leq(self, lam: Weight, mu: Weight) -> bool:
         """lam <= mu in dominance order: mu - lam is a nonnegative integer sum of simple roots."""
         return all(c >= 0 and c % self.root_den == 0 for c in self.scaled_root_coords(self.sub(mu, lam)))
@@ -361,13 +365,7 @@ class RootSystem:
         """mu lies in the convex hull of the W-orbit of the dominant weight lam_plus."""
         return all(c >= 0 for c in self.scaled_root_coords(self.sub(lam_plus, self.dominant(mu)[0])))
 
-    # -- the three orders ---------------------------------------------------------
-
-    def macdonald_lhd(self, lam: Weight, mu: Weight) -> bool:
-        """lam is strictly below mu in the orbit-comparison order."""
-        lm = self.antidominant(lam)[0]
-        mm = self.antidominant(mu)[0]
-        return lm != mm and self.dominance_leq(mm, lm)
+    # -- the Cherednik order --------------------------------------------------------
 
     def order_key(self, lam: Weight) -> OrderKey:
         """(M lam_-, M lam): everything the Cherednik order reads of lam."""

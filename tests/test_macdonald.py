@@ -5,20 +5,21 @@ formulas (two-step Y applications and 2x2/3x3 triangular solves), then
 double-checked numerically at two rational points before freezing.
 """
 
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count, islice, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from daha import hecke, macdonald, qt
-from daha.qt import QTPoly, RatQT, poly_to_json, rat, ratqt_to_json
+from daha.qt import ONE_P, ZERO_P, QTPoly, RatQT, poly_to_json, rat, ratqt_to_json
 from daha.roots import EQUAL, LESS, root_system, weight_box
 from daha.polyring import QTLaurent, _unpack, integral_form, laurent_to_json, laurent_to_text, specialize_dim
 from daha.macdonald import (
     DegenerateSpectrumError,
     OrderViolationError,
-    _eigensolve,
     _walk,
     a1_integral_scalar,
     classical_demazure,
@@ -253,12 +254,41 @@ def _fields(r):
     }
 
 
+@lru_cache(maxsize=None)
+def _eigensolve(rs, lam):
+    """E_lam by the triangular eigensolve, for any lam: the oracle of nonsym_e.
+
+    The one Y-matrix built, of the operator nonsym_e records, must have the predicted
+    eigenvalues on its diagonal; the triangular eigenproblem is solved exactly by
+    back-substitution over Q(q, t): row i gives c_i = sum_{j > i} m_ij c_j / (y - m_ii)."""
+    basis = rs.lower_set(lam)
+    n = len(basis)
+    mu, exps = macdonald._operator(rs, basis)
+    mat = macdonald.y_matrix(rs, basis, mu)
+    for k, w in enumerate(basis):
+        if mat[k][k] != QTPoly.monomial(1, *exps[k]):
+            raise AssertionError(f"Y^{mu} on e^{w} has diagonal {mat[k][k]}, not the predicted eigenvalue")
+    y = mat[n - 1][n - 1]
+    coeffs = [(ZERO_P, {})] * (n - 1) + [(ONE_P, {})]
+    for i in range(n - 2, -1, -1):
+        row = [(mat[i][j], coeffs[j]) for j in range(i + 1, n)
+               if not (mat[i][j].is_zero() or coeffs[j][0].is_zero())]
+        den, nums = macdonald._over_common_den([c for _, c in row])
+        s = sum((num * mij for (mij, _), num in zip(row, nums)), ZERO_P)
+        if not s.is_zero():
+            sign, uq, ut = macdonald._add_gap(den, y - mat[i][i])
+            coeffs[i] = macdonald._reduced(s.shift(-uq, -ut).scale(sign), den)
+    return macdonald._result(rs, lam, basis, tuple(coeffs), mu, exps[-1])
+
+
 @pytest.fixture
 def fresh_caches():
-    """Empty the E_lam caches before and after, so nothing computed here leaks into other tests."""
+    """Empty the E_lam caches and the oracle's before and after, so nothing computed here leaks into other tests."""
     macdonald._solve.cache_clear()
+    _eigensolve.cache_clear()
     yield
     macdonald._solve.cache_clear()
+    _eigensolve.cache_clear()
 
 
 def test_e_lambda_computes_no_gcd(monkeypatch, fresh_caches):
@@ -277,7 +307,7 @@ def test_e_lambda_computes_no_gcd(monkeypatch, fresh_caches):
 
 
 class TestIntertwinerWalk:
-    """A non-dominant E_lam is walked up from its dominant seed; the eigensolver is the oracle."""
+    """A non-dominant E_lam is walked up from its dominant seed; the eigensolve is the oracle."""
 
     @pytest.mark.parametrize("name", sorted(_E_TABLE_BOXES))
     def test_walk_equals_eigensolve(self, name):
@@ -315,6 +345,75 @@ class TestIntertwinerWalk:
         assert _fields(nonsym_e(A2, lam)) == expected
 
 
+# the dominant weights of A1 box 6, A2/B2/C2 box 3 and A3/A4 box 1: 79 weights
+_DOMINANT_BOXES = {"A1": 6, "A2": 3, "B2": 3, "C2": 3, "A3": 1, "A4": 1}
+
+
+def _s_word(rs, root, coroot):
+    """A reduced word of the reflection in a root: the minimal word taking s_root rho back to rho."""
+    m = rs.coroot_pair(coroot, (1,) * rs.rank)
+    return rs.dominant(tuple(1 - m * c for c in root))[1]
+
+
+class TestAffineStep:
+    """A dominant E_lam is one affine intertwiner step above a lower dominant E; the eigensolve is the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(_DOMINANT_BOXES))
+    def test_affine_step_equals_eigensolve(self, name):
+        rs = root_system(name)
+        for lam in weight_box([_DOMINANT_BOXES[name]] * rs.rank):
+            if rs.is_dominant(lam):
+                assert _fields(nonsym_e(rs, lam)) == _fields(_eigensolve(rs, lam)), lam
+
+    def test_short_theta(self):
+        for name, theta, coroot in [("A1", (2,), (1,)), ("A3", (1, 0, 1), (1, 1, 1)),
+                                    ("B2", (1, 0), (2, 1)), ("C2", (0, 1), (1, 2))]:
+            rs = root_system(name)
+            assert rs.short_theta()[:2] == (theta, coroot)
+            word = rs.short_theta()[2]
+            assert rs.length(word) == len(word)
+            for lam in [tuple(int(i == j) for i in range(rs.rank)) for j in range(rs.rank)]:
+                assert rs.apply_word(word, lam) == tuple(a - rs.coroot_pair(coroot, lam) * b for a, b in zip(lam, theta))
+        with pytest.raises(ValueError, match="reducible"):
+            root_system("A1xA1").short_theta()
+
+    @staticmethod
+    def _faulty_or_exact(rs, expected):
+        """Every weight either raises a certificate error or gives the oracle's answer; the count that raised."""
+        macdonald._solve.cache_clear()
+        raised = 0
+        for lam, fields in expected.items():
+            try:
+                got = _fields(nonsym_e(rs, lam))
+            except (AssertionError, OrderViolationError):
+                raised += 1
+            else:
+                assert got == fields, lam
+        return raised
+
+    @pytest.mark.parametrize("fault", ["theta for vartheta", "t-power of m"])
+    def test_planted_fault_is_caught(self, monkeypatch, fresh_caches, fault):
+        expected = {name: {lam: _fields(_eigensolve(root_system(name), lam))
+                           for lam in weight_box([2, 2])} for name in ("A2", "B2")}
+        if fault == "theta for vartheta":
+            # B2's highest root is long: the step through it is not an intertwiner
+            theta, coroot = B2.theta(), B2.theta_coroot()
+            monkeypatch.setitem(B2._caches, "short_theta", (theta, coroot, _s_word(B2, theta, coroot)))
+        else:
+            # only the affine step's own call is shifted: the operator choice and the finite steps stay exact
+            real = macdonald.expected_eigen_exponents
+
+            def shifted(rs, lam, mu):
+                a, b = real(rs, lam, mu)
+                return (a, b + 1) if sys._getframe(1).f_code is macdonald._solve.__wrapped__.__code__ else (a, b)
+
+            monkeypatch.setattr(macdonald, "expected_eigen_exponents", shifted)
+        raised = {name: self._faulty_or_exact(root_system(name), expected[name]) for name in expected}
+        assert raised["B2"] >= 1
+        if fault == "t-power of m":
+            assert raised["A2"] >= 1
+
+
 # weights whose own lower set defeats mu* and all six skew alternates, so that
 # only a moment-curve point of mu_candidates pins the walk, with that point
 _COLLIDING = [
@@ -348,7 +447,7 @@ class TestDegenerateSpectrum:
 
 
 class TestOperatorChoice:
-    """Both solvers take Y^mu from its predicted spectrum; the eigensolve builds that one matrix."""
+    """The oracle takes Y^mu from its predicted spectrum, as nonsym_e does, and builds that one matrix."""
 
     def test_eigensolve_builds_one_matrix(self, monkeypatch, fresh_caches):
         # (-3, 2, 1) needs the eighth candidate; one y_matrix per candidate took about 15 s
@@ -478,26 +577,40 @@ class TestIntegralScalar:
         assert two == poly({(0, 0): 1, (1, 1): -1}) * poly({(0, 0): 1, (2, 1): -1})
 
 
-# y_matrix maps every column in one pass; the oracle builds each column on its own, as Y^mu e^nu_j
+# y_matrix builds each column on its own, as Y^mu e^nu_j; the second construction maps every column in one pass
 
 _E_TABLE_DOMINANT = ([("A1", (k,)) for k in range(5)]
                      + [(t, w) for t in ("A2", "B2", "C2") for w in product(range(3), repeat=2)]
                      + [("A3", w) for w in product(range(2), repeat=3)])
 
 
-def _per_column_y_matrix(rs, basis, mu):
-    """The matrix column by column, raising at the first weight out of place in the first bad column."""
+_COLS = 1 << 24  # column j < 2^24 is packed at j * 2^40, between the q and t slots of a kernel key
+
+
+def _one_pass_y_matrix(rs, basis, mu):
+    """The matrix with every column in one pass of the translation word: column j starts as e^nu_j
+    at the kernel key j * 2^40.  A column starts at q^0 t^0 and a letter moves b by at most 1, so
+    b stays far inside (-2^39, 2^39) and the Hecke action never carries a key into another column.
+    A weight out of place is an OrderViolationError for the least such column, as in y_matrix."""
+    assert len(basis) < _COLS
     index = {w: k for k, w in enumerate(basis)}
     keys = [rs.order_key(w) for w in basis]
-    mat = [[QTPoly()] * len(basis) for _ in basis]
-    for j, nu in enumerate(basis):
-        for w, c in hecke._y(rs, mu, hecke._mono(nu)).items():
-            i = index.get(w)
+    cells, bad = {}, {}
+    for w, c in hecke._y(rs, mu, {nu: {j << 40: 1} for j, nu in enumerate(basis)}).items():
+        i = index.get(w)
+        for key, v in c.items():
+            j = ((key + (1 << 39)) >> 40) & (_COLS - 1)
             if i is None:
-                raise OrderViolationError(f"Y e^{nu} has weight {w} outside the lower set of {basis[-1]}")
-            if rs.compare_keys(keys[i], keys[j]) not in (LESS, EQUAL):
-                raise OrderViolationError(f"Y e^{nu} has weight {w} not below {nu} in the order")
-            mat[i][j] = QTPoly(_unpack(c))
+                bad.setdefault(j, f"Y e^{basis[j]} has weight {w} outside the lower set of {basis[-1]}")
+            else:
+                cells.setdefault((i, j), {})[key - (j << 40)] = v
+    mat = [[QTPoly()] * len(basis) for _ in basis]
+    for (i, j), cell in cells.items():
+        if rs.compare_keys(keys[i], keys[j]) not in (LESS, EQUAL):
+            bad.setdefault(j, f"Y e^{basis[j]} has weight {basis[i]} not below {basis[j]} in the order")
+        mat[i][j] = QTPoly(_unpack(cell))
+    if bad:
+        raise OrderViolationError(bad[min(bad)])
     return mat
 
 
@@ -520,7 +633,7 @@ class TestYMatrix:
         rs = root_system(name)
         basis = rs.lower_set(lam)
         mu, _ = macdonald._operator(rs, basis)
-        assert macdonald.y_matrix(rs, basis, mu) == _per_column_y_matrix(rs, basis, mu)
+        assert _one_pass_y_matrix(rs, basis, mu) == macdonald.y_matrix(rs, basis, mu)
 
     @pytest.mark.parametrize("name, lam", [("A1", (2,)), ("A2", (1, 1)), ("C2", (1, 1))])
     def test_one_pass_matches_per_column_for_y_inverse(self, name, lam):
@@ -528,14 +641,7 @@ class TestYMatrix:
         rs = root_system(name)
         basis = rs.lower_set(lam)
         mu = tuple(-m for m in macdonald._operator(rs, basis)[0])
-        assert macdonald.y_matrix(rs, basis, mu) == _per_column_y_matrix(rs, basis, mu)
-
-    def test_more_columns_than_the_key_holds_raise(self, monkeypatch):
-        basis = B2.lower_set((2, 0))
-        mu, _ = macdonald._operator(B2, basis)
-        monkeypatch.setattr(macdonald, "_COLS", 8)  # 10 columns: j = 8, 9 would alias 0, 1
-        with pytest.raises(ValueError, match="more columns than a kernel key holds"):
-            macdonald.y_matrix(B2, basis, mu)
+        assert _one_pass_y_matrix(rs, basis, mu) == macdonald.y_matrix(rs, basis, mu)
 
     @pytest.mark.parametrize("name, lam, source, leak, kind", [
         ("A2", (1, 1), (0, 0), (7, 7), "outside the lower set"),
@@ -550,9 +656,9 @@ class TestYMatrix:
         real_t, letters = hecke._t, len(rs.translation_word(mu))
         monkeypatch.setattr(hecke, "_t", _leaking(real_t, source, leak, letters))
         with pytest.raises(OrderViolationError) as per_column:
-            _per_column_y_matrix(rs, basis, mu)
+            macdonald.y_matrix(rs, basis, mu)
         monkeypatch.setattr(hecke, "_t", _leaking(real_t, source, leak, letters))
         with pytest.raises(OrderViolationError) as one_pass:
-            macdonald.y_matrix(rs, basis, mu)
-        assert kind in str(one_pass.value)
+            _one_pass_y_matrix(rs, basis, mu)
+        assert kind in str(per_column.value)
         assert str(one_pass.value) == str(per_column.value)

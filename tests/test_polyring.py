@@ -69,7 +69,7 @@ class TestOrbitSum:
         for lam in [(2, 1), (1, 1), (3, 0)]:
             m = orbit_sum(A2, lam)
             for i in (1, 2):
-                assert m.map_weights(lambda w: A2.reflect(i, w)) == m
+                assert QTLaurent(A2, {A2.reflect(i, w): c for w, c in m.terms.items()}) == m
 
     def test_rejects_non_dominant(self):
         with pytest.raises(ValueError):
