@@ -27,6 +27,14 @@ is first multiplied by the lcm D of its denominators, by polyring._kernel
 (the one denominator clearing, shared with integral_form); the operators are
 Q(q, t)-linear, so the image is the kernel image divided by D.
 
+The eigenvector check Y^mu f == q^a t^b f (_y_fixes, the residual check of
+every E_lam) runs on a third form, one big integer per weight: q^a t^b goes to
+2^(k (a width + b)), a ring map that T_i commutes with, so a letter is one
+shift and one add per alpha_i-string entry, and the check is one integer
+comparison per weight.  The window width, the slot k and exact checkpoints on
+long words keep the map injective; _y_fixes gives the argument.  y_op and _y
+stay the operator on the kernel.
+
 The relation suites run entirely on the kernel: they build e^mu as a kernel,
 apply the kernel operators and compare pruned kernels with ==.  Each check
 records its first counterexample through RelationReport.first_failure.
@@ -34,10 +42,12 @@ records its first counterexample through RelationReport.first_failure.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Mapping
 
-from .qt import QTPoly, RatQT
+from .qt import QTPoly, RatQT, Term
 from .polyring import _Q, Kernel, QTLaurent, _kernel, _pack, _unpack
 from .roots import MAX_BOX, RootSystem, Weight, WeylWord, CorootVec, weight_box
 
@@ -174,6 +184,196 @@ def _y(rs: RootSystem, mu: CorootVec, f: Kernel) -> Kernel:
     for i in rs.translation_word(minus) if any(minus) else ():
         f = _t_inv(rs, i, f)
     return _word(rs, rs.translation_word(plus), f) if any(plus) else f
+
+
+# ---------------------------------------------------------------------------
+# the eigenvector check as an integer zero test
+# ---------------------------------------------------------------------------
+
+_Q_EXP, _T_EXP = itemgetter(0), itemgetter(1)  # the exponents of q and of t in a term key (a, b)
+
+
+def _fill(n: int, s: int) -> bytes:
+    """n slots of s bytes, each holding 2^(8s - 1) in little-endian order."""
+    return (bytes(s - 1) + b"\x80") * n
+
+
+def _encode(terms: Mapping[Term, int], k: int, width: int, b0: int) -> tuple[int, int]:
+    """(v, e): v = sum c 2^(k ((a - e) width + b - b0)) over the terms c q^a t^b, e the least a.
+
+    Each coefficient is written as c + 2^(k-1) into its k-bit slot of a buffer whose other slots
+    hold 2^(k-1), and the fill is subtracted once; every |c| must be below 2^(k-1)."""
+    e = min(map(_Q_EXP, terms))
+    s = k >> 3
+    fill = _fill((max(map(_Q_EXP, terms)) - e + 1) * width, s)
+    buf = bytearray(fill)
+    half = 1 << (k - 1)
+    if s == 8 and sys.byteorder == "little":
+        slots = memoryview(buf).cast("Q")
+        for (a, b), c in terms.items():
+            slots[(a - e) * width + b - b0] = c + half
+        slots.release()
+    else:
+        for (a, b), c in terms.items():
+            p = ((a - e) * width + b - b0) * s
+            buf[p:p + s] = (c + half).to_bytes(s, "little")
+    return int.from_bytes(buf, "little") - int.from_bytes(fill, "little"), e
+
+
+def _decode(v: int, e: int, k: int, width: int, b0: int) -> dict[Term, int]:
+    """The terms that _encode wrote as (v, e), provided every coefficient is below 2^(k-1) in size.
+
+    Then v has one balanced digit d in (-2^(k-1), 2^(k-1)) per k-bit slot, so v plus the fill
+    2^(k-1) in every slot has the digits d + 2^(k-1) in [0, 2^k), with no carry: its bytes are
+    the slots."""
+    s = k >> 3
+    n = abs(v).bit_length() // k + 1  # a top digit at slot p makes |v| > 2^(k p - 1)
+    fill = _fill(n, s)
+    raw = (v + int.from_bytes(fill, "little")).to_bytes(n * s, "little")
+    if s == 8 and sys.byteorder == "little":
+        slots = memoryview(raw).cast("Q").tolist()
+    else:
+        slots = [int.from_bytes(raw[p:p + s], "little") for p in range(0, n * s, s)]
+    half = 1 << (k - 1)
+    return {(e + p // width, b0 + p % width): u - half for p, u in enumerate(slots) if u != half}
+
+
+def _growth(rs: RootSystem, letter: tuple[int, bool], support) -> int:
+    """The factor by which the letter can multiply the sum of |c| of an element on support: the
+    longest alpha_i-string there (its coefficients are +-1), plus 2 for an inverse letter."""
+    i, inv = letter
+    memo = rs._caches.setdefault(("alpha_strings", i), {})
+    return max(len(memo.get(w) or _alpha_string(rs, i, w, memo)) for w in support) + 2 * inv
+
+
+def _frame(rs: RootSystem, letters: list, n: int, terms: dict, reserve: int) -> tuple[int, int, int, int, int]:
+    """(k, width, b0, stop, bound): a frame for the letters n..stop-1 on terms, and the sum of |c| over terms.
+
+    The growth of each letter is estimated on the current support (_growth).  k is the least
+    multiple of 64 bits that fits the next letter, stop the end of the letters that fit in it on
+    these estimates, and the t-window is the t-span of terms plus one per letter of the frame."""
+    bound = sum([sum(map(abs, c.values())) for c in terms.values()])
+    lo = min([min(map(_T_EXP, c)) for c in terms.values()])
+    hi = max([max(map(_T_EXP, c)) for c in terms.values()])
+    growth = {letter: _growth(rs, letter, terms) for letter in set(letters[n:])}
+    first = bound * growth[letters[n]] if n < len(letters) else bound
+    k = 64 * (((first + reserve).bit_length() + 64) // 64)
+    stop, x = n, bound
+    while stop < len(letters) and not (x * growth[letters[stop]] + reserve) >> (k - 1):
+        x *= growth[letters[stop]]
+        stop += 1
+    return k, hi - lo + 1 + stop - n, lo, stop, bound
+
+
+def _y_fixes(rs: RootSystem, mu: CorootVec, f: Mapping[Weight, Mapping[Term, int]], dq: int, dt: int) -> bool:
+    """Y^mu f == q^dq t^dt f, exactly, for f = {weight: {(a, b): c}} with integer coefficients.
+
+    Y^mu is the word of _y: T_i^{-1} letters for mu_-, then T_i letters for mu_+.  Each T_i^{-1}
+    runs as t T_i^{-1} = T_i + 1 - t, so with m such letters the word W' = t^m Y^mu has only
+    letters that move t-exponents by 0 or +1, and the check is W' f == q^dq t^(dt + m) f.
+
+    A frame (k, width, b0) maps the coefficient of e^w, a polynomial g_w, to the integer
+    g_w(2^(k width), 2^k) 2^(-k (e_w width + b0)), with e_w a q-offset of its own per weight: the
+    term c q^a t^b goes to bit k ((a - e_w) width + b - b0).  This is an evaluation at powers of
+    2, so it is a ring map, and T_i commutes with it: a letter moves the terms of each weight by
+    monomials and adds them with coefficients +-1, which on the integers is one shift and one add
+    or subtract per target (_framed_letter).  The map is injective on the polynomials whose terms
+    have a >= e_w, 0 <= b - b0 < width and coefficients below 2^(k-1) in size: their slots are
+    distinct, and a sum of balanced base-2^k digits is 0 only if every digit is.  So once both
+    sides meet these bounds, one integer comparison per weight decides the identity, and a
+    mismatch is a conclusive False.  The bounds hold because
+      - e_w is the least q-offset with which a term reaches e^w, so no term has a < e_w;
+      - a letter raises a t-exponent by 0 or 1, so the window of a frame is the t-span of the
+        terms it starts from plus one per letter it runs (_frame);
+      - the sum B of the |c| over all terms bounds every coefficient, and a letter multiplies it
+        at most by the length of the longest alpha_i-string on the support (_growth).
+    If the right side q^dq t^(dt+m) f has a t-exponent outside the window of the last frame, the
+    left side has none there, and the answer is False as well.
+
+    Slots are multiples of 64 bits.  A frame runs the letters that fit its slot on the growth
+    estimated at its start; after them, or before a letter that would take B + max |c of f|
+    past 2^(k-1), the values still meet the bounds, so they decode exactly (_decode): B is
+    recomputed from the actual coefficients and the rest of the word runs on a new frame.  Long
+    words need these checkpoints: the worst-case bound grows by a few bits a letter, and the
+    window by one, while the actual coefficients and t-span stay small.
+    """
+    if len(mu) != rs.rank:
+        raise ValueError("coroot vector has wrong rank")
+    plus, minus = _dominant_decomposition(rs, mu)
+    letters = ([(i, True) for i in rs.translation_word(minus)] if any(minus) else []) + \
+              ([(i, False) for i in reversed(rs.translation_word(plus))] if any(plus) else [])
+    f = {w: c for w, c in f.items() if c}
+    if not f:
+        return True
+    dt += sum(inv for _, inv in letters)
+    reserve = max([max(map(abs, c.values())) for c in f.values()])
+    terms, n = f, 0
+    while True:
+        k, width, b0, stop, bound = _frame(rs, letters, n, terms, reserve)
+        g = {w: _encode(c, k, width, b0) for w, c in terms.items()}
+        if n == 0:
+            framed_f = g
+        while n < stop:
+            i, inv = letters[n]
+            memo = rs._caches.setdefault(("alpha_strings", i), {})
+            strings = [memo.get(w) or _alpha_string(rs, i, w, memo) for w in g]
+            growth = max(map(len, strings)) + 2 * inv
+            if (bound * growth + reserve) >> (k - 1):
+                break
+            g = _framed_letter(g, strings, inv, k, width)
+            bound *= growth
+            n += 1
+        if n == len(letters):
+            break
+        terms = {w: _decode(v, e, k, width, b0) for w, (v, e) in g.items()}
+    lo = min([min(map(_T_EXP, c)) for c in f.values()]) + dt
+    hi = max([max(map(_T_EXP, c)) for c in f.values()]) + dt
+    if lo < b0 or hi >= b0 + width or g.keys() != f.keys():
+        return False
+    if terms is f and dt >= 0:  # one frame throughout: f is framed already, t^dt is a shift
+        rhs, shift = framed_f, dt
+    else:
+        rhs, shift = {w: _encode(c, k, width, b0 - dt) for w, c in f.items()}, 0
+    qk = k * width
+    for w, (v, e) in g.items():
+        r, er = rhs[w]
+        r <<= k * shift
+        er += dq
+        if e < er:
+            r <<= (er - e) * qk
+        elif er < e:
+            v <<= (e - er) * qk
+        if v != r:
+            return False
+    return True
+
+
+def _framed_letter(g: dict[Weight, tuple[int, int]], strings: list, inv: bool, k: int, width: int
+                   ) -> dict[Weight, tuple[int, int]]:
+    """One letter T_i (T_i + 1 - t if inv) on the framed values g, along the alpha_i-strings of g's weights."""
+    out: dict[Weight, list[int]] = {}
+    qk = k * width
+    for (mu, (v, e)), string in zip(g.items(), strings):
+        vt = v << k
+        if inv:
+            string += ((mu, 0, 1), (mu, 1, -1))
+        for w, off, c in string:
+            x = vt if off & 1 else v  # off = (q-shift) 2^64 + (t-shift), the t-shift 0 or 1
+            eq = e + (off >> 64)
+            o = out.get(w)
+            if o is None:
+                out[w] = [x if c > 0 else -x, eq]
+                continue
+            if eq > o[1]:
+                x <<= (eq - o[1]) * qk
+            elif eq < o[1]:
+                o[0] <<= (o[1] - eq) * qk
+                o[1] = eq
+            if c > 0:
+                o[0] += x
+            else:
+                o[0] -= x
+    return {w: (v, e) for w, (v, e) in out.items() if v}
 
 
 def _lifted(rs: RootSystem, op, f: QTLaurent) -> QTLaurent:

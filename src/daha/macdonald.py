@@ -16,8 +16,11 @@ linear system is solved; y_matrix serves independent checks only.
 Every coefficient is one pair (num, den): a QTPoly over {irreducible
 canonical factor: multiplicity}.  Each gap an intertwiner divides by is a
 difference of two monomials, whose cyclotomic factors _add_gap adds to den;
-each coefficient is reduced once by exact division with those factors
-(_reduced), so no gcd is computed.
+each coefficient is reduced once by exact division with those factors, so no
+gcd is computed.  The numerator is packed once, straight from the kernel, and
+divided by every factor in that one frame (_reduced_packed).  The residual
+check Y^mu E = q^A t^B E of every result is hecke._y_fixes, an exact zero
+test on one big integer per weight.
 
 Also here: the eigenvalue-exponent check, symmetric P_lam via the Cherednik
 symmetrizer, monomial expansion, and a classical Demazure-operator Weyl
@@ -29,11 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import Mapping
 
-from .qt import ONE_P, QTPoly, RatQT, ZERO_P, _canon_unit, div_exact
-from .polyring import Kernel, QTLaurent, _pack, _unpack
+from .qt import ONE_P, QTPoly, RatQT, ZERO_P, _canon_unit, _div_packed, div_exact
+from .polyring import _HALF, _Q, Kernel, QTLaurent, _kernel, _pack, _unpack
 from .roots import LESS, EQUAL, RootSystem, Weight, CorootVec, root_system
-from .hecke import _comb, _mono, _shift, _t, _word, _y, strictly_dominant_coroot, symmetrizer, y_op
+from .hecke import _comb, _mono, _shift, _t, _word, _y, _y_fixes, strictly_dominant_coroot, symmetrizer
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -114,26 +118,54 @@ def _ieval(p: QTPoly) -> int:
 
 
 def _reduced(num: QTPoly, den: dict[QTPoly, int]) -> _Frac:
-    """num / prod(den) in lowest terms: divide out each factor of den that divides num.  A factor
-    is tried only if its value at (2, 3) divides num's there, so most failing divisions are skipped."""
-    if num.is_zero():
-        return num, {}
+    """num / prod(den) in lowest terms (_reduced_packed)."""
+    return _reduced_packed(_pack(num.terms), _factor_data(den))
+
+
+def _factor_data(den: dict[QTPoly, int]) -> list[tuple[QTPoly, int, int, int, int]]:
+    """(f, multiplicity, value of f at (2, 3), q-span, t-span) for each factor f of den: canonical, so
+    with minima (0, 0), and its maxima are its spans."""
+    return [(f, m, _ieval(f), *f.max_exps()) for f, m in den.items()]
+
+
+def _reduced_packed(c: Mapping[int, int], factors: list[tuple[QTPoly, int, int, int, int]]) -> _Frac:
+    """c / prod(den) in lowest terms, for c packed as {a * 2^64 + b: int} (a kernel coefficient) and
+    den listed by _factor_data: divide out each factor of den that divides c.
+
+    c is packed once, relative to its componentwise minima, as dq * width + dt with width its t-span
+    plus one, and every division runs there (qt._div_packed).  A canonical factor has minima
+    (0, 0), so a quotient keeps the frame's origin; its spans are the dividend's less the
+    factor's, and the width stays above its t-span.  A factor is tried only if its value at
+    (2, 3) divides c's there, with exponents taken from the minima, so most failing divisions are
+    skipped; that value is multiplicative, so a quotient's is c's divided by the factor's."""
+    if not c:
+        return ZERO_P, {}
+    ts = [((k + _HALF) & (_Q - 1)) - _HALF for k in c]
+    lt, ht = min(ts), max(ts)
+    aq = (min(c) + _HALF) >> 64  # keys are in lex order on (a, b)
+    sq, st = ((max(c) + _HALF) >> 64) - aq, ht - lt
+    width = st + 1
+    origin = aq * _Q + lt
+    rem = {((k - origin) >> 64) * width + b - lt: v for (k, v), b in zip(c.items(), ts)}
+    ne = None
     out = {}
-    ne = _ieval(num)
-    for f, m in den.items():
-        fe = _ieval(f)
-        while m > 0:
-            if fe not in (0, 1, -1) and ne % fe:
-                break
-            q = div_exact(num, f)
+    for f, m, fe, fq, ft in factors:
+        while m > 0 and fq <= sq and ft <= st:
+            if fe not in (0, 1, -1):
+                if ne is None:
+                    p3 = [3 ** j for j in range(width)]
+                    ne = sum((v * p3[k % width]) << k // width for k, v in rem.items())
+                if ne % fe:
+                    break
+            q = _div_packed(dict(rem), width, st - ft, f.terms)  # a copy: the division consumes it
             if q is None:
                 break
-            num = q
-            ne = ne // fe if fe else _ieval(num)  # _ieval is multiplicative
+            rem, sq, st = q, sq - fq, st - ft
+            ne = ne // fe if fe and ne is not None else None
             m -= 1
         if m:
             out[f] = m
-    return num, out
+    return QTPoly({(aq + k // width, lt + k % width): v for k, v in rem.items()}), out
 
 
 def _over_common_den(coeffs) -> tuple[dict[QTPoly, int], list[QTPoly]]:
@@ -318,7 +350,8 @@ def _coefficients(lam: Weight, basis: list[Weight], den: dict[QTPoly, int], f: K
     """The reduced coefficients of f / prod(den) on basis, the lower set of lam, which must hold f's support."""
     if not f.keys() <= set(basis):
         raise OrderViolationError(f"the intertwiners left the lower set of {lam}")
-    return tuple(_reduced(QTPoly(_unpack(f.get(w, {}))), den) for w in basis)
+    factors = _factor_data(den)
+    return tuple(_reduced_packed(f.get(w, {}), factors) for w in basis)
 
 
 def _walk(rs: RootSystem, lam: Weight) -> EigenResult:
@@ -333,7 +366,7 @@ def _walk(rs: RootSystem, lam: Weight) -> EigenResult:
 
 def _is_eigenvector(rs: RootSystem, mu: CorootVec, cleared: QTLaurent, exps: tuple[int, int]) -> bool:
     """Y^mu cleared == q^exps[0] t^exps[1] cleared, exactly."""
-    return y_op(rs, mu, cleared) == cleared.scale(RatQT.monomial(1, *exps))
+    return _y_fixes(rs, mu, _kernel(cleared)[0], *exps)
 
 
 def _result(rs: RootSystem, lam: Weight, basis: list[Weight], coeffs: tuple[_Frac, ...],

@@ -22,7 +22,9 @@ order on keys is lex order on (dq, dt).  The remainder is a dict of keys; its
 leading term comes off a max-heap, and each divisor term is packed once as an
 offset from b's lex-leading term.  A quotient term outside the box proves
 that b does not divide a, and stops the division before a key could wrap
-into the next q-row.
+into the next q-row.  That loop is `_div_packed`, on a dividend packed
+already: the quotient comes back in the same frame, so a caller that divides
+one numerator by several factors with minima (0, 0) packs it only once.
 
 The gcd behind every reduction (`poly_gcd`) is exact on every path.  After the
 monomial and integer content are split off, the primitive gcd G of a and b is
@@ -254,23 +256,12 @@ def format_poly(p: QTPoly, latex: bool = False) -> str:
 def div_exact(a: QTPoly, b: QTPoly) -> QTPoly | None:
     """Exact quotient a / b of Laurent polynomials, or None if b does not divide a.
 
-    Sparse long division in lex order on (dq, dt): the remainder is a dict,
-    and its leading term is popped from a max-heap of its keys (negated for
-    heapq; a key whose coefficient cancelled stays there and is skipped).  A
-    simpler relative of Monagan & Pearce, Sparse polynomial division using a
-    heap, JSC 2011, which merges the quotient-times-divisor products instead.
-
     Componentwise minima and maxima of exponents add under products, so an
     exact quotient lies in the box amin - bmin <= (kq, kt) <= amin - bmin + w
-    with w = (amax - amin) - (bmax - bmin).  Every exponent is packed
-    relative to a's minima as dq * width + dt, width = amax_t - amin_t + 1;
-    while each quotient term stays in the box, every remainder term lies in
-    a's box and integer order on the keys is lex order.  A quotient term
-    outside the box proves b does not divide a, and returns None before a
-    key can wrap into the next q-row.  Each divisor term is packed once, as
-    an offset from b's lex-leading term, so a step adds offsets to the
-    leading key; the leading term cancels and every new key is smaller, so
-    the leading key falls strictly and no rescan is needed.
+    with w = (amax - amin) - (bmax - bmin).  a is packed relative to its
+    minima as dq * width + dt, width = amax_t - amin_t + 1, and divided there
+    by _div_packed; the quotient comes back in the same frame, relative to its
+    own minima amin - bmin, and is unpacked once.
     """
     if a.is_zero():
         return ZERO_P
@@ -282,13 +273,42 @@ def div_exact(a: QTPoly, b: QTPoly) -> QTPoly | None:
     if wq < 0 or wt < 0:
         return None
     width = at1 - at + 1
-    rem = {(x - aq) * width + (y - at): v for (x, y), v in a.terms.items()}
+    out = _div_packed({(x - aq) * width + (y - at): v for (x, y), v in a.terms.items()}, width, wt,
+                      {(x - bq, y - bt): v for (x, y), v in b.terms.items()} if bq or bt else b.terms)
+    if out is None:
+        return None
+    sq, st = aq - bq, at - bt
+    return QTPoly({(k // width + sq, k % width + st): c for k, c in out.items()})
+
+
+def _div_packed(rem: dict[int, int], width: int, wt: int, b: Mapping[Term, int]) -> dict[int, int] | None:
+    """The exact quotient of a packed dividend by b, packed the same way, or None if b does not divide it.
+
+    The dividend is rem = {dq * width + dt: c}, its exponents taken relative to its componentwise
+    minima and width above its t-span; b's exponents are taken relative to b's minima, and
+    wt = (t-span of the dividend) - (t-span of b) >= 0.  The quotient's keys are relative to its
+    own minima, the dividend's less b's, so a divisor with minima (0, 0) leaves the frame where it
+    is.  rem is consumed.
+
+    Sparse long division in lex order on (dq, dt): the remainder is the dict rem,
+    and its leading term is popped from a max-heap of its keys (negated for
+    heapq; a key whose coefficient cancelled stays there and is skipped).  A
+    simpler relative of Monagan & Pearce, Sparse polynomial division using a
+    heap, JSC 2011, which merges the quotient-times-divisor products instead.
+    While each quotient term stays in the box of the exact quotient (t-offset
+    0..wt, q-offset >= 0), every remainder term lies in the dividend's box and
+    integer order on the keys is lex order.  A quotient term outside the box
+    proves b does not divide the dividend, and returns None before a key can
+    wrap into the next q-row.  Each divisor term is packed once, as an offset
+    from b's lex-leading term, so a step adds offsets to the leading key; the
+    leading term cancels and every new key is smaller, so the leading key
+    falls strictly and no rescan is needed.
+    """
     heap = [-k for k in rem]
     heapify(heap)
-    (lq, lt), lc = max(b.terms.items())
-    offs = [((x - lq) * width + (y - lt), v) for (x, y), v in b.terms.items() if (x, y) != (lq, lt)]
-    lq, lt = lq - bq, lt - bt
-    sq, st = aq - bq, at - bt
+    (lq, lt), lc = max(b.items())
+    lead = lq * width + lt
+    offs = [((x - lq) * width + (y - lt), v) for (x, y), v in b.items() if (x, y) != (lq, lt)]
     out = {}
     while heap:
         k = -heappop(heap)
@@ -298,11 +318,10 @@ def div_exact(a: QTPoly, b: QTPoly) -> QTPoly | None:
         if c % lc:
             return None
         kq, kt = divmod(k, width)
-        kq, kt = kq - lq, kt - lt
-        if kq < 0 or kt < 0 or kt > wt:
+        if kq < lq or kt < lt or kt - lt > wt:
             return None
         qc = c // lc
-        out[(kq + sq, kt + st)] = qc
+        out[k - lead] = qc
         for off, v in offs:
             kk = k + off
             s = rem.get(kk, 0) - v * qc
@@ -312,7 +331,7 @@ def div_exact(a: QTPoly, b: QTPoly) -> QTPoly | None:
                 rem[kk] = s
             else:
                 del rem[kk]
-    return QTPoly(out)
+    return out
 
 
 def _canon_unit(g: QTPoly) -> QTPoly:

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from daha.qt import QTPoly, RatQT, rat
-from daha.roots import RootSystem, root_system
-from daha.polyring import QTLaurent, _pack, _unpack
+from daha.roots import RootSystem, root_system, weight_box
+from daha.polyring import QTLaurent, _kernel, _pack, _unpack
 from daha import hecke
+from daha.macdonald import expected_eigen_exponents, nonsym_e
 from daha.hecke import (
     RelationReport,
     demazure_char,
@@ -357,6 +358,125 @@ def test_pack_rejects_t_exponents_beyond_its_range():
     for b in (2**62, -2**62):
         with pytest.raises(OverflowError):
             _pack({(0, b): 1})
+
+
+# the eigenvector check Y^mu f == q^dq t^dt f as one integer comparison per weight (hecke._y_fixes),
+# against the kernel operator: y_op(rs, mu, f) == f.scale(q^dq t^dt)
+
+# (type, lam) whose lower set has 1 to 3 weights: E_lam times any polynomial is an eigenvector of every Y^mu
+_SMALL_E = [(name, lam) for name in ("A1", "A2", "B2", "C2") for lam in weight_box([2] * root_system(name).rank)
+            if len(root_system(name).lower_set(lam)) <= 3]
+big_polys = st.dictionaries(st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+                            st.integers(-2**100, 2**100).filter(bool), min_size=1, max_size=4).map(QTPoly)
+
+
+def _has_minus_part(rs, mu):
+    return any(hecke._dominant_decomposition(rs, mu)[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_zero_test_matches_y_op(data):
+    name, lam = data.draw(st.sampled_from(_SMALL_E))
+    rs = root_system(name)
+    mus = _short_translations(rs)
+    if data.draw(st.booleans()):
+        mus = [mu for mu in mus if _has_minus_part(rs, mu)]
+    mu = data.draw(st.sampled_from(mus))
+    scalar = data.draw(big_polys)
+    f = {w: (scalar * c.num).terms for w, c in nonsym_e(rs, lam).cleared.terms.items()}
+    off = data.draw(st.sampled_from([0, 1, -1]))
+    if off:  # one coefficient off by one, at a term of f or next to it
+        w = data.draw(st.sampled_from(sorted(f)))
+        key = data.draw(st.sampled_from(sorted(f[w]) + [(6, 0), (0, -6)]))
+        f[w] = {k: c for k, c in {**f[w], key: f[w].get(key, 0) + off}.items() if c}
+    dq, dt = expected_eigen_exponents(rs, lam, mu)
+    F = QTLaurent(rs, {w: rat(QTPoly(c)) for w, c in f.items()})
+    expected = y_op(rs, mu, F) == F.scale(RatQT.monomial(1, dq, dt))
+    assert expected or off
+    assert hecke._y_fixes(rs, mu, f, dq, dt) == expected
+
+
+@pytest.mark.parametrize("name, lam, mu", [("A3", (-1, -1, -1), (-2, 3, 2)), ("B2", (-1, -1), (-3, 2))])
+def test_zero_test_across_checkpoints(monkeypatch, name, lam, mu):
+    # long words with T_i^{-1} letters: the worst-case bound outgrows the first slot, so the word runs
+    # on several frames, each decoded exactly at its end
+    rs = root_system(name)
+    f = _kernel(nonsym_e(rs, lam).cleared)[0]
+    dq, dt = expected_eigen_exponents(rs, lam, mu)
+    assert _has_minus_part(rs, mu)
+    decoded = []
+    real = hecke._decode
+    monkeypatch.setattr(hecke, "_decode", lambda v, e, k, width, b0: decoded.append(k) or real(v, e, k, width, b0))
+    assert hecke._y_fixes(rs, mu, f, dq, dt)
+    assert decoded
+    w = sorted(f)[len(f) // 2]
+    key = min(f[w])
+    for delta in (1, -1):
+        assert not hecke._y_fixes(rs, mu, {**f, w: {**f[w], key: f[w][key] + delta}}, dq, dt)
+    assert not hecke._y_fixes(rs, mu, f, dq, dt + 1)
+    assert not hecke._y_fixes(rs, mu, f, dq - 1, dt)
+
+
+def test_low_growth_estimate_is_caught(monkeypatch):
+    # a frame plans its letters on estimated growth; with every estimate 1 the plan fits the whole word
+    # into 64-bit slots, and the check before each letter must end the frame before the bound passes it
+    rs, lam, mu = B2, (-1, -1), (-3, 2)
+    f = _kernel(nonsym_e(rs, lam).cleared)[0]
+    dq, dt = expected_eigen_exponents(rs, lam, mu)
+    monkeypatch.setattr(hecke, "_growth", lambda rs, letter, support: 1)
+    decoded = []
+    real = hecke._decode
+    monkeypatch.setattr(hecke, "_decode", lambda v, e, k, width, b0: decoded.append(k) or real(v, e, k, width, b0))
+    assert hecke._y_fixes(rs, mu, f, dq, dt)
+    assert decoded and set(decoded) == {64}
+    assert not hecke._y_fixes(rs, mu, f, dq, dt - 1)
+
+
+def test_zero_test_with_the_empty_word():
+    f = {(1,): {(0, 0): 3, (2, -1): -1}}
+    assert hecke._y_fixes(A1, (0,), f, 0, 0)
+    assert not any(hecke._y_fixes(A1, (0,), f, dq, dt) for dq, dt in [(1, 0), (0, 1), (0, -1), (-1, 2)])
+    assert hecke._y_fixes(A1, (1,), {}, 5, 5)
+    with pytest.raises(ValueError, match="wrong rank"):
+        hecke._y_fixes(A1, (1, 0), f, 0, 0)
+
+
+def _frame_map(terms, k, width):
+    """The frame's value of a polynomial with exponents from (0, 0), for coefficients of any size."""
+    return sum(c << k * (a * width + b) for (a, b), c in terms.items())
+
+
+class TestFrameBounds:
+    """Each bound of the frame is load-bearing: a residual it rules out maps to 0 in a frame one step narrower."""
+
+    LETTERS = [(1, False), (0, False)]  # Y^(1) = T_0 T_1 in A1, first letter outermost
+
+    def test_window(self, monkeypatch):
+        # Y^(1) 1 = t^2 in A1.  Claiming q instead leaves the residual t^2 - q, which a window of 2 maps to 0;
+        # the real window is 3: the one t-exponent of f plus one per letter.
+        f = {(0,): {(0, 0): 1}}
+        assert hecke._y_fixes(A1, (1,), f, 0, 2)
+        assert _frame_map({(0, 2): 1, (1, 0): -1}, 64, 2) == 0
+        assert hecke._frame(A1, self.LETTERS, 0, f, 1)[1] == 3
+        assert not hecke._y_fixes(A1, (1,), f, 1, 0)
+        real = hecke._frame
+
+        def narrow(*args):
+            k, width, b0, stop, bound = real(*args)
+            return k, width - 1, b0, stop, bound
+
+        monkeypatch.setattr(hecke, "_frame", narrow)
+        assert hecke._y_fixes(A1, (1,), f, 1, 0)  # the planted fault accepts the wrong eigenvalue
+
+    def test_slot(self):
+        # (t - 2^64) e^0 is an eigenvector of Y^(1) with eigenvalue t^2.  Claiming t leaves the residual
+        # t (t - 1)(t - 2^64), which 64-bit slots map to 0 (t = 2^64); its coefficients need 128.
+        f = {(0,): {(0, 1): 1, (0, 0): -2**64}}
+        assert _frame_map({(0, 3): 1, (0, 2): -2**64 - 1, (0, 1): 2**64}, 64, 4) == 0
+        assert hecke._frame(A1, self.LETTERS, 0, f, 2**64)[0] == 128
+        assert hecke._y_fixes(A1, (1,), f, 0, 2)
+        assert not hecke._y_fixes(A1, (1,), f, 0, 1)
 
 
 def _const(rs, c):

@@ -413,6 +413,23 @@ class TestAffineStep:
         if fault == "t-power of m":
             assert raised["A2"] >= 1
 
+    def test_planted_theta_counts(self, monkeypatch, fresh_caches):
+        # theta for vartheta in B2: 16 weights of box 2 fail the residual check, 4 leave the lower set,
+        # and the 5 in the orbits of the minuscule seeds are unaffected
+        theta, coroot = B2.theta(), B2.theta_coroot()
+        monkeypatch.setitem(B2._caches, "short_theta", (theta, coroot, _s_word(B2, theta, coroot)))
+        outcomes = {"residual": 0, "order": 0, "unaffected": 0}
+        for lam in weight_box([2, 2]):
+            try:
+                nonsym_e(B2, lam)
+                outcomes["unaffected"] += 1
+            except OrderViolationError:
+                outcomes["order"] += 1
+            except AssertionError as exc:
+                assert "eigen residual is nonzero" in str(exc)
+                outcomes["residual"] += 1
+        assert outcomes == {"residual": 16, "order": 4, "unaffected": 5}
+
 
 # weights whose own lower set defeats mu* and all six skew alternates, so that
 # only a moment-curve point of mu_candidates pins the walk, with that point
@@ -476,6 +493,89 @@ class TestOperatorChoice:
         monkeypatch.setattr(macdonald, "y_matrix", perturbed)
         with pytest.raises(AssertionError, match="not the predicted eigenvalue"):
             _eigensolve(A2, (2, 0))
+
+
+# the one-frame reduction of macdonald._reduced against the per-factor division loop it replaced
+
+def _reduced_reference(num, den):
+    """num / prod(den) in lowest terms: each factor of den divided out by qt.div_exact while it divides,
+    tried only if its value at (2, 3) divides num's there."""
+    if num.is_zero():
+        return num, {}
+    out = {}
+    ne = macdonald._ieval(num)
+    for f, m in den.items():
+        fe = macdonald._ieval(f)
+        while m > 0:
+            if fe not in (0, 1, -1) and ne % fe:
+                break
+            q = qt.div_exact(num, f)
+            if q is None:
+                break
+            num = q
+            ne = ne // fe if fe else macdonald._ieval(num)
+            m -= 1
+        if m:
+            out[f] = m
+    return num, out
+
+
+_gap_exps = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda e: e != (0, 0))
+_laurent = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-9, 9), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_frame_reduction_matches_per_factor_division(data):
+    # numerator: a Laurent polynomial times the gap factors, each at multiplicity 0-3; den holds each at 0-3
+    gaps = {}
+    for a, b in data.draw(st.lists(_gap_exps, min_size=1, max_size=3)):
+        macdonald._add_gap(gaps, QTPoly({(0, 0): 1, (a, b): -1}))
+    num = QTPoly(data.draw(_laurent))
+    for f in gaps:
+        num = num * f ** data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()):  # usually no longer divisible: the early breaks
+        num = num + QTPoly({data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))): 1})
+    den = {f: m for f in gaps if (m := data.draw(st.integers(0, 3)))}
+    assert macdonald._reduced(num, den) == _reduced_reference(num, den)
+
+
+class TestCertificate:
+    """A failing zero test is never bypassed: every route to E_lam ends in the residual check."""
+
+    @staticmethod
+    def _refuse(*args):
+        return False
+
+    # A2 (1, 0) is minuscule (E_lam = e^lam), B2 (2, 1) one affine step above a lower dominant E,
+    # and the non-dominant weights are walked from their dominant seeds
+    @pytest.mark.parametrize("name, lam", [("A2", (1, 0)), ("B2", (2, 1)), ("A2", (-1, 2)), ("B2", (-2, -2))],
+                             ids=["minuscule", "affine-step", "walked-A2", "walked-B2"])
+    def test_nonsym_e_raises(self, monkeypatch, fresh_caches, name, lam):
+        rs = root_system(name)
+        monkeypatch.setattr(macdonald, "_y_fixes", self._refuse)
+        with pytest.raises(AssertionError, match="eigen residual is nonzero"):
+            nonsym_e(rs, lam)
+
+    def test_eigen_check_fails(self, monkeypatch):
+        r = nonsym_e(A2, (1, 1))
+        assert eigen_check(A2, (1, 1), mu_star(A2), r).ok
+        monkeypatch.setattr(macdonald, "_y_fixes", self._refuse)
+        assert not eigen_check(A2, (1, 1), mu_star(A2), r).ok
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_one_coefficient_off_fails(self, delta):
+        lam = (-2, -2)
+        r = nonsym_e(B2, lam)
+        exps = expected_eigen_exponents(B2, lam, r.mu_used)
+        assert macdonald._is_eigenvector(B2, r.mu_used, r.cleared, exps)
+        weights = list(r.cleared.terms)
+        for w in (weights[0], weights[len(weights) // 2], lam):
+            num = r.cleared.terms[w].num
+            for key in (min(num.terms), max(num.terms)):
+                terms = dict(r.cleared.terms)
+                terms[w] = RatQT(num + QTPoly({key: delta}))
+                assert not macdonald._is_eigenvector(B2, r.mu_used, QTLaurent(B2, terms), exps), (w, key)
 
 
 class TestFreshResults:
