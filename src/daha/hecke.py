@@ -11,7 +11,8 @@ s_0 . e^mu = q^{<theta^vee, mu>} e^{s_theta mu}.
 
 Y-operators for coroot-lattice vectors come from reduced words of translation
 elements; the composition order is "first letter outermost", which for A1
-makes Y^{alpha^vee} = T_0 T_1.
+makes Y^{alpha^vee} = T_0 T_1.  _y_letters lists the letters of Y^mu once, in
+the order they act, for both the operator _y and the zero test _y_fixes.
 
 Coefficient ring.  T_i, T_i^{-1}, Y and the symmetrizer map Z[q^±, t^±][P]
 into itself, so they run on one integer kernel: an element is a dict
@@ -177,13 +178,19 @@ def _sym(rs: RootSystem, f: Kernel) -> Kernel:
     return _comb(*((k, 0, 0, 1, 0) for k in images.values()))
 
 
-def _y(rs: RootSystem, mu: CorootVec, f: Kernel) -> Kernel:
+def _y_letters(rs: RootSystem, mu: CorootVec) -> list[tuple[int, bool]]:
+    """The letters of Y^mu = Y^{mu_+} (Y^{mu_-})^{-1} as they act, (i, True) for T_i^{-1}: mu_-'s
+    translation word in its order, then mu_+'s from its last letter (_dominant_decomposition)."""
     if len(mu) != rs.rank:
         raise ValueError("coroot vector has wrong rank")
     plus, minus = _dominant_decomposition(rs, mu)
-    for i in rs.translation_word(minus) if any(minus) else ():
-        f = _t_inv(rs, i, f)
-    return _word(rs, rs.translation_word(plus), f) if any(plus) else f
+    return [(i, True) for i in rs.translation_word(minus)] + [(i, False) for i in reversed(rs.translation_word(plus))]
+
+
+def _y(rs: RootSystem, mu: CorootVec, f: Kernel) -> Kernel:
+    for i, inv in _y_letters(rs, mu):
+        f = _t_inv(rs, i, f) if inv else _t(rs, i, f)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +275,9 @@ def _frame(rs: RootSystem, letters: list, n: int, terms: dict, reserve: int) -> 
 def _y_fixes(rs: RootSystem, mu: CorootVec, f: Mapping[Weight, Mapping[Term, int]], dq: int, dt: int) -> bool:
     """Y^mu f == q^dq t^dt f, exactly, for f = {weight: {(a, b): c}} with integer coefficients.
 
-    Y^mu is the word of _y: T_i^{-1} letters for mu_-, then T_i letters for mu_+.  Each T_i^{-1}
-    runs as t T_i^{-1} = T_i + 1 - t, so with m such letters the word W' = t^m Y^mu has only
-    letters that move t-exponents by 0 or +1, and the check is W' f == q^dq t^(dt + m) f.
+    Y^mu is the word of _y_letters: T_i^{-1} letters for mu_-, then T_i letters for mu_+.  Each
+    T_i^{-1} runs as t T_i^{-1} = T_i + 1 - t, so with m such letters the word W' = t^m Y^mu has
+    only letters that move t-exponents by 0 or +1, and the check is W' f == q^dq t^(dt + m) f.
 
     A frame (k, width, b0) maps the coefficient of e^w, a polynomial g_w, to the integer
     g_w(2^(k width), 2^k) 2^(-k (e_w width + b0)), with e_w a q-offset of its own per weight: the
@@ -297,11 +304,7 @@ def _y_fixes(rs: RootSystem, mu: CorootVec, f: Mapping[Weight, Mapping[Term, int
     words need these checkpoints: the worst-case bound grows by a few bits a letter, and the
     window by one, while the actual coefficients and t-span stay small.
     """
-    if len(mu) != rs.rank:
-        raise ValueError("coroot vector has wrong rank")
-    plus, minus = _dominant_decomposition(rs, mu)
-    letters = ([(i, True) for i in rs.translation_word(minus)] if any(minus) else []) + \
-              ([(i, False) for i in reversed(rs.translation_word(plus))] if any(plus) else [])
+    letters = _y_letters(rs, mu)
     f = {w: c for w, c in f.items() if c}
     if not f:
         return True
@@ -409,32 +412,14 @@ def y_op(rs: RootSystem, mu: CorootVec, f: QTLaurent) -> QTLaurent:
 
 def _dominant_decomposition(rs: RootSystem, mu: CorootVec) -> tuple[CorootVec, CorootVec]:
     """mu = mu_+ - n mu*, mu* the strictly dominant coroot and n >= 0 least: <mu + n mu*, alpha_j>
-    is linear in n with slope >= 1, so n is 0 or the largest ceil(-<mu, alpha_j> / <mu*, alpha_j>)."""
-    base = strictly_dominant_coroot(rs)
+    is linear in n with slope >= 1, so n is 0 (mu dominant, with no mu* needed) or the largest
+    ceil(-<mu, alpha_j> / <mu*, alpha_j>)."""
     simple = [rs.simple_root(j) for j in range(1, rs.rank + 1)]
-    n = max(0, *(-(rs.coroot_pair(mu, a) // rs.coroot_pair(base, a)) for a in simple))
+    if all(rs.coroot_pair(mu, a) >= 0 for a in simple):
+        return tuple(mu), rs.zero()
+    base = rs.strictly_dominant_coroot()
+    n = max(-(rs.coroot_pair(mu, a) // rs.coroot_pair(base, a)) for a in simple)
     return tuple(m + n * b for m, b in zip(mu, base)), tuple(n * b for b in base)
-
-
-def strictly_dominant_coroot(rs: RootSystem) -> CorootVec:
-    """Smallest coroot-lattice vector with all simple-root pairings >= 1 (searched once per root system)."""
-    if "strictly_dominant_coroot" not in rs._caches:
-        for total in range(1, 8 * rs.rank):
-            for c in _compositions(total, rs.rank):
-                if all(rs.coroot_pair(c, rs.simple_root(j + 1)) >= 1 for j in range(rs.rank)):
-                    rs._caches["strictly_dominant_coroot"] = c
-                    return c
-        raise AssertionError("no strictly dominant coroot vector found")
-    return rs._caches["strictly_dominant_coroot"]
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for v in range(total + 1):
-        for rest in _compositions(total - v, parts - 1):
-            yield (v,) + rest
 
 
 def demazure_op(rs: RootSystem, i: int, f: QTLaurent) -> QTLaurent:

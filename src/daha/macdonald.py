@@ -10,8 +10,9 @@ Every E_lam is built from a monomial by intertwiners (Cherednik,
 Nonsymmetric Macdonald polynomials, IMRN 1995; Macdonald, Affine Hecke
 Algebras and Orthogonal Polynomials, ch. 5): a dominant lam by one affine
 step from a lower dominant E, down to e^0 or a minuscule e^omega (_solve),
-any other lam from its dominant seed by finite steps (_climb, _walk).  No
-linear system is solved; y_matrix serves independent checks only.
+any other lam from its dominant seed by finite steps (_climb).  No linear
+system is solved; y_matrix serves independent checks only.  _result alone
+checks the unit coefficient, picks the operator and runs the residual checks.
 
 Every coefficient is one pair (num, den): a QTPoly over {irreducible
 canonical factor: multiplicity}.  Each gap an intertwiner divides by is a
@@ -37,7 +38,7 @@ from typing import Mapping
 from .qt import ONE_P, QTPoly, RatQT, ZERO_P, _canon_unit, _div_packed, div_exact
 from .polyring import _HALF, _Q, Kernel, QTLaurent, _kernel, _pack, _unpack
 from .roots import LESS, EQUAL, RootSystem, Weight, CorootVec, root_system
-from .hecke import _comb, _mono, _shift, _t, _word, _y, _y_fixes, strictly_dominant_coroot, symmetrizer
+from .hecke import _comb, _mono, _shift, _t, _word, _y, _y_fixes, symmetrizer
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -190,10 +191,6 @@ def _cofactor(den: dict[QTPoly, int], part: dict[QTPoly, int]) -> QTPoly:
 # E_lam by intertwiners
 # ---------------------------------------------------------------------------
 
-def mu_star(rs: RootSystem) -> CorootVec:
-    return strictly_dominant_coroot(rs)
-
-
 def mu_candidates(rs: RootSystem, n: int):
     """Strictly dominant coroot vectors to pin E_lam on a lower set of n weights.
 
@@ -214,7 +211,7 @@ def mu_candidates(rs: RootSystem, n: int):
     s fail and one of these points separates them all.  A point equal to an
     earlier candidate is skipped: that candidate has already been tried.
     """
-    base = strictly_dominant_coroot(rs)
+    base = rs.strictly_dominant_coroot()
     yield base
     seen = {base}
     skew = tuple(i + 1 for i in range(rs.rank))
@@ -223,10 +220,8 @@ def mu_candidates(rs: RootSystem, n: int):
         if all(rs.coroot_pair(cand, rs.simple_root(i + 1)) >= 1 for i in range(rs.rank)):
             seen.add(cand)
             yield cand
-    # mu = A^-T c for <mu, alpha_k> = c_k, where root_mat = root_den A^-1
     for s in range(1, (rs.rank - 1) * (n - 1) + 2):
-        c = [s**k for k in range(rs.rank)]
-        cand = tuple(sum(row[i] * ck for row, ck in zip(rs.root_mat, c)) for i in range(rs.rank))
+        cand = rs.scaled_coroot([s**k for k in range(rs.rank)])
         g = gcd(rs.root_den, *cand)
         cand = tuple(x // g for x in cand)
         if cand not in seen:
@@ -265,17 +260,20 @@ def _operator(rs: RootSystem, basis: list[Weight]) -> tuple[CorootVec, list[tupl
 
 
 def nonsym_e(rs: RootSystem, lam: Weight) -> EigenResult:
-    """Nonsymmetric Macdonald polynomial with leading weight lam (see _solve and _walk), on root_system(rs.name).
+    """Nonsymmetric Macdonald polynomial with leading weight lam (see _solve and _climb), on root_system(rs.name).
 
     Each call builds a fresh EigenResult (new term dicts and basis list) from the memoized E of the
     dominant seed, so a caller that mutates it cannot change what later callers get."""
     rs, lam = root_system(rs.name), rs.check_weight(lam)
-    return _result(rs, lam, *_solve(rs.name, lam)) if rs.is_dominant(lam) else _walk(rs, lam)
+    if rs.is_dominant(lam):
+        return _result(rs, lam, *_solve(rs.name, lam))
+    basis = rs.lower_set(lam)
+    return _result(rs, lam, basis, _coefficients(lam, basis, *_climb(rs, lam)))
 
 
 @lru_cache(maxsize=None)
-def _solve(rs_name: str, lam: Weight) -> tuple[list[Weight], tuple[_Frac, ...], CorootVec, tuple[int, int]]:
-    """E_lam for dominant lam: (basis, coefficients, operator, exponents of its eigenvalue).
+def _solve(rs_name: str, lam: Weight) -> tuple[list[Weight], tuple[_Frac, ...]]:
+    """E_lam for dominant lam: (basis, coefficients).
 
     vartheta is the highest short root, l the length of s_vartheta, h = (l - 1)/2 and
     p = <vartheta^vee, lam>.  If p < 2, lam is 0 or minuscule, its lower set is {lam}, and
@@ -294,18 +292,17 @@ def _solve(rs_name: str, lam: Weight) -> tuple[list[Weight], tuple[_Frac, ...], 
     q^A t^B the eigenvalue of Y^{vartheta^vee} on E_mu: m is to alpha_0 what q^-a t^(1-b) is to
     alpha_i in _climb.  E_nu is monic, so a is the coefficient of e^nu in Phi E_mu.  For
     E_mu = f / den, (1 - m) Phi f + (1 - t) t^h m f = a (1 - m) den E_lam; so E_lam is that
-    numerator over den (1 - m), divided by its coefficient at e^lam, which must be a unit.
-    Support in the lower set, that unit and the residual check in _result certify the answer,
-    as lam's eigenvalue is simple on its lower set.  |mu|^2 = |lam|^2 - (p - 1) |vartheta|^2,
-    so the seeds mu_+ descend to p < 2.  Private state: _climb reads its seed from here.
+    numerator over den (1 - m), divided by its coefficient at e^lam, which must be a unit.  Support
+    in the lower set and _result's checks certify it, as lam's eigenvalue is simple on its lower
+    set.  |mu|^2 = |lam|^2 - (p - 1) |vartheta|^2, so the seeds mu_+ descend to p < 2.  Only the
+    coefficients are memoized: _climb reads its seed from here.
     """
     rs = root_system(rs_name)
     basis = rs.lower_set(lam)
-    mu, exps = _operator(rs, basis)
     theta, coroot, word = rs.short_theta()
     p = rs.coroot_pair(coroot, lam)
     if p < 2:
-        return basis, ((ZERO_P, {}),) * (len(basis) - 1) + ((ONE_P, {}),), mu, exps[-1]
+        return basis, ((ZERO_P, {}),) * (len(basis) - 1) + ((ONE_P, {}),)
     nu = tuple(l - (p - 1) * c for l, c in zip(lam, theta))
     den, f = _climb(rs, nu)
     mq, mt = expected_eigen_exponents(rs, nu, coroot)
@@ -317,10 +314,10 @@ def _solve(rs_name: str, lam: Weight) -> tuple[list[Weight], tuple[_Frac, ...], 
     f = _comb((phi, -uq, -ut, sign, 0), (phi, mq - uq, mt - ut, -sign, 0), (f, mq - uq, mt + h - ut, sign, -sign))
     coeffs = _coefficients(lam, basis, den, f)
     lead, part = coeffs[-1]
-    if part or not lead.is_monomial() or abs(next(iter(lead.terms.values()))) != 1:
-        raise AssertionError(f"the affine intertwiner gave e^{lam} a coefficient that is not a unit")
-    ((lq, lt), lc), = lead.terms.items()
-    return basis, tuple((num.shift(-lq, -lt).scale(lc), part) for num, part in coeffs), mu, exps[-1]
+    if part or not lead.is_monomial():
+        return basis, coeffs  # not a unit: _result refuses it
+    ((lq, lt), lc), = lead.terms.items()  # lc is +-1 for a unit: the quotient's lead lc^2 is 1 only then
+    return basis, tuple((num.shift(-lq, -lt).scale(lc), part) for num, part in coeffs)
 
 
 def _climb(rs: RootSystem, lam: Weight) -> tuple[dict[QTPoly, int], Kernel]:
@@ -331,7 +328,7 @@ def _climb(rs: RootSystem, lam: Weight) -> tuple[dict[QTPoly, int], Kernel]:
     q^a t^b the eigenvalue of Y^{alpha_i^vee} on E_mu.  Each step multiplies f by its binomial
     and adds the binomial's factors to den."""
     lam_plus, u = rs.dominant(lam)
-    seed_basis, seed, _, _ = _solve(rs.name, lam_plus)
+    seed_basis, seed = _solve(rs.name, lam_plus)
     den, nums = _over_common_den(seed)
     f = {w: _pack(num.terms) for w, num in zip(seed_basis, nums) if not num.is_zero()}
     nu = lam_plus
@@ -354,26 +351,19 @@ def _coefficients(lam: Weight, basis: list[Weight], den: dict[QTPoly, int], f: K
     return tuple(_reduced_packed(f.get(w, {}), factors) for w in basis)
 
 
-def _walk(rs: RootSystem, lam: Weight) -> EigenResult:
-    """E_lam for non-dominant lam by _climb, certified as in _solve, with the unit 1."""
-    basis = rs.lower_set(lam)
-    coeffs = _coefficients(lam, basis, *_climb(rs, lam))
-    if coeffs[-1] != (ONE_P, {}):
-        raise AssertionError(f"the intertwiners lost the unit coefficient of e^{lam}")
-    mu, exps = _operator(rs, basis)
-    return _result(rs, lam, basis, coeffs, mu, exps[-1])
-
-
 def _is_eigenvector(rs: RootSystem, mu: CorootVec, cleared: QTLaurent, exps: tuple[int, int]) -> bool:
     """Y^mu cleared == q^exps[0] t^exps[1] cleared, exactly."""
     return _y_fixes(rs, mu, _kernel(cleared)[0], *exps)
 
 
-def _result(rs: RootSystem, lam: Weight, basis: list[Weight], coeffs: tuple[_Frac, ...],
-            chosen: CorootVec, exps: tuple[int, int]) -> EigenResult:
-    """The EigenResult of E_lam = sum coeffs[i] e^basis[i], whose eigenvalue under Y^chosen is
-    q^exps[0] t^exps[1], after both exactness checks.  Each coefficient is reduced and its factors
-    are canonical, so the product of its factors is the canonical denominator of its RatQT."""
+def _result(rs: RootSystem, lam: Weight, basis: list[Weight], coeffs: tuple[_Frac, ...]) -> EigenResult:
+    """The EigenResult of E_lam = sum coeffs[i] e^basis[i] (basis the lower set of lam), certified: its
+    e^lam coefficient is 1 and it has the predicted eigenvalues under _operator's Y^chosen and Y^mu*.
+    Each reduced coefficient has canonical factors, whose product is its RatQT's canonical denominator."""
+    if coeffs[-1] != (ONE_P, {}):
+        raise AssertionError(f"the intertwiners gave e^{lam} a coefficient other than 1")
+    chosen, spectrum = _operator(rs, basis)
+    exps = spectrum[-1]
     e = QTLaurent(rs, {w: RatQT(num, _cofactor(den, {}), _reduced=True) for w, (num, den) in zip(basis, coeffs)})
     # clear denominators without any gcd: the factors are already known
     universe, nums = _over_common_den(coeffs)
@@ -383,7 +373,7 @@ def _result(rs: RootSystem, lam: Weight, basis: list[Weight], coeffs: tuple[_Fra
     # polynomial form, which exercises the same Hecke word)
     if not _is_eigenvector(rs, chosen, cleared, exps):
         raise AssertionError("eigen residual is nonzero")
-    default = mu_star(rs)
+    default = rs.strictly_dominant_coroot()
     if chosen != default:
         # report the default operator's eigenvalue: E is a joint eigenvector,
         # so read it off and verify by applying the operator

@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import cache
 
 from .hecke import RelationReport, _comb, _mono, _t, _y
-from .macdonald import mu_star, nonsym_e
+from .macdonald import nonsym_e
 from .polyring import _pack
 from .roots import EQUAL, GREATER, LESS, MAX_BOX, RootSystem, weight_box
 
@@ -117,7 +117,7 @@ def verify_order(rs: RootSystem, bound: int) -> RelationReport:
     report.first_failure(f"reflection compatibility of lower sets ({scope} indices)", reflection_failures())
 
     if rs.irreducible:
-        mstar = mu_star(rs)
+        mstar = rs.strictly_dominant_coroot()
         report.first_failure(f"Y-operator closure of lower sets ({len(box)} weights)", (
             f"Y-image of e^{lam} escapes its lower set" for lam in box
             if not _y(rs, mstar, _mono(lam)).keys() <= lower(lam)))

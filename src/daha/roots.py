@@ -20,6 +20,9 @@ reduced words for translation elements of the affine Weyl group.  The affine
 Weyl group has one implementation, its action on weights: a translation word is
 read off an alcove walk of rho back into the fundamental alcove, reflecting in
 the first separating wall in the order 0..r at each step (see translation_word).
+The coroot mu* of the default Y-operator is an invariant in closed form, rho^vee
+plus the least dominant coweight of its coset (strictly_dominant_coroot).
+Listings of the Weyl group and of W-orbits stop at MAX_ORBIT elements.
 
 Integer root coordinates.  The simple-root coordinates of lam are A^{-1} lam.
 Each RootSystem stores (root_den, root_mat) = (D, M) with M = D A^{-1} an
@@ -68,6 +71,10 @@ _BRAID_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
 # the most integer points a box may hold, and the most weight pairs, alpha_i-string shifts or
 # translation-word letters one step may ask for: far above every use, small enough to refuse first
 MAX_BOX = 1 << 24
+# the most elements a listing of the Weyl group or of one W-orbit may hold: |W(A8)| = 9! = 362,880
+# fits.  Listing W(A9) (10! elements, about 0.9 kB each) ran out of 1 GB at 1.1 million, so it is
+# refused before it starts; the regular orbit of A10 is refused as it passes 2^19 weights, at 120 MB
+MAX_ORBIT = 1 << 19
 
 
 class RootSystem:
@@ -213,6 +220,22 @@ class RootSystem:
             self._caches["short_theta"] = th, coroot, word
         return self._caches["short_theta"]
 
+    def strictly_dominant_coroot(self) -> CorootVec:
+        """mu*: the coroot-lattice vector with every <mu*, alpha_j> >= 1 and the least coordinate sum.
+
+        mu* - rho^vee (rho^vee pairs to 1 with every alpha_j) is a dominant coweight in the coset
+        -rho^vee + Q^vee.  A coset holds one least dominant coweight, 0 or minuscule (Stembridge,
+        The partial order of dominant weights, Adv. Math. 1998), and its other dominant coweights
+        lie above it, with larger sums.  So mu* is the one rho^vee + nu, nu in {0, omega_1^vee, ...,
+        omega_r^vee}, with integer coordinates and the least sum.  Irreducible types only."""
+        if not self.irreducible:
+            raise ValueError(f"{self.name} is reducible: no Y-operators")
+        if "strictly_dominant_coroot" not in self._caches:
+            cands = [self.scaled_coroot([1 + (k == j) for k in range(self.rank)]) for j in range(-1, self.rank)]
+            ints = [tuple(x // self.root_den for x in c) for c in cands if all(x % self.root_den == 0 for x in c)]
+            self._caches["strictly_dominant_coroot"] = min(ints, key=sum)
+        return self._caches["strictly_dominant_coroot"]
+
     # -- affine action ----------------------------------------------------------
 
     def s0_level_one(self, lam: Weight) -> Weight:
@@ -286,6 +309,7 @@ class RootSystem:
         return lam
 
     def orbit(self, lam: Weight) -> set[Weight]:
+        """W lam; a ValueError once it passes MAX_ORBIT weights."""
         seen = {lam}
         frontier = [lam]
         while frontier:
@@ -295,6 +319,8 @@ class RootSystem:
                 if w2 not in seen:
                     seen.add(w2)
                     frontier.append(w2)
+                    if len(seen) > MAX_ORBIT:
+                        raise ValueError(f"the W-orbit of {lam} has more than the {MAX_ORBIT} weights allowed")
         return seen
 
     # -- Weyl group elements ----------------------------------------------------
@@ -303,8 +329,15 @@ class RootSystem:
         """Read-only map from element (images of the fundamental weights) to one reduced word.
 
         Built breadth first, so the elements come in order of length and each word is
-        (i,) + the word of its parent s_i w, which comes earlier."""
+        (i,) + the word of its parent s_i w, which comes earlier.  A group of more than MAX_ORBIT
+        elements is refused before it is built: |W| is the product of (ht alpha + 1) / ht alpha
+        over the positive roots alpha (the Poincare polynomial of W at t = 1; Macdonald, The
+        Poincare series of a Coxeter group, Math. Ann. 1972)."""
         if "weyl" not in self._caches:
+            size = prod(Fraction(sum(c) + 1, sum(c)) for c, _ in self.positive_roots())
+            if size > MAX_ORBIT:
+                raise ValueError(f"the Weyl group of {self.name} has {size} elements, "
+                                 f"more than the {MAX_ORBIT} allowed")
             ident = self.element_of_word(())
             out = {ident: ()}
             frontier = [ident]
@@ -356,6 +389,11 @@ class RootSystem:
     def scaled_root_coords(self, lam: Weight) -> tuple[int, ...]:
         """M lam: root_den times the simple-root coordinates of lam."""
         return tuple(sum(m * l for m, l in zip(row, lam)) for row in self.root_mat)
+
+    def scaled_coroot(self, pairings: Sequence[int]) -> tuple[int, ...]:
+        """root_den times the simple-coroot coordinates of the mu with <mu, alpha_k> = pairings[k]:
+        mu = A^-T pairings, and M = root_den A^-1."""
+        return tuple(sum(row[i] * c for row, c in zip(self.root_mat, pairings)) for i in range(self.rank))
 
     def dominance_leq(self, lam: Weight, mu: Weight) -> bool:
         """lam <= mu in dominance order: mu - lam is a nonnegative integer sum of simple roots."""

@@ -25,7 +25,7 @@ from itertools import product
 
 from .qt import QTPoly, RatQT
 from .polyring import QTLaurent, _sum_terms, specialize_dim
-from .roots import root_system
+from .roots import MAX_BOX, root_system
 from .macdonald import a1_integral_scalar, nonsym_e, eigen_check
 
 Generator = tuple[str, int, int]  # (symbol in {e,h,f}, z-degree, xi-degree)
@@ -324,9 +324,14 @@ def _check_cyclic(rep: FiniteRep, k: int):
 # ---------------------------------------------------------------------------
 
 def fusion(k: int, alphas: tuple | None = None) -> FiniteRep:
-    """Tensor product of k deformed blocks at pairwise distinct parameters."""
+    """Tensor product of k deformed blocks at pairwise distinct parameters.
+
+    Each generator acts on the 4^k basis vectors by columns of at most k entries, so a table of
+    more than MAX_BOX entries (k >= 8) is refused before any block is built."""
     if k < 1:
         raise ValueError("k must be positive")
+    if (entries := len(GENERATORS) * k * 4 ** k) > MAX_BOX:
+        raise ValueError(f"a fusion of {k} blocks has up to {entries} action entries, more than the {MAX_BOX} allowed")
     if alphas is None:
         alphas = tuple(range(1, k + 1))
     alphas = tuple(Fraction(a) for a in alphas)

@@ -35,7 +35,6 @@ from daha.hecke import (
 from daha.macdonald import (
     eigen_check,
     monomial_expand,
-    mu_star,
     nonsym_e,
     sym_p,
     weyl_character,
@@ -152,7 +151,7 @@ def test_criterion_6_eigenvalues():
     counts = []
     for name in ("A1", "A2", "B2"):
         rs = root_system(name)
-        ms = mu_star(rs)
+        ms = rs.strictly_dominant_coroot()
         n = 0
         for lam in weight_box([4] * rs.rank):
             if len(rs.lower_set(lam)) > 40:

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from daha import sl2
 from daha.cli import run
 from daha.polyring import QTLaurent
-from daha.roots import root_system
+from daha.roots import MAX_BOX, MAX_ORBIT, root_system
 
 
 @pytest.fixture
@@ -339,6 +339,30 @@ def test_huge_operator_input_exits_2(argv):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "more than the 16777216 allowed" in proc.stderr
+
+
+# W-sized enumerations past roots.MAX_ORBIT and sl2 tables past MAX_BOX, which ended in a
+# MemoryError under 1 GB (or, for p in A9, ran on in the search for mu* that preceded it): the Weyl
+# group of A9 (3,628,800 elements) for the symmetrizer, the W-orbit of rho in A10 for a lower set,
+# and the 4^12 columns of twelve fused blocks
+@pytest.mark.parametrize("argv, bound", [
+    (("verify", "symmetrizer", "--type", "A9", "--bound", "0"), MAX_ORBIT),
+    (("p", "--type", "A9", "--weight", "1,0,0,0,0,0,0,0,0"), MAX_ORBIT),
+    (("e", "--type", "A10", "--weight", "1,1,1,1,1,1,1,1,1,1"), MAX_ORBIT),
+    (("sl2", "build", "-k", "12"), MAX_BOX),
+], ids=["symmetrizer-A9", "p-A9", "e-A10", "sl2-k12"])
+def test_w_sized_input_exits_2(argv, bound):
+    proc = _run_limited(argv, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert f"more than the {bound} " in proc.stderr
+
+
+def test_high_rank_e_runs():
+    # mu* has a closed form: the search for it gave no answer in A7 within 100 s
+    proc = _run_limited(("e", "--type", "A7", "--weight", "-1,0,0,0,0,0,0"), timeout=30)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("x_1^-1 + ((1-t)/(1-q*t))*x_7 + ")
 
 
 def _option(name, value, attached):

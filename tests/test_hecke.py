@@ -316,7 +316,7 @@ def _searched_decomposition(rs, mu):
     mu + n mu* pair nonnegatively with every positive root, when mu is not dominant already."""
     if all(rs.coroot_pair(mu, wc) >= 0 for _, wc in rs.positive_roots()):
         return tuple(mu), (0,) * rs.rank
-    base = hecke.strictly_dominant_coroot(rs)
+    base = rs.strictly_dominant_coroot()
     n = 1
     while True:
         cand = tuple(m + n * b for m, b in zip(mu, base))

@@ -20,14 +20,12 @@ from daha.polyring import QTLaurent, _unpack, integral_form, laurent_to_json, la
 from daha.macdonald import (
     DegenerateSpectrumError,
     OrderViolationError,
-    _walk,
     a1_integral_scalar,
     classical_demazure,
     eigen_check,
     expected_eigen_exponents,
     monomial_expand,
     mu_candidates,
-    mu_star,
     nonsym_e,
     sym_p,
     weyl_character,
@@ -111,7 +109,7 @@ class TestEigenChecks:
 
     @pytest.mark.parametrize("rs,lam", [(A2, (1, 1)), (A2, (-1, 2)), (B2, (0, 1)), (B2, (1, -1))])
     def test_rank_two(self, rs, lam):
-        chk = eigen_check(rs, lam, mu_star(rs))
+        chk = eigen_check(rs, lam, rs.strictly_dominant_coroot())
         assert chk.ok
 
     def test_eigenvalues_separate(self):
@@ -136,7 +134,7 @@ class TestEigenChecks:
         # mu = -mu* and mu* with its first coordinate negated: outside the dominant cone a negative
         # t-exponent is the prediction, e.g. Y^(-1) E_(-2) = q^-2 t^-2 E_(-2) in A1
         rs = root_system(name)
-        base = mu_star(rs)
+        base = rs.strictly_dominant_coroot()
         mus = [tuple(-m for m in base), (-base[0], *base[1:])]
         t_exps = []
         for lam in weight_box([bound] * rs.rank):
@@ -165,7 +163,7 @@ class TestClosedFormSpectrum:
     @pytest.mark.parametrize("name,bound", [("A1", 6), ("A2", 4), ("B2", 4), ("C2", 4), ("A3", 2), ("A4", 1)])
     def test_matches_the_antidominant_word(self, name, bound):
         rs = root_system(name)
-        base = mu_star(rs)
+        base = rs.strictly_dominant_coroot()
         mus = list(islice(mu_candidates(rs, 40), 12)) + [tuple(-m for m in base)] + [
             tuple(-m if k == i else m for k, m in enumerate(base)) for i in range(rs.rank)]
         assert any(not rs.is_dominant(mu) for mu in mus)
@@ -278,7 +276,7 @@ def _eigensolve(rs, lam):
         if not s.is_zero():
             sign, uq, ut = macdonald._add_gap(den, y - mat[i][i])
             coeffs[i] = macdonald._reduced(s.shift(-uq, -ut).scale(sign), den)
-    return macdonald._result(rs, lam, basis, tuple(coeffs), mu, exps[-1])
+    return macdonald._result(rs, lam, basis, tuple(coeffs))
 
 
 @pytest.fixture
@@ -318,20 +316,20 @@ class TestIntertwinerWalk:
     @pytest.mark.parametrize("lam", [(-2, 2), (2, -2)])
     def test_alternate_operator(self, lam):
         # mu* collides on these lower sets, so the walk must record an alternate, as the eigensolver does
-        assert nonsym_e(A2, lam).mu_used != mu_star(A2)
+        assert nonsym_e(A2, lam).mu_used != A2.strictly_dominant_coroot()
 
     def test_degenerate_where_the_eigensolver_is(self, monkeypatch, fresh_caches):
-        monkeypatch.setattr(macdonald, "mu_candidates", lambda rs, n: iter([mu_star(rs)]))
+        monkeypatch.setattr(macdonald, "mu_candidates", lambda rs, n: iter([rs.strictly_dominant_coroot()]))
         raised = {}
-        for solve in (_walk, _eigensolve):
+        for solve in (nonsym_e, _eigensolve):
             raised[solve] = set()
             for lam in _non_dominant_weights("A2"):
                 try:
                     solve(A2, lam)
                 except DegenerateSpectrumError:
                     raised[solve].add(lam)
-        assert raised[_walk] == raised[_eigensolve]
-        assert {(-2, 2), (2, -2)} <= raised[_walk]
+        assert raised[nonsym_e] == raised[_eigensolve]
+        assert {(-2, 2), (2, -2)} <= raised[nonsym_e]
 
     def test_mutated_seed_does_not_reach_the_walk(self, fresh_caches):
         lam = (-2, 1)
@@ -459,7 +457,7 @@ class TestDegenerateSpectrum:
         rs = root_system(name)
         r = nonsym_e(rs, lam)
         assert r.mu_used == mu
-        assert eigen_check(rs, lam, mu_star(rs), r).ok
+        assert eigen_check(rs, lam, rs.strictly_dominant_coroot(), r).ok
         assert e_at_zero(rs, lam) == demazure_key(rs, lam)
 
 
@@ -557,11 +555,24 @@ class TestCertificate:
         with pytest.raises(AssertionError, match="eigen residual is nonzero"):
             nonsym_e(rs, lam)
 
+    # a multiple of E_lam passes the residual check; only the unit coefficient of e^lam catches it
+    @pytest.mark.parametrize("name, lam", [("B2", (2, 1)), ("A2", (-1, 2))], ids=["affine-step", "walked-A2"])
+    def test_scaled_e_raises(self, monkeypatch, fresh_caches, name, lam):
+        real = macdonald._climb
+
+        def doubled(rs, nu):
+            den, f = real(rs, nu)
+            return den, {w: {k: 2 * v for k, v in c.items()} for w, c in f.items()}
+
+        monkeypatch.setattr(macdonald, "_climb", doubled)
+        with pytest.raises(AssertionError, match="coefficient other than 1"):
+            nonsym_e(root_system(name), lam)
+
     def test_eigen_check_fails(self, monkeypatch):
         r = nonsym_e(A2, (1, 1))
-        assert eigen_check(A2, (1, 1), mu_star(A2), r).ok
+        assert eigen_check(A2, (1, 1), A2.strictly_dominant_coroot(), r).ok
         monkeypatch.setattr(macdonald, "_y_fixes", self._refuse)
-        assert not eigen_check(A2, (1, 1), mu_star(A2), r).ok
+        assert not eigen_check(A2, (1, 1), A2.strictly_dominant_coroot(), r).ok
 
     @pytest.mark.parametrize("delta", [1, -1])
     def test_one_coefficient_off_fails(self, delta):
@@ -581,7 +592,7 @@ class TestCertificate:
 class TestFreshResults:
     def test_mutating_a_result_changes_no_later_answer(self, fresh_caches):
         lam = (1, 1)
-        ms = mu_star(A2)
+        ms = A2.strictly_dominant_coroot()
         before = _fields(nonsym_e(A2, lam))
         p_before = laurent_to_json(sym_p(A2, lam))
         r = nonsym_e(A2, lam)

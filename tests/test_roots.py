@@ -2,13 +2,14 @@
 
 import json
 from fractions import Fraction
+from itertools import count
 from math import lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from daha import orders
+from daha import orders, roots
 from daha.hecke import dl_op
 from daha.macdonald import nonsym_e, sym_p
 from daha.orders import verify_order
@@ -19,6 +20,7 @@ from daha.roots import (
     GREATER,
     INCOMPARABLE,
     LESS,
+    MAX_ORBIT,
     RootSystem,
     root_system,
     weight_box,
@@ -564,3 +566,97 @@ class TestTranslationWords:
         word = A1.translation_word((1,))
         assert A1.apply_word(word, (0,), affine=True) == (2,)
         assert A1.apply_word(word, (3,), affine=True) == (5,)
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for v in range(total + 1):
+        for rest in _compositions(total - v, parts - 1):
+            yield (v,) + rest
+
+
+def _searched_strictly_dominant_coroot(rs):
+    """mu* by the search the closed form replaced: the first composition of 1, 2, 3, ... into
+    rank parts that pairs to at least 1 with every simple root."""
+    for total in count(1):
+        for c in _compositions(total, rs.rank):
+            if all(rs.coroot_pair(c, rs.simple_root(j)) >= 1 for j in range(1, rs.rank + 1)):
+                return c
+
+
+def _pairings_below(rs, scaled_sum):
+    """Every pairing vector c >= 1 of a coweight mu with root_den * (coordinate sum of mu) below
+    scaled_sum: that sum is sum_k c_k h_k, h_k the k-th row sum of root_mat = root_den A^-1,
+    which is positive in an irreducible type."""
+    h = [sum(row) for row in rs.root_mat]
+    assert min(h) > 0
+
+    def extend(prefix, used):
+        k = len(prefix)
+        if k == rs.rank:
+            yield tuple(prefix)
+            return
+        c = 1
+        while used + c * h[k] + sum(h[k + 1:]) < scaled_sum:
+            yield from extend(prefix + [c], used + c * h[k])
+            c += 1
+    return list(extend([], 0))
+
+
+class TestStrictlyDominantCoroot:
+    @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "C2"])
+    def test_matches_the_search(self, name):
+        rs = root_system(name)
+        assert rs.strictly_dominant_coroot() == _searched_strictly_dominant_coroot(rs)
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_least_in_high_rank(self, n):
+        # the search gives no answer in A7 within 100 s; here every pairing vector of a
+        # coweight with a smaller coordinate sum is listed, and none lies in the coroot lattice
+        rs = root_system(f"A{n}")
+        mu = rs.strictly_dominant_coroot()
+        assert all(isinstance(x, int) for x in mu)
+        pairings = tuple(rs.coroot_pair(mu, rs.simple_root(j)) for j in range(1, n + 1))
+        assert min(pairings) >= 1
+        assert pairings in _pairings_below(rs, rs.root_den * sum(mu) + 1)  # the listing reaches mu* itself
+        smaller = _pairings_below(rs, rs.root_den * sum(mu))
+        assert smaller or n % 2 == 0  # rho^vee itself lies in the coroot lattice of A_n only for even n
+        for c in smaller:
+            scaled = rs.scaled_coroot(c)
+            assert any(x % rs.root_den for x in scaled), c
+
+    def test_scaled_coroot_inverts_the_pairing(self):
+        for name in ("A3", "B2", "C2"):
+            rs = root_system(name)
+            for c in [(1,) * rs.rank, tuple(range(1, rs.rank + 1))]:
+                scaled = rs.scaled_coroot(c)
+                assert [rs.coroot_pair(scaled, rs.simple_root(j)) for j in range(1, rs.rank + 1)] == \
+                    [rs.root_den * x for x in c]
+
+    def test_reducible_has_none(self):
+        with pytest.raises(ValueError, match="reducible"):
+            A1A1.strictly_dominant_coroot()
+
+
+class TestWeylBounds:
+    def test_a9_group_is_refused_before_it_is_built(self):
+        rs = RootSystem("A9")
+        with pytest.raises(ValueError, match=f"A9 has 3628800 elements, more than the {MAX_ORBIT} allowed"):
+            rs.weyl_elements()
+        assert "weyl" not in rs._caches
+
+    def test_group_at_the_bound(self, monkeypatch):
+        monkeypatch.setattr(roots, "MAX_ORBIT", 24)
+        assert len(RootSystem("A3").weyl_elements()) == 24
+        monkeypatch.setattr(roots, "MAX_ORBIT", 23)
+        with pytest.raises(ValueError, match="A3 has 24 elements, more than the 23 allowed"):
+            RootSystem("A3").weyl_elements()
+
+    def test_orbit_at_the_bound(self, monkeypatch):
+        monkeypatch.setattr(roots, "MAX_ORBIT", 24)
+        assert len(RootSystem("A3").orbit((1, 1, 1))) == 24
+        monkeypatch.setattr(roots, "MAX_ORBIT", 23)
+        with pytest.raises(ValueError, match=r"orbit of \(1, 1, 1\) has more than the 23 weights allowed"):
+            RootSystem("A3").orbit((1, 1, 1))

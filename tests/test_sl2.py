@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from daha import sl2
 from daha.qt import QTPoly, RatQT, rat
 from daha.roots import root_system
 from daha.polyring import QTLaurent, laurent_to_text, specialize_dim
@@ -149,6 +150,12 @@ class TestFusion:
     def test_distinctness_required(self):
         with pytest.raises(ValueError):
             fusion(2, (1, 1))
+
+    def test_tables_past_max_box_refused(self, monkeypatch):
+        # 40 generators times k entries in each of 4^k columns: k = 7 fits 2^24, k = 8 does not
+        monkeypatch.setattr(sl2, "deformed_block", None)  # refused before any block is built
+        with pytest.raises(ValueError, match="a fusion of 8 blocks has up to 20971520 action entries"):
+            fusion(8)
 
     def test_dimension_and_cyclicity(self):
         rep = fusion(2, (1, 2))
