@@ -169,9 +169,9 @@ def _dword(rs: RootSystem, word: WeylWord, f: Kernel) -> Kernel:
 def _sym(rs: RootSystem, f: Kernel) -> Kernel:
     """P f = sum over the finite Weyl group of T_w f, on the kernel form.
 
-    weyl_elements() is built breadth first, and each word there is (i,) + the word of its
-    parent s_i w, listed earlier; so T_w f = T_i (T_{s_i w} f) costs one T_i per element
-    instead of one per letter, and the images are the kernels _word would build."""
+    weyl_elements() keys each w by w rho and is built breadth first, and each word there is
+    (i,) + the word of its parent s_i w, listed earlier; so T_w f = T_i (T_{s_i w} f) costs one
+    T_i per element instead of one per letter, and the images are the kernels _word would build."""
     images: dict[WeylWord, Kernel] = {}
     for word in rs.weyl_elements().values():
         images[word] = _t(rs, word[0], images[word[1:]]) if word else f
@@ -427,16 +427,10 @@ def demazure_op(rs: RootSystem, i: int, f: QTLaurent) -> QTLaurent:
     return _lifted(rs, lambda k: _d(rs, i, k), f)
 
 
-def _checked(rs: RootSystem, word: WeylWord, lam: Weight) -> Weight:
-    """lam as a tuple, after checking it and the word over the finite indices against rs."""
-    if any(not 1 <= i <= rs.rank for i in word):
-        raise ValueError(f"demazure_char takes a word over the finite indices 1..{rs.rank}")
-    return rs.check_weight(lam)
-
-
 def demazure_char(rs: RootSystem, word: WeylWord, lam: Weight) -> QTLaurent:
     """(T_{i_1}+1) ... (T_{i_k}+1) e^lam for a word over the finite indices."""
-    return _lifted(rs, lambda k: _dword(rs, word, k), QTLaurent.mono(rs, _checked(rs, word, lam)))
+    word = rs.check_word(word)
+    return _lifted(rs, lambda k: _dword(rs, word, k), QTLaurent.mono(rs, rs.check_weight(lam)))
 
 
 def symmetrizer(rs: RootSystem, f: QTLaurent) -> QTLaurent:
@@ -571,6 +565,15 @@ def _classical(rs: RootSystem, word: WeylWord, lam: Weight) -> dict[Weight, int]
     return {w: v for w, c in _dword(rs, word, _mono(lam)).items() if (v := c.get(0))}
 
 
+def _reduced_word_letters(rs: RootSystem) -> int:
+    """The letters of all reduced words of all elements of W, counted without listing a word: w has as
+    many as the s_i w over its descents i together, each listed before w, and the identity has one."""
+    counts: dict[Weight, int] = {}
+    for elt in rs.weyl_elements():
+        counts[elt] = sum(counts[rs.reflect(i, elt)] for i in range(1, rs.rank + 1) if elt[i - 1] < 0) or 1
+    return sum(n * len(word) for n, word in zip(counts.values(), rs.weyl_elements().values()))
+
+
 def verify_demazure(rs: RootSystem, bound: int) -> RelationReport:
     """Word comparison of iterated Demazure operators plus the quadratic law.
 
@@ -582,6 +585,10 @@ def verify_demazure(rs: RootSystem, bound: int) -> RelationReport:
     character of the rank-2 parabolic induction.  Both are verified here,
     together with the exact shape of the defect.
     """
+    letters = _reduced_word_letters(rs)
+    if letters > MAX_BOX:
+        raise ValueError(f"the reduced words of the Weyl group of {rs.name} have {letters} letters, "
+                         f"more than the {MAX_BOX} allowed")
     report = RelationReport(f"Demazure properties for {rs.name}")
     box = weight_box([bound] * rs.rank)
     doms = [lam for lam in box if rs.is_dominant(lam)]

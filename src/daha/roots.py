@@ -22,7 +22,10 @@ read off an alcove walk of rho back into the fundamental alcove, reflecting in
 the first separating wall in the order 0..r at each step (see translation_word).
 The coroot mu* of the default Y-operator is an invariant in closed form, rho^vee
 plus the least dominant coweight of its coset (strictly_dominant_coroot).
-Listings of the Weyl group and of W-orbits stop at MAX_ORBIT elements.
+An element w of the finite Weyl group is keyed by the weight w rho: rho is
+regular, so w -> w rho is one-to-one, and s_i w < w iff <alpha_i^vee, w rho>
+< 0 (Bjorner-Brenti, GTM 231, 4.4).  Listings of the Weyl group and of W-orbits
+stop at MAX_ORBIT elements.
 
 Integer root coordinates.  The simple-root coordinates of lam are A^{-1} lam.
 Each RootSystem stores (root_den, root_mat) = (D, M) with M = D A^{-1} an
@@ -72,7 +75,7 @@ _BRAID_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
 # translation-word letters one step may ask for: far above every use, small enough to refuse first
 MAX_BOX = 1 << 24
 # the most elements a listing of the Weyl group or of one W-orbit may hold: |W(A8)| = 9! = 362,880
-# fits.  Listing W(A9) (10! elements, about 0.9 kB each) ran out of 1 GB at 1.1 million, so it is
+# fits.  Listing W(A9) (10! elements, about 0.4 kB each) ran out of 1 GB at 2.6 million, so it is
 # refused before it starts; the regular orbit of A10 is refused as it passes 2^19 weights, at 120 MB
 MAX_ORBIT = 1 << 19
 
@@ -95,6 +98,7 @@ class RootSystem:
         self.name = key
         self.cartan = cartan
         self.rank = len(cartan)
+        self.rho = (1,) * self.rank  # the sum of the fundamental weights, regular
         self._simple_roots = tuple(zip(*cartan))  # alpha_i is column i of the Cartan matrix
         self.irreducible = key != "A1XA1"
         # symmetrizers d_i with d_i A_ij = d_j A_ji, smallest positive integers
@@ -214,9 +218,8 @@ class RootSystem:
             dmin = min(self.d)
             th = self.dominant(self.simple_root(self.d.index(dmin) + 1))[0]
             coroot = tuple(c * d // (self.root_den * dmin) for c, d in zip(self.scaled_root_coords(th), self.d))
-            rho = (1,) * self.rank
-            m = self.coroot_pair(coroot, rho)
-            word = self.dominant(tuple(r - m * c for r, c in zip(rho, th)))[1]
+            m = self.coroot_pair(coroot, self.rho)
+            word = self.dominant(tuple(r - m * c for r, c in zip(self.rho, th)))[1]
             self._caches["short_theta"] = th, coroot, word
         return self._caches["short_theta"]
 
@@ -302,9 +305,16 @@ class RootSystem:
             else:
                 return lam, tuple(reversed(letters))
 
+    def check_word(self, word: Sequence[int], affine: bool = False) -> WeylWord:
+        """word as a tuple; ValueError unless its letters lie in 1..r (0..r when affine, irreducible types only)."""
+        low = 0 if affine and self.irreducible else 1
+        if any(not low <= i <= self.rank for i in word):
+            raise ValueError(f"word {tuple(word)} has a letter outside {low}..{self.rank}, the letters of {self.name}")
+        return tuple(word)
+
     def apply_word(self, word: WeylWord, lam: Weight, affine: bool = False) -> Weight:
-        """w(lam) for w given as a word, first letter applied last."""
-        for i in reversed(word):
+        """w(lam) for w given as a word, first letter applied last; its letters as check_word takes them."""
+        for i in reversed(self.check_word(word, affine)):
             lam = self.reflect_affine(i, lam) if affine else self.reflect(i, lam)
         return lam
 
@@ -325,8 +335,8 @@ class RootSystem:
 
     # -- Weyl group elements ----------------------------------------------------
 
-    def weyl_elements(self) -> Mapping[tuple[Weight, ...], WeylWord]:
-        """Read-only map from element (images of the fundamental weights) to one reduced word.
+    def weyl_elements(self) -> Mapping[Weight, WeylWord]:
+        """Read-only map from element w, keyed by the weight w rho, to one reduced word.
 
         Built breadth first, so the elements come in order of length and each word is
         (i,) + the word of its parent s_i w, which comes earlier.  A group of more than MAX_ORBIT
@@ -338,51 +348,33 @@ class RootSystem:
             if size > MAX_ORBIT:
                 raise ValueError(f"the Weyl group of {self.name} has {size} elements, "
                                  f"more than the {MAX_ORBIT} allowed")
-            ident = self.element_of_word(())
-            out = {ident: ()}
-            frontier = [ident]
-            while frontier:
-                nxt = []
-                for elt in frontier:
-                    word = out[elt]
-                    for i in range(1, self.rank + 1):
-                        # s_i * w: apply s_i after w
-                        elt2 = tuple(self.reflect(i, im) for im in elt)
-                        if elt2 not in out:
-                            out[elt2] = (i,) + word
-                            nxt.append(elt2)
-                frontier = nxt
+            out, queue = {self.rho: ()}, [self.rho]
+            for elt in queue:  # first in, first out: breadth first
+                for i in range(1, self.rank + 1):
+                    elt2 = self.reflect(i, elt)  # s_i w rho
+                    if elt2 not in out:
+                        out[elt2] = (i,) + out[elt]
+                        queue.append(elt2)
             self._caches["weyl"] = out
         return MappingProxyType(self._caches["weyl"])
 
-    def element_of_word(self, word: WeylWord) -> tuple[Weight, ...]:
-        fw = [tuple(1 if k == i else 0 for k in range(self.rank)) for i in range(self.rank)]
-        return tuple(self.apply_word(word, f) for f in fw)
+    def element_of_word(self, word: WeylWord) -> Weight:
+        """The key w rho of the element w that a word over 1..r spells."""
+        return self.apply_word(word, self.rho)
 
     def length(self, word: WeylWord) -> int:
-        return len(self.weyl_elements()[self.element_of_word(word)])
+        """The length of the element a word spells, reduced or not: its chamber walk back to rho."""
+        return len(self.dominant(self.element_of_word(word))[1])
 
     def longest_word(self) -> WeylWord:
-        return max(self.weyl_elements().values(), key=len)
+        """A reduced word of w0, the element that takes -rho to rho."""
+        return self.dominant((-1,) * self.rank)[1]
 
-    def reduced_words(self, elt: tuple[Weight, ...]) -> list[WeylWord]:
-        """All reduced words of a Weyl group element."""
-        out = []
-        ident = self.element_of_word(())
-
-        def rec(cur, prefix):
-            k = len(self.weyl_elements()[cur])
-            if cur == ident:
-                out.append(tuple(prefix))
-                return
-            for i in range(1, self.rank + 1):
-                nxt = tuple(self.reflect(i, im) for im in cur)
-                if len(self.weyl_elements()[nxt]) == k - 1:
-                    # cur = s_i * nxt, so the word extends on the left
-                    rec(nxt, prefix + [i])
-
-        rec(elt, [])
-        return out
+    def reduced_words(self, elt: Weight) -> list[WeylWord]:
+        """All reduced words of the element keyed elt = w rho: one i followed by each reduced word of
+        s_i w, for each descent i (elt[i-1] < 0) in turn."""
+        descents = [i for i in range(1, self.rank + 1) if elt[i - 1] < 0]
+        return [(i,) + w for i in descents for w in self.reduced_words(self.reflect(i, elt))] if descents else [()]
 
     # -- lattice membership -------------------------------------------------------
 
@@ -475,11 +467,10 @@ class RootSystem:
                 raise ValueError(f"a translation word of {sum(pairings)} letters is more than the {MAX_BOX} allowed")
             letters = []
             if any(pairings):
-                rho = (1,) * self.rank
-                level = self.theta_pair(rho) + 1
+                level = self.theta_pair(self.rho) + 1
                 theta = self.theta()
-                y = self.sub(rho, tuple(level * c for c in self.translation_image(mu)))
-                while y != rho:
+                y = self.sub(self.rho, tuple(level * c for c in self.translation_image(mu)))
+                while y != self.rho:
                     h = self.theta_pair(y)
                     if h > level:
                         y = tuple(a + (level - h) * b for a, b in zip(y, theta))

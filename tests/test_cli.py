@@ -358,6 +358,14 @@ def test_w_sized_input_exits_2(argv, bound):
     assert f"more than the {bound} " in proc.stderr
 
 
+def test_demazure_word_listing_is_refused_before_it_starts():
+    # the reduced words of W(A6) hold 7.6 * 10^10 letters; the suite would compare them all
+    proc = _run_limited(("verify", "demazure", "--type", "A6", "--bound", "0"), timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: the reduced words of the Weyl group of A6 have 75781907152 letters, "
+                           f"more than the {MAX_BOX} allowed\n")
+
+
 def test_high_rank_e_runs():
     # mu* has a closed form: the search for it gave no answer in A7 within 100 s
     proc = _run_limited(("e", "--type", "A7", "--weight", "-1,0,0,0,0,0,0"), timeout=30)

@@ -136,6 +136,11 @@ class TestDemazure:
             one_plus_t
         )
 
+    @pytest.mark.parametrize("word", [(0,), (2,), (1, -1)])
+    def test_letters_outside_the_finite_indices(self, word):
+        with pytest.raises(ValueError, match=r"has a letter outside 1\.\.1, the letters of A1"):
+            demazure_char(A1, word, (3,))
+
 
 class TestSymmetrizer:
     def test_on_one(self):
@@ -181,6 +186,20 @@ class TestSuites:
     def test_demazure_suite(self, name):
         report = verify_demazure(root_system(name), 2)
         assert report.passed, report.lines()
+
+    @pytest.mark.parametrize("name", ["A1", "A1xA1", "A2", "B2", "C2", "A3", "A4"])
+    def test_word_letters_are_counted_without_listing(self, name):
+        rs = root_system(name)
+        listed = sum(len(w) for elt in rs.weyl_elements() for w in rs.reduced_words(elt))
+        assert hecke._reduced_word_letters(rs) == listed
+
+    def test_demazure_words_at_the_bound(self, monkeypatch):
+        # the reduced words of W(A3) hold 277 letters
+        monkeypatch.setattr(hecke, "MAX_BOX", 277)
+        assert verify_demazure(RootSystem("A3"), 0).passed
+        monkeypatch.setattr(hecke, "MAX_BOX", 276)
+        with pytest.raises(ValueError, match="Weyl group of A3 have 277 letters, more than the 276 allowed"):
+            verify_demazure(RootSystem("A3"), 0)
 
     def test_braid_defect_is_what_blocks_word_independence(self):
         # the operator products along the two reduced words differ by exactly

@@ -2,7 +2,7 @@
 
 import json
 from fractions import Fraction
-from itertools import count
+from itertools import count, product
 from math import lcm
 from pathlib import Path
 
@@ -197,6 +197,111 @@ class TestWeylGroup:
             (1, 2, 1, 2),
             (2, 1, 2, 1),
         ]
+
+
+# The reference model of the Weyl group for the differential tests below: each element keyed by the
+# r images of the fundamental weights, every image reflected at each step, and reduced words found
+# by looking up the length of every prefix.  It shares only reflect with RootSystem.
+
+def _image_of_word(rs, word):
+    images = []
+    for k in range(rs.rank):
+        lam = tuple(int(j == k) for j in range(rs.rank))
+        for i in reversed(word):
+            lam = rs.reflect(i, lam)
+        images.append(lam)
+    return tuple(images)
+
+
+def _image_weyl_elements(rs):
+    """Element (images of the fundamental weights) -> reduced word, breadth first."""
+    ident = _image_of_word(rs, ())
+    out = {ident: ()}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for elt in frontier:
+            for i in range(1, rs.rank + 1):
+                elt2 = tuple(rs.reflect(i, im) for im in elt)
+                if elt2 not in out:
+                    out[elt2] = (i,) + out[elt]
+                    nxt.append(elt2)
+        frontier = nxt
+    return out
+
+
+def _image_reduced_words(rs, elements, elt):
+    """Every reduced word of elt: s_i extends a word on the left when s_i elt is one shorter."""
+    out = []
+    ident = _image_of_word(rs, ())
+
+    def rec(cur, prefix):
+        k = len(elements[cur])
+        if cur == ident:
+            out.append(tuple(prefix))
+            return
+        for i in range(1, rs.rank + 1):
+            nxt = tuple(rs.reflect(i, im) for im in cur)
+            if len(elements[nxt]) == k - 1:
+                rec(nxt, prefix + [i])
+
+    rec(elt, [])
+    return out
+
+
+class TestWeylKeyMatchesImageModel:
+    @pytest.mark.parametrize("name", ["A1", "A1xA1", "A2", "B2", "C2", "A3", "A4", "A5"])
+    def test_same_words_in_the_same_order(self, name):
+        rs = root_system(name)
+        assert list(rs.weyl_elements().values()) == list(_image_weyl_elements(rs).values())
+
+    @pytest.mark.parametrize("name", ["A1", "A1xA1", "A2", "B2", "C2", "A3", "A4", "A5"])
+    def test_same_longest_word(self, name):
+        rs = root_system(name)
+        assert rs.longest_word() == max(_image_weyl_elements(rs).values(), key=len)
+
+    @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "C2"])
+    def test_same_reduced_words(self, name):
+        rs = root_system(name)
+        elements = _image_weyl_elements(rs)
+        for elt, word in elements.items():
+            assert rs.reduced_words(rs.element_of_word(word)) == _image_reduced_words(rs, elements, elt), word
+
+    @pytest.mark.parametrize("name", ["A1", "A1xA1", "A2", "B2", "C2", "A3", "A4"])
+    def test_same_length_on_every_short_word(self, name):
+        rs = root_system(name)
+        elements = _image_weyl_elements(rs)
+        letters = range(1, rs.rank + 1)
+        for k in range(7):
+            for word in product(letters, repeat=k):
+                assert rs.length(word) == len(elements[_image_of_word(rs, word)]), word
+
+    def test_length_of_words_that_are_not_reduced(self):
+        assert A2.length((1, 1)) == 0
+        assert A2.length((1, 2, 1, 2)) == 2
+        assert B2.length((1, 2, 1, 2, 1)) == 3
+
+
+class TestWordCheck:
+    def test_letter_zero_is_not_finite(self):
+        with pytest.raises(ValueError, match=r"word \(0,\) has a letter outside 1\.\.2"):
+            A2.apply_word((0,), (0, 1))
+        with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+            A2.length((0,))
+
+    def test_letter_past_the_rank(self):
+        with pytest.raises(ValueError, match=r"word \(3,\) has a letter outside 1\.\.2"):
+            A2.length((3,))
+        with pytest.raises(ValueError, match=r"word \(1, -1\) has a letter outside 1\.\.2"):
+            A2.apply_word((1, -1), (0, 1))
+
+    def test_affine_letters(self):
+        assert A2.apply_word((0,), (0, 0), affine=True) == (1, 1)
+        with pytest.raises(ValueError, match=r"word \(3,\) has a letter outside 0\.\.2"):
+            A2.apply_word((3,), (0, 0), affine=True)
+        # a reducible type has no affine node
+        with pytest.raises(ValueError, match=r"word \(0,\) has a letter outside 1\.\.2"):
+            A1A1.apply_word((0,), (0, 0), affine=True)
 
 
 class TestSharedCaches:
