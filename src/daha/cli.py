@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from contextlib import nullcontext
@@ -49,6 +48,8 @@ def _parse_weight(text: str) -> tuple[int, ...]:
 
 def _emit(f: QTLaurent, fmt: str) -> str:
     if fmt == "json":
+        import json  # only JSON output and input need it, so the other calls start faster
+
         return json.dumps(laurent_to_json(f), separators=(",", ":"))
     if fmt == "latex":
         return laurent_to_latex(f)
@@ -89,6 +90,8 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_y(args) -> int:
+    import json
+
     rs = root_system(args.type)
     mu = _parse_weight(args.mu)
     if args.apply == "-":
@@ -231,7 +234,7 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _COMMANDS[args.verb](args)
-    except (ValueError, KeyError, ZeroDivisionError, OverflowError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, ZeroDivisionError, OverflowError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -44,9 +44,8 @@ records its first counterexample through RelationReport.first_failure.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from operator import itemgetter
-from typing import Iterable, Mapping
 
 from .qt import QTPoly, RatQT, Term
 from .polyring import _Q, Kernel, QTLaurent, _kernel, _pack, _unpack
@@ -442,10 +441,14 @@ def symmetrizer(rs: RootSystem, f: QTLaurent) -> QTLaurent:
 # relation verification
 # ---------------------------------------------------------------------------
 
-@dataclass
 class RelationReport:
-    title: str
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
+    """A titled list of named checks, each (name, passed, detail)."""
+
+    __slots__ = ("title", "checks")
+
+    def __init__(self, title: str, checks: list[tuple[str, bool, str]] | None = None):
+        self.title = title
+        self.checks = [] if checks is None else checks
 
     def record(self, name: str, ok: bool, detail: str = ""):
         self.checks.append((name, ok, detail))

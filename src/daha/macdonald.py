@@ -30,10 +30,9 @@ character used as an independent specialization oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
 from functools import lru_cache
 from math import gcd
-from typing import Mapping
 
 from .qt import ONE_P, QTPoly, RatQT, ZERO_P, _canon_unit, _div_packed, div_exact
 from .polyring import _HALF, _Q, Kernel, QTLaurent, _kernel, _pack, _unpack
@@ -49,18 +48,21 @@ class OrderViolationError(RuntimeError):
     """Y-operator image escaped the lower set: ordering or operator bug."""
 
 
-@dataclass
 class EigenResult:
-    e_poly: QTLaurent
-    eigenvalue: RatQT
-    basis: list[Weight]
-    conjectural: bool  # non-dominant weights sit outside the proved dominant case
-    # denominator-cleared companion: cleared = clearing * e_poly with polynomial
-    # coefficients; operator identities are checked on this form, where the
-    # Hecke action never needs a gcd
-    cleared: QTLaurent
-    clearing: QTPoly
-    mu_used: CorootVec  # which Y-operator pinned the solve
+    __slots__ = ("e_poly", "eigenvalue", "basis", "conjectural", "cleared", "clearing", "mu_used")
+
+    def __init__(self, e_poly: QTLaurent, eigenvalue: RatQT, basis: list[Weight], conjectural: bool,
+                 cleared: QTLaurent, clearing: QTPoly, mu_used: CorootVec):
+        self.e_poly = e_poly
+        self.eigenvalue = eigenvalue
+        self.basis = basis
+        self.conjectural = conjectural  # non-dominant weights sit outside the proved dominant case
+        # denominator-cleared companion: cleared = clearing * e_poly with polynomial
+        # coefficients; operator identities are checked on this form, where the
+        # Hecke action never needs a gcd
+        self.cleared = cleared
+        self.clearing = clearing
+        self.mu_used = mu_used  # which Y-operator pinned the solve
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +70,7 @@ class EigenResult:
 # ---------------------------------------------------------------------------
 
 _Frac = tuple[QTPoly, dict[QTPoly, int]]  # num / prod(f^m for f, m in den.items())
+LowerSets = Callable[[Weight], list[Weight]]  # lam -> the lower set of lam
 
 
 @lru_cache(maxsize=None)
@@ -265,15 +268,25 @@ def nonsym_e(rs: RootSystem, lam: Weight) -> EigenResult:
     Each call builds a fresh EigenResult (new term dicts and basis list) from the memoized E of the
     dominant seed, so a caller that mutates it cannot change what later callers get."""
     rs, lam = root_system(rs.name), rs.check_weight(lam)
+    return _nonsym_e(rs, lam, rs.lower_set)
+
+
+def _nonsym_e(rs: RootSystem, lam: Weight, lower_set: LowerSets) -> EigenResult:
+    """nonsym_e on rs = root_system(rs.name), taking every lower set it builds from lower_set, which
+    must give rs's: a caller that holds them already (orders.verify_order) does not build them again."""
     if rs.is_dominant(lam):
-        return _result(rs, lam, *_solve(rs.name, lam))
-    basis = rs.lower_set(lam)
-    return _result(rs, lam, basis, _coefficients(lam, basis, *_climb(rs, lam)))
+        return _result(rs, lam, *_solve(rs, lam, lower_set))
+    basis = lower_set(lam)
+    return _result(rs, lam, basis, _coefficients(lam, basis, *_climb(rs, lam, lower_set)))
 
 
-@lru_cache(maxsize=None)
-def _solve(rs_name: str, lam: Weight) -> tuple[list[Weight], tuple[_Frac, ...]]:
-    """E_lam for dominant lam: (basis, coefficients).
+# the memo of _solve: (type name, dominant lam) -> (basis, coefficients)
+_solved: dict[tuple[str, Weight], tuple[list[Weight], tuple[_Frac, ...]]] = {}
+
+
+def _solve(rs: RootSystem, lam: Weight, lower_set: LowerSets) -> tuple[list[Weight], tuple[_Frac, ...]]:
+    """E_lam for dominant lam on rs = root_system(rs.name): (basis, coefficients), with basis =
+    lower_set(lam); memoized in _solved, so lower sets are built on a miss only.
 
     vartheta is the highest short root, l the length of s_vartheta, h = (l - 1)/2 and
     p = <vartheta^vee, lam>.  If p < 2, lam is 0 or minuscule, its lower set is {lam}, and
@@ -297,14 +310,21 @@ def _solve(rs_name: str, lam: Weight) -> tuple[list[Weight], tuple[_Frac, ...]]:
     set.  |mu|^2 = |lam|^2 - (p - 1) |vartheta|^2, so the seeds mu_+ descend to p < 2.  Only the
     coefficients are memoized: _climb reads its seed from here.
     """
-    rs = root_system(rs_name)
-    basis = rs.lower_set(lam)
+    key = rs.name, lam
+    if key not in _solved:
+        _solved[key] = _solve_fresh(rs, lam, lower_set)
+    return _solved[key]
+
+
+def _solve_fresh(rs: RootSystem, lam: Weight, lower_set: LowerSets) -> tuple[list[Weight], tuple[_Frac, ...]]:
+    """_solve without the memo."""
+    basis = lower_set(lam)
     theta, coroot, word = rs.short_theta()
     p = rs.coroot_pair(coroot, lam)
     if p < 2:
         return basis, ((ZERO_P, {}),) * (len(basis) - 1) + ((ONE_P, {}),)
     nu = tuple(l - (p - 1) * c for l, c in zip(lam, theta))
-    den, f = _climb(rs, nu)
+    den, f = _climb(rs, nu, lower_set)
     mq, mt = expected_eigen_exponents(rs, nu, coroot)
     mq, mt = mq + 1, mt - sum(coroot)  # m = q^mq t^mt; rho = (1, ..., 1), so <vartheta^vee, rho> = sum(coroot)
     sign, uq, ut = _add_gap(den, QTPoly({(0, 0): 1, (mq, mt): -1}))
@@ -320,7 +340,7 @@ def _solve(rs_name: str, lam: Weight) -> tuple[list[Weight], tuple[_Frac, ...]]:
     return basis, tuple((num.shift(-lq, -lt).scale(lc), part) for num, part in coeffs)
 
 
-def _climb(rs: RootSystem, lam: Weight) -> tuple[dict[QTPoly, int], Kernel]:
+def _climb(rs: RootSystem, lam: Weight, lower_set: LowerSets) -> tuple[dict[QTPoly, int], Kernel]:
     """(den, f) with E_lam = f / prod(den): E_{lam_+} from _solve, walked up to lam by finite intertwiners.
 
     With u lam = lam_+, the letters of u lead lam_+ up its orbit to lam; each step mu -> s_i mu
@@ -328,7 +348,7 @@ def _climb(rs: RootSystem, lam: Weight) -> tuple[dict[QTPoly, int], Kernel]:
     q^a t^b the eigenvalue of Y^{alpha_i^vee} on E_mu.  Each step multiplies f by its binomial
     and adds the binomial's factors to den."""
     lam_plus, u = rs.dominant(lam)
-    seed_basis, seed = _solve(rs.name, lam_plus)
+    seed_basis, seed = _solve(rs, lam_plus, lower_set)
     den, nums = _over_common_den(seed)
     f = {w: _pack(num.terms) for w, num in zip(seed_basis, nums) if not num.is_zero()}
     nu = lam_plus
@@ -395,12 +415,14 @@ def _result(rs: RootSystem, lam: Weight, basis: list[Weight], coeffs: tuple[_Fra
 # eigenvalue exponent check
 # ---------------------------------------------------------------------------
 
-@dataclass
 class EigenCheck:
-    ok: bool
-    q_exp: int
-    t_exp: int
-    detail: str = ""
+    __slots__ = ("ok", "q_exp", "t_exp", "detail")
+
+    def __init__(self, ok: bool, q_exp: int, t_exp: int, detail: str = ""):
+        self.ok = ok
+        self.q_exp = q_exp
+        self.t_exp = t_exp
+        self.detail = detail
 
 
 def expected_eigen_exponents(rs: RootSystem, lam: Weight, mu: CorootVec) -> tuple[int, int]:

@@ -21,10 +21,10 @@ slot is unbounded.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from typing import Iterable, Mapping
 
 from .qt import (ONE_P, QTPoly, R_ONE, R_ZERO, RatQT, Term, div_exact, format_poly, format_power, json_value,
                  poly_lcm, ratqt_from_json, ratqt_to_json)

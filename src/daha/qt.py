@@ -53,10 +53,10 @@ the same canonical form on every path, so outputs do not depend on the path.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as _igcd
-from typing import Mapping
 
 
 Term = tuple[int, int]  # exponent pair (dq, dt)

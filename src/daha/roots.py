@@ -45,13 +45,13 @@ no memo: a caller that needs one lam more than once keeps the set itself.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd, lcm, prod
 from types import MappingProxyType
-from typing import Mapping, Sequence
 
 
 Weight = tuple[int, ...]
@@ -525,40 +525,76 @@ def _box(ranges: list[range]):
 # ---------------------------------------------------------------------------
 
 def _scaled_inverse(cartan) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(D, M) with M = D A^{-1} integral and D > 0 least, by exact Gauss-Jordan on [A | I]."""
+    """(D, M) with M = D A^{-1} integral and D > 0 least, by fraction-free Gauss-Jordan on [A | I].
+
+    Bareiss's update m_rj <- (p m_rj - m_rc m_cj) / p_prev, for the pivot p = m_cc of column c and
+    the pivot p_prev before it, divides exactly, since every entry stays a minor of [A | I]
+    (Bareiss, Math. Comp. 1968).  It ends with [d I | d A^{-1}], d = +-det A, so D is |d| over
+    the gcd of d and the entries of d A^{-1}."""
     n = len(cartan)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(cartan)]
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(cartan)]
+    prev = 1
     for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        piv = next(r for r in range(col, n) if m[r][col])
         m[col], m[piv] = m[piv], m[col]
-        m[col] = [x / m[col][col] for x in m[col]]
+        top, p = m[col], m[col][col]
         for r in range(n):
-            if r != col and m[r][col]:
-                m[r] = [x - m[r][col] * y for x, y in zip(m[r], m[col])]
-    den = lcm(*(x.denominator for row in m for x in row[n:]))
-    return den, tuple(tuple(int(x * den) for x in row[n:]) for row in m)
+            if r != col:
+                row, c = m[r], m[r][col]
+                m[r] = [(p * x - c * y) // prev for x, y in zip(row, top)]
+        prev = p
+    scaled = [row[n:] for row in m]  # d A^{-1}, d = prev
+    g = gcd(prev, *(x for row in scaled for x in row))
+    sign = 1 if prev > 0 else -1
+    return abs(prev) // g, tuple(tuple(sign * x // g for x in row) for row in scaled)
 
 
 def _linear_extension(keys: dict[Weight, OrderKey]) -> list[Weight]:
     """The lexicographically least linear extension of the Cherednik order on weights of one
-    root-lattice coset, given their order keys: Kahn's algorithm with a min-heap."""
+    root-lattice coset, given their order keys: Kahn's algorithm with a min-heap.
+
+    The weights of one W-orbit share the key half M lam_-, and a whole orbit lies below another
+    when its half is >= the other's, so orbits are compared with orbits and weights only within
+    their orbit.  A weight is ready once its orbit's predecessors are listed and every orbit below
+    its own is used up: the weights that are ready at each step, and so the order, are those of
+    Kahn's algorithm on all pairs."""
+    orbits: dict[tuple[int, ...], list[Weight]] = {}
+    for w, (m, _) in keys.items():
+        orbits.setdefault(m, []).append(w)
+    later = {m: [o for o in orbits if o != m and all(x >= y for x, y in zip(m, o))] for m in orbits}
+    waiting = dict.fromkeys(orbits, 0)  # per orbit, the orbits below it not yet used up
+    for m in orbits:
+        for o in later[m]:
+            waiting[o] += 1
     succ: dict[Weight, list[Weight]] = {w: [] for w in keys}
     indeg = dict.fromkeys(keys, 0)
-    for a, (am, av) in keys.items():
-        for b, (bm, bv) in keys.items():
-            if a != b and all(x >= y for x, y in (zip(av, bv) if am == bm else zip(am, bm))):
-                succ[a].append(b)
-                indeg[b] += 1
-    heap = [w for w, n in indeg.items() if not n]
+    for ws in orbits.values():
+        for a in ws:
+            av = keys[a][1]
+            for b in ws:
+                if a != b and all(x >= y for x, y in zip(av, keys[b][1])):
+                    succ[a].append(b)
+                    indeg[b] += 1
+    left = {m: len(ws) for m, ws in orbits.items()}
+    heap = [w for m, ws in orbits.items() if not waiting[m] for w in ws if not indeg[w]]
     heapify(heap)
     out = []
     while heap:
         a = heappop(heap)
         out.append(a)
-        for b in succ[a]:
+        for b in succ[a]:  # b is in a's orbit, which is not waiting
             indeg[b] -= 1
             if not indeg[b]:
                 heappush(heap, b)
+        m = keys[a][0]
+        left[m] -= 1
+        if not left[m]:
+            for o in later[m]:
+                waiting[o] -= 1
+                if not waiting[o]:
+                    for b in orbits[o]:
+                        if not indeg[b]:
+                            heappush(heap, b)
     if len(out) != len(keys):
         raise AssertionError("cycle in order relation")
     return out

@@ -18,7 +18,6 @@ Supercharacters are QTLaurent values over the A1 weight lattice, x = e^omega.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -61,14 +60,17 @@ GENERATORS: list[Generator] = [
 ]
 
 
-@dataclass
 class FiniteRep:
     """Finite-dimensional module: labeled basis plus sparse action matrices."""
 
-    weights: list[int]            # h-eigenvalue of each basis vector (multiples of omega)
-    xidegs: list[int]
-    actions: dict[Generator, list[Vector]]  # column j = image of basis vector j
-    cyclic_index: int
+    __slots__ = ("weights", "xidegs", "actions", "cyclic_index")
+
+    def __init__(self, weights: list[int], xidegs: list[int], actions: dict[Generator, list[Vector]],
+                 cyclic_index: int):
+        self.weights = weights  # h-eigenvalue of each basis vector (multiples of omega)
+        self.xidegs = xidegs
+        self.actions = actions  # column j = image of basis vector j
+        self.cyclic_index = cyclic_index
 
     @property
     def dim(self) -> int:
@@ -433,11 +435,13 @@ def daha_integral_form(m: int) -> QTLaurent:
     return e.scale(a1_integral_scalar(k))
 
 
-@dataclass(frozen=True)
 class TwistRule:
     """Character substitution x^m q^j -> x^{1-m} q^{j + slope*(m - anchor)}."""
 
-    slope: Fraction
+    __slots__ = ("slope",)
+
+    def __init__(self, slope: Fraction):
+        self.slope = slope
 
     def apply(self, f: QTLaurent) -> QTLaurent:
         rs = f.rs
@@ -514,12 +518,14 @@ def recursion_e(m: int) -> QTLaurent:
 # cross validation
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CrossValidation:
-    k: int
-    character: QTLaurent
-    dimension: int
-    checks: list[tuple[str, bool, str]]
+    __slots__ = ("k", "character", "dimension", "checks")
+
+    def __init__(self, k: int, character: QTLaurent, dimension: int, checks: list[tuple[str, bool, str]]):
+        self.k = k
+        self.character = character
+        self.dimension = dimension
+        self.checks = checks
 
     @property
     def passed(self) -> bool:

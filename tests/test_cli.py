@@ -253,6 +253,8 @@ BAD_INPUTS = [
     ("e", "--type", "A1", "--weight", "99999999999999999999"),
     ("p", "--type", "A1", "--weight", "99999999999999999999"),
     *(("y", "--type", "A1", "--mu", "1", "--apply", bad) for bad in _BAD_JSON),
+    # malformed JSON: json.JSONDecodeError is a ValueError
+    ("y", "--type", "A1", "--mu", "1", "--apply", "{"),
     # rejected before any worker pool is started
     ("e", "--type", "A1", "--weight", "1", "--jobs", "-3"),
     ("p", "--type", "A1", "--weight", "1", "0", "--jobs", "0"),
@@ -289,6 +291,16 @@ def test_huge_box_exits_2(argv):
     proc = _run_limited(argv, timeout=120)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: a box of ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("module", ["daha", "daha.cli"])
+def test_import_skips_slow_modules(module):
+    # every daha process pays for its imports: dataclasses pulls in inspect, ast, dis and tokenize,
+    # and only the calls that read or write JSON import json; -S keeps site's imports out of the count
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    code = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect', 'json'}} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 def test_readme_command_lines(capsys):

@@ -282,10 +282,10 @@ def _eigensolve(rs, lam):
 @pytest.fixture
 def fresh_caches():
     """Empty the E_lam caches and the oracle's before and after, so nothing computed here leaks into other tests."""
-    macdonald._solve.cache_clear()
+    macdonald._solved.clear()
     _eigensolve.cache_clear()
     yield
-    macdonald._solve.cache_clear()
+    macdonald._solved.clear()
     _eigensolve.cache_clear()
 
 
@@ -378,7 +378,7 @@ class TestAffineStep:
     @staticmethod
     def _faulty_or_exact(rs, expected):
         """Every weight either raises a certificate error or gives the oracle's answer; the count that raised."""
-        macdonald._solve.cache_clear()
+        macdonald._solved.clear()
         raised = 0
         for lam, fields in expected.items():
             try:
@@ -403,7 +403,7 @@ class TestAffineStep:
 
             def shifted(rs, lam, mu):
                 a, b = real(rs, lam, mu)
-                return (a, b + 1) if sys._getframe(1).f_code is macdonald._solve.__wrapped__.__code__ else (a, b)
+                return (a, b + 1) if sys._getframe(1).f_code is macdonald._solve_fresh.__code__ else (a, b)
 
             monkeypatch.setattr(macdonald, "expected_eigen_exponents", shifted)
         raised = {name: self._faulty_or_exact(root_system(name), expected[name]) for name in expected}
@@ -560,8 +560,8 @@ class TestCertificate:
     def test_scaled_e_raises(self, monkeypatch, fresh_caches, name, lam):
         real = macdonald._climb
 
-        def doubled(rs, nu):
-            den, f = real(rs, nu)
+        def doubled(rs, nu, lower_set):
+            den, f = real(rs, nu, lower_set)
             return den, {w: {k: 2 * v for k, v in c.items()} for w, c in f.items()}
 
         monkeypatch.setattr(macdonald, "_climb", doubled)
@@ -615,7 +615,7 @@ class TestFreshResults:
         warm = [_fields(nonsym_e(rs, lam)) for lam in box]
         cold = []
         for lam in box:
-            macdonald._solve.cache_clear()
+            macdonald._solved.clear()
             rs._caches.clear()
             cold.append(_fields(nonsym_e(rs, lam)))
         assert cold == warm

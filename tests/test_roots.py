@@ -1,5 +1,6 @@
 """Weyl combinatorics: reflections, orders, lower sets, translation words."""
 
+import heapq
 import json
 from fractions import Fraction
 from itertools import count, product
@@ -485,12 +486,54 @@ def _typed_weights(draw, count):
     return name, [tuple(draw(st.lists(coord, min_size=rank, max_size=rank))) for _ in range(count)]
 
 
+def _all_pairs_extension(keys):
+    """The lexicographically least linear extension by Kahn's algorithm on the order graph of all
+    pairs of weights: the oracle of roots._linear_extension, which compares orbits with orbits."""
+    succ = {w: [] for w in keys}
+    indeg = dict.fromkeys(keys, 0)
+    for a, (am, av) in keys.items():
+        for b, (bm, bv) in keys.items():
+            if a != b and all(x >= y for x, y in (zip(av, bv) if am == bm else zip(am, bm))):
+                succ[a].append(b)
+                indeg[b] += 1
+    heap = [w for w, n in indeg.items() if not n]
+    heapq.heapify(heap)
+    out = []
+    while heap:
+        a = heapq.heappop(heap)
+        out.append(a)
+        for b in succ[a]:
+            indeg[b] -= 1
+            if not indeg[b]:
+                heapq.heappush(heap, b)
+    assert len(out) == len(keys)
+    return out
+
+
 class TestIntegerKernel:
-    @pytest.mark.parametrize("name", _KERNEL_TYPES)
+    @pytest.mark.parametrize("name", [*_KERNEL_TYPES, "A4", "A5", "A8"])
     def test_scaled_inverse(self, name):
-        rs, ref = root_system(name), _REFERENCE[name]
+        rs = root_system(name)
+        ref = _REFERENCE.get(name) or _FractionOrder(rs)
         assert rs.root_den == lcm(*(x.denominator for row in ref.inv for x in row))
         assert rs.root_mat == tuple(tuple(int(x * rs.root_den) for x in row) for row in ref.inv)
+
+    def test_scaled_inverse_a_n_closed_form(self):
+        # the inverse Cartan matrix of A_n is min(i, j)(n + 1 - max(i, j))/(n + 1)
+        for n in range(1, 51):
+            rs = RootSystem(f"A{n}")
+            inv = [[Fraction(x, rs.root_den) for x in row] for row in rs.root_mat]
+            assert inv == [[Fraction(min(i, j) * (n + 1 - max(i, j)), n + 1) for j in range(1, n + 1)]
+                           for i in range(1, n + 1)]
+            assert rs.root_den == lcm(*(x.denominator for row in inv for x in row))
+
+    @pytest.mark.parametrize("name,bound", [("A1", 6), ("A2", 3), ("B2", 3), ("C2", 3), ("A3", 2), ("A4", None)])
+    def test_linear_extension_matches_all_pairs(self, name, bound):
+        # every lower set of the box (A4: the 291 weights below (-1,-1,-1,-1)), in the all-pairs order
+        rs = root_system(name)
+        for lam in weight_box([bound] * rs.rank) if bound else [(-1, -1, -1, -1)]:
+            got = rs.lower_set(lam)
+            assert got == _all_pairs_extension({mu: rs.order_key(mu) for mu in got}), lam
 
     @settings(max_examples=300, deadline=None)
     @given(_typed_weights(2))
@@ -563,16 +606,16 @@ class TestVerifyOrder:
         # A3 (-2,-2,0) is s_3-fixed and has 68 weights below it; E_lam is solved once per lam
         rs, lam = root_system("A3"), (-2, -2, 0)
         assert len(rs.lower_set(lam)) == 68
-        real, calls = orders.nonsym_e, []
+        real, calls = orders._nonsym_e, []
 
-        def faulty(rs, mu):
+        def faulty(rs, mu, lower_set):
             calls.append(mu)
-            r = real(rs, mu)
+            r = real(rs, mu, lower_set)
             if mu == lam:
                 r.cleared = r.cleared + QTLaurent.mono(rs, (0, 0, 1))
             return r
 
-        monkeypatch.setattr(orders, "nonsym_e", faulty)
+        monkeypatch.setattr(orders, "_nonsym_e", faulty)
         check = next(c for c in verify_order(rs, 2).checks if c[0].startswith("reflection compatibility"))
         assert check == ("reflection compatibility of lower sets (finite indices)", False,
                          f"T_3 E_lam = t E_lam fails at lam={lam}, i=3")

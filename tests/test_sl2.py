@@ -1,7 +1,6 @@
 """Module laboratory: deformed blocks, fusion, filtration, recursion, twist."""
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +12,7 @@ from daha.roots import root_system
 from daha.polyring import QTLaurent, laurent_to_text, specialize_dim
 from daha.sl2 import (
     _CONST,
+    FiniteRep,
     _solve_linear,
     cross_validate,
     daha_integral_form,
@@ -80,7 +80,8 @@ class TestDeformedBlock:
     def test_non_cyclic_vector_rejected(self, index):
         # hz.xi.w and e.xi.w generate proper submodules: the filtration stops growing below dim 4
         with pytest.raises(ValueError, match="module is not cyclic"):
-            graded_character(replace(deformed_block(1), cyclic_index=index))
+            rep = deformed_block(1)
+            graded_character(FiniteRep(rep.weights, rep.xidegs, rep.actions, index))
 
     def test_character_independent_of_alpha(self):
         a = graded_character(deformed_block(0))
