@@ -66,7 +66,7 @@ def _weight_line(job) -> tuple[str, str | None]:
         poly = macdonald.sym_p(rs, lam)
     else:
         res = macdonald.nonsym_e(rs, lam)
-        poly = integral_form(res.e_poly, lam) if args.integral else res.e_poly
+        poly = integral_form(res.cleared, lam) if args.integral else res.e_poly
         if res.conjectural and args.format == "text":
             note = f"# note: {lam} is not dominant; the eigenvalue formula is conjecture-level"
     line = _emit(poly, args.format)

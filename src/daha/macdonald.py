@@ -30,7 +30,7 @@ character used as an independent specialization oracle.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from functools import lru_cache
 from math import gcd
 
@@ -70,7 +70,6 @@ class EigenResult:
 # ---------------------------------------------------------------------------
 
 _Frac = tuple[QTPoly, dict[QTPoly, int]]  # num / prod(f^m for f, m in den.items())
-LowerSets = Callable[[Weight], list[Weight]]  # lam -> the lower set of lam
 
 
 @lru_cache(maxsize=None)
@@ -268,25 +267,19 @@ def nonsym_e(rs: RootSystem, lam: Weight) -> EigenResult:
     Each call builds a fresh EigenResult (new term dicts and basis list) from the memoized E of the
     dominant seed, so a caller that mutates it cannot change what later callers get."""
     rs, lam = root_system(rs.name), rs.check_weight(lam)
-    return _nonsym_e(rs, lam, rs.lower_set)
-
-
-def _nonsym_e(rs: RootSystem, lam: Weight, lower_set: LowerSets) -> EigenResult:
-    """nonsym_e on rs = root_system(rs.name), taking every lower set it builds from lower_set, which
-    must give rs's: a caller that holds them already (orders.verify_order) does not build them again."""
     if rs.is_dominant(lam):
-        return _result(rs, lam, *_solve(rs, lam, lower_set))
-    basis = lower_set(lam)
-    return _result(rs, lam, basis, _coefficients(lam, basis, *_climb(rs, lam, lower_set)))
+        return _result(rs, lam, *_solve(rs, lam))
+    basis = rs.lower_set(lam)
+    return _result(rs, lam, basis, _coefficients(lam, basis, *_climb(rs, lam)))
 
 
 # the memo of _solve: (type name, dominant lam) -> (basis, coefficients)
 _solved: dict[tuple[str, Weight], tuple[list[Weight], tuple[_Frac, ...]]] = {}
 
 
-def _solve(rs: RootSystem, lam: Weight, lower_set: LowerSets) -> tuple[list[Weight], tuple[_Frac, ...]]:
-    """E_lam for dominant lam on rs = root_system(rs.name): (basis, coefficients), with basis =
-    lower_set(lam); memoized in _solved, so lower sets are built on a miss only.
+def _solve(rs: RootSystem, lam: Weight) -> tuple[list[Weight], tuple[_Frac, ...]]:
+    """E_lam for dominant lam on rs = root_system(rs.name): (basis, coefficients), with basis the
+    lower set of lam; memoized in _solved by type name and lam.
 
     vartheta is the highest short root, l the length of s_vartheta, h = (l - 1)/2 and
     p = <vartheta^vee, lam>.  If p < 2, lam is 0 or minuscule, its lower set is {lam}, and
@@ -312,19 +305,19 @@ def _solve(rs: RootSystem, lam: Weight, lower_set: LowerSets) -> tuple[list[Weig
     """
     key = rs.name, lam
     if key not in _solved:
-        _solved[key] = _solve_fresh(rs, lam, lower_set)
+        _solved[key] = _solve_fresh(rs, lam)
     return _solved[key]
 
 
-def _solve_fresh(rs: RootSystem, lam: Weight, lower_set: LowerSets) -> tuple[list[Weight], tuple[_Frac, ...]]:
+def _solve_fresh(rs: RootSystem, lam: Weight) -> tuple[list[Weight], tuple[_Frac, ...]]:
     """_solve without the memo."""
-    basis = lower_set(lam)
+    basis = rs.lower_set(lam)
     theta, coroot, word = rs.short_theta()
     p = rs.coroot_pair(coroot, lam)
     if p < 2:
         return basis, ((ZERO_P, {}),) * (len(basis) - 1) + ((ONE_P, {}),)
     nu = tuple(l - (p - 1) * c for l, c in zip(lam, theta))
-    den, f = _climb(rs, nu, lower_set)
+    den, f = _climb(rs, nu)
     mq, mt = expected_eigen_exponents(rs, nu, coroot)
     mq, mt = mq + 1, mt - sum(coroot)  # m = q^mq t^mt; rho = (1, ..., 1), so <vartheta^vee, rho> = sum(coroot)
     sign, uq, ut = _add_gap(den, QTPoly({(0, 0): 1, (mq, mt): -1}))
@@ -340,7 +333,7 @@ def _solve_fresh(rs: RootSystem, lam: Weight, lower_set: LowerSets) -> tuple[lis
     return basis, tuple((num.shift(-lq, -lt).scale(lc), part) for num, part in coeffs)
 
 
-def _climb(rs: RootSystem, lam: Weight, lower_set: LowerSets) -> tuple[dict[QTPoly, int], Kernel]:
+def _climb(rs: RootSystem, lam: Weight) -> tuple[dict[QTPoly, int], Kernel]:
     """(den, f) with E_lam = f / prod(den): E_{lam_+} from _solve, walked up to lam by finite intertwiners.
 
     With u lam = lam_+, the letters of u lead lam_+ up its orbit to lam; each step mu -> s_i mu
@@ -348,7 +341,7 @@ def _climb(rs: RootSystem, lam: Weight, lower_set: LowerSets) -> tuple[dict[QTPo
     q^a t^b the eigenvalue of Y^{alpha_i^vee} on E_mu.  Each step multiplies f by its binomial
     and adds the binomial's factors to den."""
     lam_plus, u = rs.dominant(lam)
-    seed_basis, seed = _solve(rs, lam_plus, lower_set)
+    seed_basis, seed = _solve(rs, lam_plus)
     den, nums = _over_common_den(seed)
     f = {w: _pack(num.terms) for w, num in zip(seed_basis, nums) if not num.is_zero()}
     nu = lam_plus

@@ -17,9 +17,8 @@ Checks, over the box |lam_i| <= bound:
     makes the Y-operators triangular on them).
 
 Pairs are compared from the order keys as they are read (a box of over 2^24
-pairs is refused), each lower set is computed once per run, E_lam's included, and
-T_i and Y run on the integer kernel of hecke.py, on E_lam's denominator-cleared
-numerators.
+pairs is refused), each lower set is computed once per run, and T_i and Y run
+on the integer kernel of hecke.py, on E_lam's denominator-cleared numerators.
 
 The weight-projected raising/lowering transcription for the affine index is
 false in rank two: reflecting a lower set as a plain set of weights loses the
@@ -33,9 +32,9 @@ from __future__ import annotations
 from functools import cache
 
 from .hecke import RelationReport, _comb, _mono, _t, _y
-from .macdonald import _nonsym_e
+from .macdonald import nonsym_e
 from .polyring import _pack
-from .roots import EQUAL, GREATER, LESS, MAX_BOX, RootSystem, root_system, weight_box
+from .roots import EQUAL, GREATER, LESS, MAX_BOX, RootSystem, weight_box
 
 
 def verify_order(rs: RootSystem, bound: int) -> RelationReport:
@@ -48,8 +47,7 @@ def verify_order(rs: RootSystem, bound: int) -> RelationReport:
     def cmp(a, b):
         return rs.compare_keys(keys[a], keys[b])
 
-    lower_list = cache(rs.lower_set)
-    lower = cache(lambda lam: frozenset(lower_list(lam)))
+    lower = cache(lambda lam: frozenset(rs.lower_set(lam)))
 
     def antisymmetry():
         for a in box:
@@ -103,8 +101,7 @@ def verify_order(rs: RootSystem, bound: int) -> RelationReport:
                 si_lam = rs.reflect_affine(i, lam)
                 if i and si_lam == lam and rs.irreducible:
                     if e is None:
-                        cleared = _nonsym_e(root_system(rs.name), lam, lower_list).cleared
-                        e = {w: _pack(c.num.terms) for w, c in cleared.terms.items()}
+                        e = {w: _pack(c.num.terms) for w, c in nonsym_e(rs, lam).cleared.terms.items()}
                     if _t(rs, i, e) != _comb((e, 0, 1, 1, 0)):
                         yield f"T_{i} E_lam = t E_lam fails at lam={lam}, i={i}"
                     continue

@@ -335,17 +335,19 @@ class RootSystem:
 
     # -- Weyl group elements ----------------------------------------------------
 
+    def weyl_order(self) -> int:
+        """|W|, the product of (ht alpha + 1) / ht alpha over the positive roots alpha (the Poincare
+        polynomial of W at t = 1; Macdonald, The Poincare series of a Coxeter group, Math. Ann. 1972)."""
+        return int(prod(Fraction(sum(c) + 1, sum(c)) for c, _ in self.positive_roots()))
+
     def weyl_elements(self) -> Mapping[Weight, WeylWord]:
         """Read-only map from element w, keyed by the weight w rho, to one reduced word.
 
         Built breadth first, so the elements come in order of length and each word is
         (i,) + the word of its parent s_i w, which comes earlier.  A group of more than MAX_ORBIT
-        elements is refused before it is built: |W| is the product of (ht alpha + 1) / ht alpha
-        over the positive roots alpha (the Poincare polynomial of W at t = 1; Macdonald, The
-        Poincare series of a Coxeter group, Math. Ann. 1972)."""
+        elements is refused before it is built."""
         if "weyl" not in self._caches:
-            size = prod(Fraction(sum(c) + 1, sum(c)) for c, _ in self.positive_roots())
-            if size > MAX_ORBIT:
+            if (size := self.weyl_order()) > MAX_ORBIT:
                 raise ValueError(f"the Weyl group of {self.name} has {size} elements, "
                                  f"more than the {MAX_ORBIT} allowed")
             out, queue = {self.rho: ()}, [self.rho]

@@ -1,5 +1,7 @@
 """Demazure-Lusztig operators: frozen values, string-sum oracle, suites."""
 
+import ast
+import re
 from itertools import product
 
 import pytest
@@ -186,20 +188,6 @@ class TestSuites:
     def test_demazure_suite(self, name):
         report = verify_demazure(root_system(name), 2)
         assert report.passed, report.lines()
-
-    @pytest.mark.parametrize("name", ["A1", "A1xA1", "A2", "B2", "C2", "A3", "A4"])
-    def test_word_letters_are_counted_without_listing(self, name):
-        rs = root_system(name)
-        listed = sum(len(w) for elt in rs.weyl_elements() for w in rs.reduced_words(elt))
-        assert hecke._reduced_word_letters(rs) == listed
-
-    def test_demazure_words_at_the_bound(self, monkeypatch):
-        # the reduced words of W(A3) hold 277 letters
-        monkeypatch.setattr(hecke, "MAX_BOX", 277)
-        assert verify_demazure(RootSystem("A3"), 0).passed
-        monkeypatch.setattr(hecke, "MAX_BOX", 276)
-        with pytest.raises(ValueError, match="Weyl group of A3 have 277 letters, more than the 276 allowed"):
-            verify_demazure(RootSystem("A3"), 0)
 
     def test_braid_defect_is_what_blocks_word_independence(self):
         # the operator products along the two reduced words differ by exactly
@@ -593,6 +581,46 @@ class TestMutation:
         assert verify_relations(A2, 1).passed
         assert verify_demazure(A2, 2).passed
         assert verify_symmetrizer(A2, 1).passed
+
+
+def _listed_first_failure(rs, bound):
+    """The oracle of the word check: every reduced word of every element, as rs.reduced_words lists
+    them, applied to e^lam by _dword and sliced at q^0 t^0 at the end.  The first (element, lam),
+    elements outside, at which two words differ; None if there is none."""
+    doms = [lam for lam in weight_box([bound] * rs.rank) if rs.is_dominant(lam)]
+    for elt in rs.weyl_elements():
+        words = rs.reduced_words(elt)
+        for lam in doms:
+            slices = [{w: v for w, c in hecke._dword(rs, word, hecke._mono(lam)).items() if (v := c.get(0))}
+                      for word in words]
+            if any(s != slices[0] for s in slices):
+                return elt, lam
+    return None
+
+
+def _reported_first_failure(rs, bound):
+    """The (element, lam) of verify_demazure's word check failure, read off its two words; None if it passes."""
+    _, ok, detail = verify_demazure(rs, bound).checks[0]
+    if ok:
+        return None
+    first, other, lam = map(ast.literal_eval, re.fullmatch(r"words (.*) vs (.*) differ at lam=(.*)", detail).groups())
+    assert first != other and rs.element_of_word(first) == rs.element_of_word(other)
+    assert rs.length(first) == len(first) == len(other)
+    return rs.element_of_word(first), lam
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["exact", "dropped-term"])
+@pytest.mark.parametrize("name, bound", [("A1xA1", 3), ("A2", 3), ("B2", 3), ("C2", 3), ("A3", 1), ("A4", 0)])
+def test_word_check_matches_word_listing(monkeypatch, name, bound, mutated):
+    # the check by induction on length finds what a listing of every reduced word finds, first
+    # failure included.  The dropped term fails the words somewhere except in A1xA1, whose words
+    # are unique up to commuting letters, and at lam = 0, where no pairing reaches 2
+    rs = root_system(name)
+    if mutated:
+        monkeypatch.setattr(hecke, "_t", _t_dropped_term(hecke._t))
+    listed = _listed_first_failure(rs, bound)
+    assert _reported_first_failure(rs, bound) == listed
+    assert (listed is None) == (not mutated or name in ("A1xA1", "A4"))
 
 
 class TestFirstFailure:

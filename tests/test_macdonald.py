@@ -560,8 +560,8 @@ class TestCertificate:
     def test_scaled_e_raises(self, monkeypatch, fresh_caches, name, lam):
         real = macdonald._climb
 
-        def doubled(rs, nu, lower_set):
-            den, f = real(rs, nu, lower_set)
+        def doubled(rs, nu):
+            den, f = real(rs, nu)
             return den, {w: {k: 2 * v for k, v in c.items()} for w, c in f.items()}
 
         monkeypatch.setattr(macdonald, "_climb", doubled)
