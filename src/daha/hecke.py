@@ -178,6 +178,23 @@ def _sym(rs: RootSystem, f: Kernel) -> Kernel:
     return _comb(*((k, 0, 0, 1, 0) for k in images.values()))
 
 
+def _coset_sum(rs: RootSystem, lam: Weight, f: Kernel) -> Kernel:
+    """sum over the minimal coset representatives u of W/W_lam of T_u f, for dominant lam, on the kernel form.
+
+    u -> u lam is a bijection onto the orbit W lam, walked breadth first from lam: a step
+    mu -> s_i mu with <alpha_i^vee, mu> > 0 is u -> s_i u with l(s_i u) = l(u) + 1, and s_i u is
+    again minimal.  So T_{s_i u} f = T_i (T_u f) costs one T_i per orbit point, where _sym
+    applies one per element of W."""
+    images = {tuple(lam): f}
+    queue = [tuple(lam)]
+    for mu in queue:
+        for i in range(1, rs.rank + 1):
+            if mu[i - 1] > 0 and (nu := rs.reflect(i, mu)) not in images:
+                images[nu] = _t(rs, i, images[mu])
+                queue.append(nu)
+    return _comb(*((k, 0, 0, 1, 0) for k in images.values()))
+
+
 def _y_letters(rs: RootSystem, mu: CorootVec) -> list[tuple[int, bool]]:
     """The letters of Y^mu = Y^{mu_+} (Y^{mu_-})^{-1} as they act, (i, True) for T_i^{-1}: mu_-'s
     translation word in its order, then mu_+'s from its last letter (_dominant_decomposition)."""
@@ -583,8 +600,18 @@ def verify_demazure(rs: RootSystem, bound: int) -> RelationReport:
     are kept; elements run outside dominant weights, so the first failure is the one a listing of
     the words finds.  Each of the |W| x (dominant weights) values is a character about as wide as
     the box, so more than MAX_BOX (element, dominant weight, box weight) triples are refused.
+
+    D_i^2 e^mu walks alpha_i-strings of about |mu_i| shifts from about |mu_i| weights, and each
+    string stays in the root system's memo; so a box whose sum of mu_i^2 over its weights and
+    indices, rank (2b+1)^(rank-1) sum_{k=-b..b} k^2 = rank (2b+1)^rank b(b+1)/3, is more than
+    MAX_BOX is refused too, before any work.  A negative bound counts 0 here and weight_box
+    refuses it.
     """
     report = RelationReport(f"Demazure properties for {rs.name}")
+    b = max(bound, 0)
+    if (size := rs.rank * (2 * b + 1) ** rs.rank * b * (b + 1) // 3) > MAX_BOX:
+        raise ValueError(f"a D_i^2 check of {size} alpha_i-string shifts (the sum of mu_i^2 over the box) is "
+                         f"more than the {MAX_BOX} allowed")
     box = weight_box([bound] * rs.rank)
     doms = [lam for lam in box if rs.is_dominant(lam)]
     if (size := rs.weyl_order() * len(doms) * len(box)) > MAX_BOX:

@@ -23,9 +23,18 @@ divided by every factor in that one frame (_reduced_packed).  The residual
 check Y^mu E = q^A t^B E of every result is hecke._y_fixes, an exact zero
 test on one big integer per weight.
 
-Also here: the eigenvalue-exponent check, symmetric P_lam via the Cherednik
-symmetrizer, monomial expansion, and a classical Demazure-operator Weyl
-character used as an independent specialization oracle.
+Symmetric P_lam (sym_p) comes from E_lam without the full symmetrizer.
+Lengths add over minimal coset representatives, so sum_{w in W} T_w =
+(sum_{u in W^lam} T_u)(sum_{v in W_lam} T_v) (Bjorner-Brenti, Combinatorics of
+Coxeter Groups, 2.4), and T_i E_lam = t E_lam whenever s_i lam = lam
+(Macdonald, ch. 5), which sym_p checks exactly; so the symmetrizer's image of
+E_lam is W_lam(t) sum_u T_u E_lam, and P_lam = sum_u T_u E_lam, one T_i per
+orbit point.  Its coefficients are reduced by exact division with the
+clearing's known factors, so no gcd is computed there either.
+
+Also here: the eigenvalue-exponent check, monomial expansion, and a classical
+Demazure-operator Weyl character used as an independent specialization
+oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from math import gcd
 from .qt import ONE_P, QTPoly, RatQT, ZERO_P, _canon_unit, _div_packed, div_exact
 from .polyring import _HALF, _Q, Kernel, QTLaurent, _kernel, _pack, _unpack
 from .roots import LESS, EQUAL, RootSystem, Weight, CorootVec, root_system
-from .hecke import _comb, _mono, _shift, _t, _word, _y, _y_fixes, symmetrizer
+from .hecke import _comb, _coset_sum, _mono, _shift, _t, _word, _y, _y_fixes
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -49,10 +58,11 @@ class OrderViolationError(RuntimeError):
 
 
 class EigenResult:
-    __slots__ = ("e_poly", "eigenvalue", "basis", "conjectural", "cleared", "clearing", "mu_used")
+    __slots__ = ("e_poly", "eigenvalue", "basis", "conjectural", "cleared", "clearing", "clearing_factors",
+                 "mu_used")
 
     def __init__(self, e_poly: QTLaurent, eigenvalue: RatQT, basis: list[Weight], conjectural: bool,
-                 cleared: QTLaurent, clearing: QTPoly, mu_used: CorootVec):
+                 cleared: QTLaurent, clearing: QTPoly, clearing_factors: dict[QTPoly, int], mu_used: CorootVec):
         self.e_poly = e_poly
         self.eigenvalue = eigenvalue
         self.basis = basis
@@ -62,6 +72,7 @@ class EigenResult:
         # Hecke action never needs a gcd
         self.cleared = cleared
         self.clearing = clearing
+        self.clearing_factors = clearing_factors  # {irreducible canonical factor: multiplicity}, product clearing
         self.mu_used = mu_used  # which Y-operator pinned the solve
 
 
@@ -178,6 +189,12 @@ def _over_common_den(coeffs) -> tuple[dict[QTPoly, int], list[QTPoly]]:
         for f, m in part.items():
             den[f] = max(den.get(f, 0), m)
     return den, [ZERO_P if num.is_zero() else num * _cofactor(den, part) for num, part in coeffs]
+
+
+def _ratqt(c: _Frac) -> RatQT:
+    """The RatQT of a reduced coefficient: its canonical denominator is the product of its factors."""
+    num, den = c
+    return RatQT(num, _cofactor(den, {}), _reduced=True)
 
 
 def _cofactor(den: dict[QTPoly, int], part: dict[QTPoly, int]) -> QTPoly:
@@ -377,7 +394,7 @@ def _result(rs: RootSystem, lam: Weight, basis: list[Weight], coeffs: tuple[_Fra
         raise AssertionError(f"the intertwiners gave e^{lam} a coefficient other than 1")
     chosen, spectrum = _operator(rs, basis)
     exps = spectrum[-1]
-    e = QTLaurent(rs, {w: RatQT(num, _cofactor(den, {}), _reduced=True) for w, (num, den) in zip(basis, coeffs)})
+    e = QTLaurent(rs, {w: _ratqt(c) for w, c in zip(basis, coeffs)})
     # clear denominators without any gcd: the factors are already known
     universe, nums = _over_common_den(coeffs)
     clearing = _cofactor(universe, {})
@@ -400,6 +417,7 @@ def _result(rs: RootSystem, lam: Weight, basis: list[Weight], coeffs: tuple[_Fra
         conjectural=not rs.is_dominant(lam),
         cleared=cleared,
         clearing=clearing,
+        clearing_factors=universe,
         mu_used=chosen,
     )
 
@@ -453,20 +471,40 @@ def eigen_check(rs: RootSystem, lam: Weight, mu: CorootVec, result: EigenResult 
 # ---------------------------------------------------------------------------
 
 def sym_p(rs: RootSystem, lam: Weight) -> QTLaurent:
-    """Symmetric Macdonald polynomial: symmetrize E_lam, normalize the e^lam coefficient."""
+    """Symmetric Macdonald polynomial P_lam, lam dominant: the sum of T_u E_lam over the minimal
+    coset representatives u of W/W_lam, which has e^lam coefficient 1.
+
+    Lengths add over w = u v with v in the stabilizer W_lam, so sum_{w in W} T_w = (sum_u T_u)
+    (sum_v T_v), and T_i E_lam = t E_lam for each s_i fixing lam; so the symmetrizer's image of
+    E_lam is W_lam(t) sum_u T_u E_lam.  The last identity is checked exactly, on the cleared form
+    f = clearing E_lam, before the sum is taken (hecke._coset_sum, one T_i per orbit point), and
+    the sum's e^lam coefficient must be the clearing itself.  P_lam is the sum over the clearing,
+    whose irreducible factors nonsym_e returns as clearing_factors: each distinct coefficient is reduced by
+    exact division with them (_reduced_packed), so no gcd is computed.  The result must be
+    W-invariant."""
     lam = rs.check_weight(lam)
     if not rs.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    f = symmetrizer(rs, nonsym_e(rs, lam).cleared)
-    lead = f.coeff(lam)
-    if lead.is_zero():
-        raise AssertionError("symmetrization lost the leading weight")
-    inv = lead.inverse()
-    scaled = {c: c * inv for c in set(f.terms.values())}  # an orbit repeats each coefficient value
-    f = QTLaurent(rs, {w: scaled[c] for w, c in f.terms.items()})
-    if not f.is_w_invariant():
-        raise AssertionError("symmetrizer output is not W-invariant")
-    return f
+    res = nonsym_e(rs, lam)
+    f = {w: _pack(c.num.terms) for w, c in res.cleared.terms.items()}
+    for i in range(1, rs.rank + 1):
+        if not lam[i - 1] and _t(rs, i, f) != _comb((f, 0, 1, 1, 0)):
+            raise AssertionError(f"T_{i} E_{lam} is not t E_{lam}, though s_{i} fixes {lam}")
+    f = _coset_sum(rs, lam, f)
+    if f.get(lam) != _pack(res.clearing.terms):
+        raise AssertionError(f"the coset sum's e^{lam} coefficient is not the clearing")
+    factors = _factor_data(res.clearing_factors)
+    reduced: dict[frozenset, RatQT] = {}  # an orbit repeats each coefficient value
+    terms = {}
+    for w, c in f.items():
+        key = frozenset(c.items())
+        if key not in reduced:
+            reduced[key] = _ratqt(_reduced_packed(c, factors))
+        terms[w] = reduced[key]
+    p = QTLaurent(rs, terms)
+    if not p.is_w_invariant():
+        raise AssertionError("the coset sum is not W-invariant")
+    return p
 
 
 def monomial_expand(f: QTLaurent) -> list[tuple[Weight, RatQT]]:

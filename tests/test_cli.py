@@ -349,15 +349,19 @@ def _mono_json(weight):
 
 
 # inputs past MAX_BOX that ran out of memory or ran on without end before they were refused: an
-# order check of 14,641^2 weight pairs, alpha_1-strings of 10^8 shifts, translation words of 2 * 10^8
-# letters, and the search for the dominant decomposition of mu = -10^8
+# order check of 14,641^2 weight pairs, a D_i^2 check whose alpha_1-strings hold 5.7 * 10^9 shifts
+# (it filled the string memo), the same check at bound 10^12 (its size must be reckoned, not
+# summed), alpha_1-strings of 10^8 shifts, translation words of 2 * 10^8 letters, and the search
+# for the dominant decomposition of mu = -10^8
 @pytest.mark.parametrize("argv", [
     ("verify", "order", "--type", "A2", "--bound", "60"),
+    ("verify", "demazure", "--type", "A1", "--bound", "2047"),
+    ("verify", "demazure", "--type", "A1", "--bound", "1000000000000"),
     ("demazure", "--type", "A1", "--word", "1", "--weight", "100000000"),
     ("y", "--type", "A1", "--mu", "1", "--apply", _mono_json((10 ** 8,))),
     ("y", "--type", "A1", "--mu", "100000000", "--apply", _mono_json((1,))),
     ("y", "--type", "A1", "--mu", "-100000000", "--apply", _mono_json((1,))),
-], ids=["order-pairs", "demazure-string", "y-string", "y-word", "y-negative-mu"])
+], ids=["order-pairs", "demazure-squares", "demazure-squares-huge", "demazure-string", "y-string", "y-word", "y-negative-mu"])
 def test_huge_operator_input_exits_2(argv):
     proc = _run_limited(argv, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, "")
@@ -366,16 +370,16 @@ def test_huge_operator_input_exits_2(argv):
 
 
 # W-sized enumerations past roots.MAX_ORBIT and sl2 tables past MAX_BOX, which ended in a
-# MemoryError under 1 GB (or, for p in A9, ran on in the search for mu* that preceded it): the Weyl
-# group of A9 (3,628,800 elements) for the symmetrizer and the Demazure words, the W-orbit of rho
-# in A10 for a lower set, and the 4^12 columns of twelve fused blocks
+# MemoryError under 1 GB: the Weyl group of A9 (3,628,800 elements) for the symmetrizer and the
+# Demazure words, the W-orbit of rho in A10 for a lower set (of E_lam, and of the E_lam that P_lam
+# is built from), and the 4^12 columns of twelve fused blocks
 @pytest.mark.parametrize("argv, bound", [
     (("verify", "symmetrizer", "--type", "A9", "--bound", "0"), MAX_ORBIT),
     (("verify", "demazure", "--type", "A9", "--bound", "0"), MAX_ORBIT),
-    (("p", "--type", "A9", "--weight", "1,0,0,0,0,0,0,0,0"), MAX_ORBIT),
     (("e", "--type", "A10", "--weight", "1,1,1,1,1,1,1,1,1,1"), MAX_ORBIT),
+    (("p", "--type", "A10", "--weight", "1,1,1,1,1,1,1,1,1,1"), MAX_ORBIT),
     (("sl2", "build", "-k", "12"), MAX_BOX),
-], ids=["symmetrizer-A9", "demazure-A9", "p-A9", "e-A10", "sl2-k12"])
+], ids=["symmetrizer-A9", "demazure-A9", "e-A10", "p-A10", "sl2-k12"])
 def test_w_sized_input_exits_2(argv, bound):
     proc = _run_limited(argv, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, "")
@@ -389,6 +393,15 @@ def test_demazure_words_of_a6_are_checked():
     proc = _run_limited(("verify", "demazure", "--type", "A6", "--bound", "0"), timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "PASS classical (t=0) word independence (1 dominant weights)"
+
+
+def test_p_in_a9_sums_the_orbit():
+    # P_lam is the sum of T_u E_lam over the minimal coset representatives u of W/W_lam, one per
+    # orbit point, so the minuscule P_omega_1 of A9 is its 10-term orbit sum; W(A9) is never listed
+    proc = _run_limited(("p", "--type", "A9", "--weight", "1,0,0,0,0,0,0,0,0"), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("x_1^-1*x_2 + x_2^-1*x_3 + x_3^-1*x_4 + x_4^-1*x_5 + x_5^-1*x_6 + x_6^-1*x_7"
+                           " + x_7^-1*x_8 + x_8^-1*x_9 + x_9^-1 + x_1\n")
 
 
 def test_high_rank_e_runs():
@@ -447,3 +460,15 @@ def test_verify_report_golden(capsys, command):
     rc = run(command.split())
     assert capsys.readouterr().out == VERIFY_GOLDEN[command]["stdout"]
     assert rc == VERIFY_GOLDEN[command]["exit"]
+
+
+# `daha p` in every format, byte for byte as the full-symmetrizer engine printed it
+
+P_GOLDEN = json.loads((Path(__file__).parent / "data" / "p_golden.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(P_GOLDEN))
+def test_p_golden(capsys, command):
+    rc = run(command.split())
+    assert capsys.readouterr().out == P_GOLDEN[command]["stdout"]
+    assert rc == P_GOLDEN[command]["exit"]

@@ -8,6 +8,7 @@ double-checked numerically at two rational points before freezing.
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from itertools import count, islice, product
 
 import pytest
@@ -663,6 +664,103 @@ class TestSymmetric:
     def test_a2_specialization(self, lam):
         p = sym_p(A2, lam).subs_t_eq_q()
         assert p == weyl_character(A2, lam)
+
+
+def _dominant(rank, top):
+    return list(product(range(top + 1), repeat=rank))
+
+
+# the benchmark's p-table, and weights it left out as too slow for the full symmetrizer
+_P_WEIGHTS = (
+    [("A1", (k,)) for k in range(10)]
+    + [("A2", w) for w in _dominant(2, 3)]
+    + [("B2", w) for w in _dominant(2, 3) if sum(w) <= 3]
+    + [("C2", w) for w in _dominant(2, 3) if sum(w) <= 3]
+    + [("A3", w) for w in _dominant(3, 2) if sum(w) <= 2]
+    + [("A4", (1, 0, 0, 1)), ("A4", (0, 1, 1, 0))]
+)
+
+
+def _stabilizer_poincare(rs, lam):
+    """W_lam(t) = sum of t^l(w) over the w in W with w lam = lam, as a QTPoly."""
+    out = {}
+    for word in rs.weyl_elements().values():
+        if rs.apply_word(word, lam) == lam:
+            out[0, len(word)] = out.get((0, len(word)), 0) + 1
+    return QTPoly(out)
+
+
+def _full_symmetrizer(rs, lam):
+    """The full symmetrizer's image of the cleared E_lam, and that image over its e^lam coefficient,
+    normalized through RatQT (the route sym_p took before the coset sum)."""
+    full = hecke.symmetrizer(rs, nonsym_e(rs, lam).cleared)
+    inv = full.coeff(lam).inverse()
+    return full, QTLaurent(rs, {w: c * inv for w, c in full.terms.items()})
+
+
+def _faulty_e(real, fault):
+    """nonsym_e with its result's cleared form changed by fault(lam, cleared)."""
+    def nonsym(rs, lam):
+        r = real(rs, lam)
+        r.cleared = QTLaurent(rs, fault(lam, r.cleared.terms))
+        return r
+    return nonsym
+
+
+class TestCosetSum:
+    @pytest.mark.parametrize("name, lam", _P_WEIGHTS)
+    def test_matches_full_symmetrizer(self, name, lam):
+        rs = root_system(name)
+        full, normalized = _full_symmetrizer(rs, lam)
+        res = nonsym_e(rs, lam)
+        # sym_p divides by these factors, so they must be the clearing's
+        assert prod((f ** m for f, m in res.clearing_factors.items()), start=ONE_P) == res.clearing
+        # sum_W T_w = (sum_u T_u)(sum_{v in W_lam} T_v), and T_v E_lam = t^l(v) E_lam
+        assert full.coeff(lam) == RatQT(res.clearing * _stabilizer_poincare(rs, lam))
+        assert sym_p(rs, lam) == normalized
+
+    def test_no_gcd_and_one_t_per_orbit_point(self, monkeypatch):
+        calls = {"gcd": 0, "walk": 0, "stabilizer": 0}
+
+        def counted(key, real):
+            def wrapper(*args):
+                calls[key] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(qt, "poly_gcd", counted("gcd", qt.poly_gcd))
+        for name, lam in _P_WEIGHTS:
+            rs = root_system(name)
+            nonsym_e(rs, lam)  # the eigensolve's own T_i letters are not counted
+            with monkeypatch.context() as m:
+                m.setattr(hecke, "_t", counted("walk", hecke._t))
+                m.setattr(macdonald, "_t", counted("stabilizer", macdonald._t))
+                sym_p(rs, lam)
+            assert calls["walk"] == len(rs.orbit(lam)) - 1, (name, lam)
+            assert calls["stabilizer"] == lam.count(0), (name, lam)
+            calls["walk"] = calls["stabilizer"] = 0
+        assert calls["gcd"] == 0
+
+    @pytest.mark.parametrize("name, lam", [("A2", (2, 0)), ("B2", (0, 2)), ("C2", (1, 0)), ("A3", (1, 0, 1))])
+    def test_broken_stabilizer_identity_raises(self, monkeypatch, name, lam):
+        # s_i fixes lam but not omega_i, so adding e^omega_i to the cleared form breaks
+        # T_i E_lam = t E_lam, on which the coset sum rests
+        i = lam.index(0) + 1
+        omega = tuple(int(k == i) for k in range(1, len(lam) + 1))
+        monkeypatch.setattr(macdonald, "nonsym_e",
+                            _faulty_e(nonsym_e, lambda lam, terms: {**terms, omega: terms.get(omega, rat(0)) + rat(1)}))
+        with pytest.raises(AssertionError, match=f"T_{i} E_.* is not t E_"):
+            sym_p(root_system(name), lam)
+
+    @pytest.mark.parametrize("name, lam", [("A1", (2,)), ("A2", (2, 1)), ("B2", (0, 2)), ("A3", (0, 1, 0))])
+    def test_broken_lead_raises(self, monkeypatch, name, lam):
+        # a scalar multiple of the cleared form passes the stabilizer check, but its coset sum
+        # does not have the clearing at e^lam
+        scalar = rat(QTPoly({(0, 0): 1, (1, 0): 1}))
+        monkeypatch.setattr(macdonald, "nonsym_e",
+                            _faulty_e(nonsym_e, lambda lam, terms: {w: c * scalar for w, c in terms.items()}))
+        with pytest.raises(AssertionError, match="is not the clearing"):
+            sym_p(root_system(name), lam)
 
 
 class TestWeylCharacter:
