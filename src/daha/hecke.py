@@ -493,6 +493,25 @@ def _affine_indices(rs: RootSystem) -> list[int]:
     return list(range(0, rs.rank + 1)) if rs.irreducible else list(range(1, rs.rank + 1))
 
 
+def _suite_box(rs: RootSystem, bound: int, indices: Iterable[int]) -> list[Weight]:
+    """The box |mu_k| <= bound of a suite that applies T_i for i in indices, refused before any work
+    if its alpha_i-strings are too long.
+
+    T_i e^mu walks an alpha_i-string of |<alpha_i^vee, mu>| shifts, D_i^2 e^mu about as many strings
+    of as many shifts, and each string stays in the root system's memo; so a box whose sum of
+    <alpha_i^vee, mu>^2 over its weights and the indices is more than MAX_BOX is refused.  With
+    <alpha_i^vee, mu> = <c, mu>, c = e_i for i >= 1 and theta^vee in the simple-coroot basis for the
+    affine index 0, the cross terms cancel over the box [-b, b]^rank, so each index adds
+    |c|^2 (2b+1)^(rank-1) sum_{k=-b..b} k^2 = |c|^2 (2b+1)^rank b(b+1)/3, reckoned in O(1).
+    weight_box refuses a negative bound or a box of more than MAX_BOX points with its own message."""
+    if 0 <= bound and (2 * bound + 1) ** rs.rank <= MAX_BOX:
+        norm = sum(sum(c * c for c in rs.theta_coroot()) if i == 0 else 1 for i in indices)
+        if (size := norm * (2 * bound + 1) ** rs.rank * bound * (bound + 1) // 3) > MAX_BOX:
+            raise ValueError(f"a check of {size} alpha_i-string shifts (the sum of <alpha_i^vee, mu>^2 over "
+                             f"the box and the indices) is more than the {MAX_BOX} allowed")
+    return weight_box([bound] * rs.rank)
+
+
 def _quadratic_checks(rs: RootSystem, box: list[Weight], report: RelationReport):
     """(T_i + 1)(T_i - t) = 0."""
     for i in _affine_indices(rs):
@@ -541,18 +560,20 @@ RELATION_CHECKS = {"quadratic": _quadratic_checks, "braid": _braid_checks, "xcom
 
 def verify_relations(rs: RootSystem, bound: int, parts=tuple(RELATION_CHECKS)) -> RelationReport:
     """Quadratic, braid, and X-T commutation relations on the monomial box
-    (only the named parts of RELATION_CHECKS, if given)."""
+    (only the named parts of RELATION_CHECKS, if given); every part applies the affine indices,
+    so _suite_box refuses a box by their alpha_i-strings."""
     report = RelationReport(f"Hecke relations for {rs.name}, |mu_i| <= {bound}")
-    box = weight_box([bound] * rs.rank)
+    box = _suite_box(rs, bound, _affine_indices(rs))
     for part in parts:
         RELATION_CHECKS[part](rs, box, report)
     return report
 
 
 def verify_symmetrizer(rs: RootSystem, bound: int) -> RelationReport:
-    """T_i P = P T_i = t P, invariance, hull support, and m_mu commutation."""
+    """T_i P = P T_i = t P, invariance, hull support, and m_mu commutation; _suite_box refuses a
+    box by the alpha_i-strings of the finite indices."""
     report = RelationReport(f"symmetrizer properties for {rs.name}")
-    box = weight_box([bound] * rs.rank)
+    box = _suite_box(rs, bound, range(1, rs.rank + 1))
     sym = {mu: _sym(rs, _mono(mu)) for mu in box}
     simple = range(1, rs.rank + 1)
 
@@ -599,20 +620,11 @@ def verify_demazure(rs: RootSystem, bound: int) -> RelationReport:
     that is the value at w.  weyl_elements() is breadth first, so only the last length's values
     are kept; elements run outside dominant weights, so the first failure is the one a listing of
     the words finds.  Each of the |W| x (dominant weights) values is a character about as wide as
-    the box, so more than MAX_BOX (element, dominant weight, box weight) triples are refused.
-
-    D_i^2 e^mu walks alpha_i-strings of about |mu_i| shifts from about |mu_i| weights, and each
-    string stays in the root system's memo; so a box whose sum of mu_i^2 over its weights and
-    indices, rank (2b+1)^(rank-1) sum_{k=-b..b} k^2 = rank (2b+1)^rank b(b+1)/3, is more than
-    MAX_BOX is refused too, before any work.  A negative bound counts 0 here and weight_box
-    refuses it.
+    the box, so more than MAX_BOX (element, dominant weight, box weight) triples are refused, and
+    so is a box whose alpha_i-strings are too long (_suite_box).
     """
     report = RelationReport(f"Demazure properties for {rs.name}")
-    b = max(bound, 0)
-    if (size := rs.rank * (2 * b + 1) ** rs.rank * b * (b + 1) // 3) > MAX_BOX:
-        raise ValueError(f"a D_i^2 check of {size} alpha_i-string shifts (the sum of mu_i^2 over the box) is "
-                         f"more than the {MAX_BOX} allowed")
-    box = weight_box([bound] * rs.rank)
+    box = _suite_box(rs, bound, range(1, rs.rank + 1))
     doms = [lam for lam in box if rs.is_dominant(lam)]
     if (size := rs.weyl_order() * len(doms) * len(box)) > MAX_BOX:
         raise ValueError(f"a word check of {size} (element, dominant weight, box weight) triples is more "

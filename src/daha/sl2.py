@@ -13,6 +13,9 @@ The lab builds, by exact linear algebra over Q:
     solved at character level and frozen;
   * a three-way cross-validation against the operator pipeline.
 
+One fully reduced echelon over Q, _Echelon, does all the elimination: the block solve, the spans
+of the cyclicity check and the layers of the z-filtration.
+
 Supercharacters are QTLaurent values over the A1 weight lattice, x = e^omega.
 """
 
@@ -121,7 +124,7 @@ class FiniteRep:
 
 
 # ---------------------------------------------------------------------------
-# the block solver
+# linear spans over Q
 # ---------------------------------------------------------------------------
 
 _CONST = None  # the key of the constant term in a _solve_linear row
@@ -135,34 +138,78 @@ def _add(row: dict, key, c: Fraction):
         row.pop(key, None)
 
 
+class _Echelon:
+    """Fully reduced row echelon form of sparse vectors over Q, the one exact elimination here.
+
+    Each row has pivot coefficient 1, and no pivot occurs in another row, so reduce is one pass
+    over the pivots present in a vector.  A row's pivot is its first key other than _CONST, so
+    the keys may be basis indices or the block solver's (generator, i, j) unknowns.  insert
+    changes earlier rows in place (their span stays the same); copy() copies them."""
+
+    def __init__(self):
+        self.rows: dict = {}  # pivot -> row with pivot coefficient 1
+
+    def reduce(self, v: dict) -> dict:
+        v = dict(v)
+        for piv in [k for k in v if k in self.rows]:
+            c = v[piv]
+            for k, a in self.rows[piv].items():
+                _add(v, k, -c * a)
+        return v
+
+    def insert(self, v: dict) -> bool:
+        """Add v to the span; False if it is already there.  A vector that reduces to a nonzero
+        constant alone is an inconsistent equation: ValueError."""
+        v = self.reduce(v)
+        piv = next((k for k in v if k is not _CONST), _CONST)
+        if piv is _CONST:
+            if v:
+                raise ValueError("inconsistent constraint system")
+            return False
+        inv = 1 / Fraction(v[piv])
+        row = {k: c * inv for k, c in v.items()}
+        for r in self.rows.values():
+            if c := r.get(piv):
+                for k, a in row.items():
+                    _add(r, k, -c * a)
+        self.rows[piv] = row
+        return True
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def vectors(self) -> list[dict]:
+        return list(self.rows.values())
+
+    def copy(self) -> "_Echelon":
+        out = _Echelon()
+        out.rows = {piv: dict(r) for piv, r in self.rows.items()}  # a later insert changes rows in place
+        return out
+
+
 def _solve_linear(rows: list[dict]) -> dict:
     """The variables pinned by the rows {var: coefficient, _CONST: constant}, each meaning sum = 0.
 
-    Gauss-Jordan elimination: after full reduction a variable is pinned exactly when its row holds
-    no other variable.  Raises ValueError on an inconsistent system."""
-    reduced: dict = {}  # pivot -> row with pivot coefficient 1; no pivot occurs in another row
+    After full reduction a variable is pinned exactly when its row holds no other variable.
+    Raises ValueError on an inconsistent system."""
+    ech = _Echelon()
     for row in rows:
-        row = dict(row)
-        for piv, r in reduced.items():
-            if piv in row:
-                c = row[piv]
-                for v, a in r.items():
-                    _add(row, v, -c * a)
-        piv = next((v for v in row if v is not _CONST), _CONST)
-        if piv is _CONST:
-            if row:
-                raise ValueError("inconsistent constraint system")
-            continue
-        inv = 1 / Fraction(row[piv])
-        row = {v: a * inv for v, a in row.items()}
-        for r in reduced.values():
-            if piv in r:
-                c = r[piv]
-                for v, a in row.items():
-                    _add(r, v, -c * a)
-        reduced[piv] = row
-    return {piv: -r.get(_CONST, Fraction(0)) for piv, r in reduced.items() if len(r) - (_CONST in r) == 1}
+        ech.insert(row)
+    return {piv: -r.get(_CONST, Fraction(0)) for piv, r in ech.rows.items() if len(r) - (_CONST in r) == 1}
 
+
+def _closure(rep: FiniteRep, ech: _Echelon, gens: list[Generator], vectors: list[Vector]) -> _Echelon:
+    """Insert vectors into ech, whose span is stable under gens, and close the span under gens."""
+    vectors = [v for v in vectors if ech.insert(v)]
+    while vectors:
+        vectors = [img for v in vectors for g in gens if (img := rep.apply(g, v)) and ech.insert(img)]
+    return ech
+
+
+# ---------------------------------------------------------------------------
+# the block solver
+# ---------------------------------------------------------------------------
 
 def deformed_block(alpha: Fraction | int) -> FiniteRep:
     """The 4-dimensional deformed module at evaluation parameter alpha.
@@ -245,62 +292,6 @@ def deformed_block(alpha: Fraction | int) -> FiniteRep:
         raise ValueError("h(z - alpha) does not annihilate the cyclic vector")
     _check_cyclic(rep, 1)
     return rep
-
-
-# ---------------------------------------------------------------------------
-# linear spans over Q
-# ---------------------------------------------------------------------------
-
-class _Echelon:
-    """Row-reduced spanning set of sparse vectors over Q."""
-
-    def __init__(self):
-        self.rows: dict[int, Vector] = {}  # pivot index -> normalized vector
-
-    def reduce(self, v: Vector) -> Vector:
-        v = dict(v)
-        while v:
-            piv = min(v)
-            row = self.rows.get(piv)
-            if row is None:
-                return v
-            c = v[piv]
-            for i, a in row.items():
-                s = v.get(i, Fraction(0)) - c * a
-                if s:
-                    v[i] = s
-                else:
-                    v.pop(i, None)
-        return v
-
-    def insert(self, v: Vector) -> bool:
-        v = self.reduce(v)
-        if not v:
-            return False
-        piv = min(v)
-        inv = 1 / v[piv]
-        self.rows[piv] = {i: c * inv for i, c in v.items()}
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def vectors(self) -> list[Vector]:
-        return list(self.rows.values())
-
-    def copy(self) -> "_Echelon":
-        out = _Echelon()
-        out.rows = dict(self.rows)  # rows are never mutated in place
-        return out
-
-
-def _closure(rep: FiniteRep, ech: _Echelon, gens: list[Generator], vectors: list[Vector]) -> _Echelon:
-    """Insert vectors into ech, whose span is stable under gens, and close the span under gens."""
-    vectors = [v for v in vectors if ech.insert(v)]
-    while vectors:
-        vectors = [img for v in vectors for g in gens if (img := rep.apply(g, v)) and ech.insert(img)]
-    return ech
 
 
 def _check_cyclic(rep: FiniteRep, k: int):
@@ -394,9 +385,10 @@ def graded_character(rep: FiniteRep) -> QTLaurent:
             raise ValueError("module is not cyclic")
 
     def component_dims(ech: _Echelon) -> dict[tuple[int, int], int]:
+        # every inserted vector is homogeneous in (weight, xi-degree), and elimination only combines
+        # rows of one component, so a row's pivot names its component
         out: dict[tuple[int, int], int] = {}
-        for v in ech.vectors():
-            i = min(v)
+        for i in ech.rows:
             key = (rep.weights[i], rep.xidegs[i])
             out[key] = out.get(key, 0) + 1
         return out

@@ -351,17 +351,22 @@ def _mono_json(weight):
 # inputs past MAX_BOX that ran out of memory or ran on without end before they were refused: an
 # order check of 14,641^2 weight pairs, a D_i^2 check whose alpha_1-strings hold 5.7 * 10^9 shifts
 # (it filled the string memo), the same check at bound 10^12 (its size must be reckoned, not
-# summed), alpha_1-strings of 10^8 shifts, translation words of 2 * 10^8 letters, and the search
-# for the dominant decomposition of mu = -10^8
+# summed), the Hecke, X-T commutation and symmetrizer suites on the same box (each filled the
+# string memo), alpha_1-strings of 10^8 shifts, translation words of 2 * 10^8 letters, and the
+# search for the dominant decomposition of mu = -10^8
 @pytest.mark.parametrize("argv", [
     ("verify", "order", "--type", "A2", "--bound", "60"),
     ("verify", "demazure", "--type", "A1", "--bound", "2047"),
     ("verify", "demazure", "--type", "A1", "--bound", "1000000000000"),
+    ("verify", "hecke", "--type", "A1", "--bound", "2047"),
+    ("verify", "xcommute", "--type", "A1", "--bound", "2047"),
+    ("verify", "symmetrizer", "--type", "A1", "--bound", "2047"),
     ("demazure", "--type", "A1", "--word", "1", "--weight", "100000000"),
     ("y", "--type", "A1", "--mu", "1", "--apply", _mono_json((10 ** 8,))),
     ("y", "--type", "A1", "--mu", "100000000", "--apply", _mono_json((1,))),
     ("y", "--type", "A1", "--mu", "-100000000", "--apply", _mono_json((1,))),
-], ids=["order-pairs", "demazure-squares", "demazure-squares-huge", "demazure-string", "y-string", "y-word", "y-negative-mu"])
+], ids=["order-pairs", "demazure-squares", "demazure-squares-huge", "hecke-squares", "xcommute-squares",
+        "symmetrizer-squares", "demazure-string", "y-string", "y-word", "y-negative-mu"])
 def test_huge_operator_input_exits_2(argv):
     proc = _run_limited(argv, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, "")
@@ -472,3 +477,16 @@ def test_p_golden(capsys, command):
     rc = run(command.split())
     assert capsys.readouterr().out == P_GOLDEN[command]["stdout"]
     assert rc == P_GOLDEN[command]["exit"]
+
+
+# the sl2 laboratory in every format, byte for byte as the engine with a separate Gauss-Jordan
+# block solver and a forward-only echelon printed it
+
+SL2_GOLDEN = json.loads((Path(__file__).parent / "data" / "sl2_golden.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(SL2_GOLDEN))
+def test_sl2_golden(capsys, command):
+    rc = run(command.split())
+    assert capsys.readouterr().out == SL2_GOLDEN[command]["stdout"]
+    assert rc == SL2_GOLDEN[command]["exit"]

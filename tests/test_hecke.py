@@ -623,6 +623,35 @@ def test_word_check_matches_word_listing(monkeypatch, name, bound, mutated):
     assert (listed is None) == (not mutated or name in ("A1xA1", "A4"))
 
 
+# the largest bound each suite admits: the Hecke suites apply the affine indices, the symmetrizer
+# and Demazure suites the finite ones
+@pytest.mark.parametrize("name, affine, finite", [
+    ("A1", 232, 292), ("A1xA1", 49, 49), ("A2", 41, 49), ("B2", 41, 49), ("C2", 41, 49), ("A3", 15, 17),
+])
+def test_suite_box_refuses_long_strings(name, affine, finite):
+    # the closed form agrees with the sum of <alpha_i^vee, mu>^2 over the box and the indices on
+    # both sides of the largest admitted bound
+    rs = root_system(name)
+    for indices, bound in ((hecke._affine_indices(rs), affine), (range(1, rs.rank + 1), finite)):
+        def squares(b):
+            return sum(hecke._pairing(rs, i, mu) ** 2 for mu in weight_box([b] * rs.rank) for i in indices)
+
+        assert squares(bound) <= hecke.MAX_BOX < squares(bound + 1)
+        assert hecke._suite_box(rs, bound, indices) == weight_box([bound] * rs.rank)
+        with pytest.raises(ValueError, match=f"a check of {squares(bound + 1)} alpha_i-string shifts"):
+            hecke._suite_box(rs, bound + 1, indices)
+
+
+@pytest.mark.parametrize("suite, bound", [
+    (verify_relations, 233), (verify_symmetrizer, 293), (verify_demazure, 293),
+])
+def test_suites_refuse_long_strings(monkeypatch, suite, bound):
+    # refused before any operator runs
+    monkeypatch.setattr(hecke, "_t", None)
+    with pytest.raises(ValueError, match="alpha_i-string shifts"):
+        suite(A1, bound)
+
+
 class TestFirstFailure:
     def test_stops_after_first_failure(self):
         drawn = []

@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from daha import sl2
 from daha.qt import QTPoly, RatQT, rat
@@ -13,6 +14,7 @@ from daha.polyring import QTLaurent, laurent_to_text, specialize_dim
 from daha.sl2 import (
     _CONST,
     FiniteRep,
+    _Echelon,
     _solve_linear,
     cross_validate,
     daha_integral_form,
@@ -111,6 +113,80 @@ class TestSolveLinear:
         # a + b + c = 1, b + c = 0: a = 1 alone, which a forward-only echelon leaves coupled to b, c
         got = _solve_linear([{"a": 1, "b": 1, "c": 1, _CONST: -1}, {"b": 1, "c": 1}])
         assert got == {"a": 1} and isinstance(got["a"], Fraction)
+
+
+def _rank(vectors: list[dict]) -> int:
+    """The rank over Q of sparse vectors, by dense elimination column by column."""
+    cols = sorted({k for v in vectors for k in v}, key=repr)
+    rows = [[Fraction(v.get(k, 0)) for k in cols] for v in vectors]
+    rank = 0
+    for c in range(len(cols)):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _coefficients(v: dict) -> dict:
+    return {k: c for k, c in v.items() if k is not _CONST}
+
+
+_values = st.sampled_from(sorted({Fraction(n, d) for n in range(-3, 4) if n for d in (1, 2, 3)}))
+_TUPLE_KEYS = [(g, i, j) for g in [("e", 0, 0), ("h", 1, 1)] for i in range(2) for j in range(2)]
+_vectors = st.one_of(
+    st.lists(st.dictionaries(st.integers(0, 6), _values, min_size=1, max_size=4), max_size=10),
+    st.lists(st.dictionaries(st.sampled_from(_TUPLE_KEYS + [_CONST]), _values, min_size=1, max_size=4),
+             max_size=10),
+)
+
+
+class TestEchelon:
+    """_Echelon against an independent dense elimination, on integer and on (generator, i, j) keys."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(vectors=_vectors, extra=_vectors)
+    def test_differential(self, vectors, extra):
+        ech, kept = _Echelon(), []
+        for v in vectors:
+            before = {p: dict(r) for p, r in ech.rows.items()}
+            try:
+                ech.insert(v)
+            except ValueError:
+                # an inconsistent equation: it adds rank only through its constant, and changes no row
+                assert _rank([_coefficients(u) for u in kept + [v]]) == _rank([_coefficients(u) for u in kept])
+                assert _rank(kept + [v]) == _rank(kept) + 1
+                assert ech.rows == before
+                continue
+            kept.append(v)
+        assert ech.dim == _rank(kept) == _rank([_coefficients(u) for u in kept])
+        assert all(ech.reduce(v) == {} for v in kept)
+        for piv, row in ech.rows.items():
+            assert row[piv] == 1 and next(k for k in row if k is not _CONST) == piv
+            assert all(piv not in other for p, other in ech.rows.items() if p != piv)
+        # a copy owns its rows: inserting into it leaves the original as it was
+        saved = {p: dict(r) for p, r in ech.rows.items()}
+        dup = ech.copy()
+        for v in extra:
+            try:
+                dup.insert(v)
+            except ValueError:
+                pass
+        assert ech.rows == saved
+        assert all(dup.reduce(v) == {} for v in kept)
+
+    def test_copy_after_elimination(self):
+        # the second insert eliminates pivot 1 from the first row in place, in the copy only
+        ech = _Echelon()
+        ech.insert({0: Fraction(1), 1: Fraction(1)})
+        dup = ech.copy()
+        dup.insert({1: Fraction(1)})
+        assert dup.rows == {0: {0: 1}, 1: {1: 1}}
+        assert ech.rows == {0: {0: 1, 1: 1}}
 
 
 class TestSharedResults:
