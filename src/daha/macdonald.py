@@ -43,10 +43,10 @@ from collections.abc import Mapping
 from functools import lru_cache
 from math import gcd
 
-from .qt import ONE_P, QTPoly, RatQT, ZERO_P, _canon_unit, _div_packed, div_exact
-from .polyring import _HALF, _Q, Kernel, QTLaurent, _kernel, _pack, _unpack
+from .qt import ONE_P, QTPoly, RatQT, ZERO_P, Term, _canon_unit, div_exact
+from .polyring import QTLaurent, _kernel, _pack, _unpack
 from .roots import LESS, EQUAL, RootSystem, Weight, CorootVec, root_system
-from .hecke import _comb, _coset_sum, _mono, _shift, _t, _word, _y, _y_fixes
+from .hecke import _alpha_string, _comb, _coset_sum, _decode, _encode, _framed_letter, _mono, _t, _y, _y_fixes
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -122,64 +122,188 @@ def _add_gap(den: dict[QTPoly, int], p: QTPoly) -> tuple[int, int, int]:
     return uc, uq, ut
 
 
-def _ieval(p: QTPoly) -> int:
-    """Exact integer value at (q, t) = (2, 3); negative exponents are cleared first."""
-    mq, mt = p.min_exps()
-    total = 0
-    for (a, b), c in p.terms.items():
-        total += c * (2 ** (a - mq)) * (3 ** (b - mt))
-    return total
-
-
 def _reduced(num: QTPoly, den: dict[QTPoly, int]) -> _Frac:
     """num / prod(den) in lowest terms (_reduced_packed)."""
-    return _reduced_packed(_pack(num.terms), _factor_data(den))
+    return _reduced_packed([_pack(num.terms)], _factor_data(den))[0]
 
 
-def _factor_data(den: dict[QTPoly, int]) -> list[tuple[QTPoly, int, int, int, int]]:
-    """(f, multiplicity, value of f at (2, 3), q-span, t-span) for each factor f of den: canonical, so
-    with minima (0, 0), and its maxima are its spans."""
-    return [(f, m, _ieval(f), *f.max_exps()) for f, m in den.items()]
+def _factor_data(den: dict[QTPoly, int]) -> list[tuple]:
+    """(f, multiplicity, q-span, t-span, sum of |c|, b, (ya, yb), D, r, sum of |r|) for each factor f of den.
+
+    f is canonical, so its minima are (0, 0) and its maxima its spans, and (_add_gap) it is
+    t^b P(y) for y = q^ya t^yb, the primitive step from its lex-least term t^b to its next, and
+    P = +-Phi_D with P(0) = 1.  r = (1 - y^D) / P, a polynomial, as (degree, coefficient) pairs,
+    so 1 / P(y) = r(y) (1 + y^D + y^2D + ...) as a power series.  P of degree 1 is 1 - y = -Phi_1
+    or 1 + y = Phi_2.  The last term in lex order has the largest q-exponent, and the largest
+    t-exponent is at one end of the line."""
+    out = []
+    for f, m in den.items():
+        terms = sorted(f.terms.items())
+        ((_, b), _), ((a1, b1), _) = terms[0], terms[1]
+        g = gcd(a1, b1 - b)
+        ya, yb = a1 // g, (b1 - b) // g
+        p = {}
+        for (a, bt), c in terms:
+            i = a // ya if ya else (bt - b) // yb
+            assert (a, bt) == (i * ya, b + i * yb), "a factor of den is not a polynomial in one monomial"
+            p[i] = c
+        d, r = _period(p) if i > 1 else (1, [(0, 1)]) if p[1] == -1 else (2, [(0, 1), (1, -1)])
+        out.append((f, m, a, max(b, bt), sum(map(abs, p.values())), b, (ya, yb), d, r, sum(abs(c) for _, c in r)))
+    return out
 
 
-def _reduced_packed(c: Mapping[int, int], factors: list[tuple[QTPoly, int, int, int, int]]) -> _Frac:
-    """c / prod(den) in lowest terms, for c packed as {a * 2^64 + b: int} (a kernel coefficient) and
-    den listed by _factor_data: divide out each factor of den that divides c.
+def _period(p: dict[int, int]) -> tuple[int, list[tuple[int, int]]]:
+    """(D, r) for P = sum p[i] y^i with P(0) = 1 and P | 1 - y^D: D least, r = (1 - y^D) / P as (i, r_i).
 
-    c is packed once, relative to its componentwise minima, as dq * width + dt with width its t-span
-    plus one, and every division runs there (qt._div_packed).  A canonical factor has minima
-    (0, 0), so a quotient keeps the frame's origin; its spans are the dividend's less the
-    factor's, and the width stays above its t-span.  A factor is tried only if its value at
-    (2, 3) divides c's there, with exponents taken from the minima, so most failing divisions are
-    skipped; that value is multiplicative, so a quotient's is c's divided by the factor's."""
-    if not c:
-        return ZERO_P, {}
-    ts = [((k + _HALF) & (_Q - 1)) - _HALF for k in c]
-    lt, ht = min(ts), max(ts)
-    aq = (min(c) + _HALF) >> 64  # keys are in lex order on (a, b)
-    sq, st = ((max(c) + _HALF) >> 64) - aq, ht - lt
-    width = st + 1
-    origin = aq * _Q + lt
-    rem = {((k - origin) >> 64) * width + b - lt: v for (k, v), b in zip(c.items(), ts)}
-    ne = None
-    out = {}
-    for f, m, fe, fq, ft in factors:
-        while m > 0 and fq <= sq and ft <= st:
-            if fe not in (0, 1, -1):
-                if ne is None:
-                    p3 = [3 ** j for j in range(width)]
-                    ne = sum((v * p3[k % width]) << k // width for k, v in rem.items())
-                if ne % fe:
+    1/P = sum s_n y^n as a power series, s_n = -sum_{i >= 1} p_i s_(n-i), and P | 1 - y^D exactly
+    when s has period D, r being s_0 + ... + s_(D-1) y^(D-1); the differences s_(n+D) - s_n obey
+    the same recurrence, so they vanish once deg(P) of them do.  P = +-Phi_D has degree
+    phi(D) >= sqrt(D / 2), so D <= 2 deg(P)^2."""
+    assert p.get(0) == 1, "a factor of den has lex-least coefficient other than 1"
+    deg = max(p)
+    s = [1]
+    for n in range(1, 2 * deg * deg + deg + 1):
+        s.append(-sum(c * s[n - i] for i, c in p.items() if 0 < i <= n))
+    for d in range(1, 2 * deg * deg + 1):
+        if s[d:d + deg] == s[:deg]:
+            return d, [(n, x) for n, x in enumerate(s[:d]) if x]
+    raise AssertionError("a factor of den is not cyclotomic")
+
+
+def _masks(k: int, width: int, rows: int, j: int, ft: int) -> tuple[int, int]:
+    """(fill, mask) for the digit check of a quotient by a factor of t-span ft, in a frame of rows * width
+    k-bit slots: fill holds 2^j in each slot outside the last ft columns of a row, mask the bits
+    above j there and every bit of those last columns."""
+    s = k >> 3
+    row_fill = (1 << j).to_bytes(s, "little") * (width - ft) + bytes(s * ft)
+    row_mask = ((1 << k) - (2 << j)).to_bytes(s, "little") * (width - ft) + b"\xff" * (s * ft)
+    return int.from_bytes(row_fill * rows, "little"), int.from_bytes(row_mask * rows, "little")
+
+
+def _series(x: int, step: int, n: int) -> int:
+    """x (1 + 2^step + 2^(2 step) + ...) mod 2^n, by doubling: one shift-add per doubling of the terms."""
+    top = (1 << n) - 1
+    while step < n:
+        x = (x + (x << step)) & top
+        step <<= 1
+    return x
+
+
+def _quotient(v: int, sigma: int, fterms: list[tuple[int, int]], flen: int, r: list[tuple[int, int]], stride: int
+              ) -> int | None:
+    """v / F if F divides v, else None, for F = sum c 2^s over fterms = 2^sigma P(Y), with |F| of flen bits.
+
+    P(Y) r(Y) = 1 - Y^D with Y^D = 2^stride (_factor_data; r is [] for r = 1), so F^-1 = 2^-sigma r(Y) (1 + Y^D + ...)
+    as a 2-adic integer, and v / F is that series times v, read modulo 2^n for n = len(v) -
+    flen + 2: an exact quotient is below 2^(n-1) in size.  The product with F, a few shift-adds,
+    decides: it gives v back exactly when F divides v."""
+    n = abs(v).bit_length() - flen + 2
+    if n < 2:
+        return None
+    top = (1 << n) - 1
+    x = (v >> sigma) & top
+    if r:
+        x = _shift_sum(x, r) & top
+    x = _series(x, stride, n)
+    if x >> (n - 1):
+        x -= 1 << n
+    return x if _shift_sum(x, fterms) == v else None
+
+
+def _shift_sum(x: int, terms: list[tuple[int, int]]) -> int:
+    """The sum of c 2^s x over the terms (s, c): a shift and an add or subtract each, for c = +-1."""
+    out = 0
+    for s, c in terms:
+        if c == 1:
+            out += x << s
+        elif c == -1:
+            out -= x << s
+        else:
+            out += c * (x << s)
+    return out
+
+
+def _reduced_packed(cs: list[Mapping[int, int]], factors: list[tuple]) -> list[_Frac]:
+    """Each c / prod(den) in lowest terms, for c packed as {a * 2^64 + b: int} and den listed by
+    _factor_data: all in one frame (_divided), each with its own origin."""
+    terms = [_unpack(c) for c in cs]
+    live = [c for c in terms if c]
+    if not live:
+        return [(ZERO_P, {})] * len(cs)
+    top = max(max(map(abs, c.values())) for c in live)
+    k = 64 * (top.bit_length() // 64 + 1)
+    lows = [min(b for _, b in c) for c in live]
+    width = max(max(b for _, b in c) - lo for c, lo in zip(live, lows)) + 1
+    out = iter(_divided(k, width, [(*_encode(c, k, width, lo), lo) for c, lo in zip(live, lows)], factors))
+    return [next(out) if c else (ZERO_P, {}) for c in terms]
+
+
+def _divided(k: int, width: int, items: list[tuple[int, int, int]], factors: list[tuple]) -> list[_Frac]:
+    """Each numerator (v, e, b0) of items, in the frame (k, width) of _encode, over prod(den) in lowest
+    terms: each factor of den divided out while it divides, in the frame, and the rest decoded once.
+
+    The frame maps q^a t^b to 2^(k ((a - e) width + b - b0)): an evaluation at powers of 2, so a ring
+    map, and injective on polynomials whose coefficients are below 2^(k-1) in size and whose
+    t-exponents lie in [b0, b0 + width); every numerator here meets both bounds.  A factor f of
+    t-span ft goes to the integer F (_quotient) and divides a numerator N exactly when a quotient
+    Q with F Q = N as integers passes two checks, one add and one AND (_masks):
+      - every balanced base-2^k digit of Q is below 2^j in size, with 2^j |f|_1 <= 2^(k-1), so the
+        coefficients of the polynomial Q read off those digits, times f, stay in the injective
+        range;
+      - Q has no digit in the last ft columns of a row, so Q f does not carry into the next row.
+    Then Q f and N have the same image, so they are equal, and Q is the next numerator, again
+    inside both bounds.  If F does not divide N, f does not divide N.  If F divides N but a check
+    fails, f divides N only with a quotient past 2^j: the quotient's coefficients are partial sums
+    along y-chains of N r (_factor_data), so at most |N|_1 |r|_1, and N is decoded to decide; if
+    that bound reaches 2^j, N goes on in a frame with wider slots.  A factor whose q-span passes
+    N's, or whose t-span passes the window, is not tried.
+    """
+    rows = max((abs(v).bit_length() // k // width for v, _, _ in items), default=0) + 2
+    framed, masks = [], {}
+    for f, _, fq, ft, l1, b, (ya, yb), d, r, l1r in factors:
+        if ft >= width:  # it divides no numerator here, and its step y may map to 2^0
+            framed.append(None)
+            continue
+        fterms = [(k * (a * width + bt), c) for (a, bt), c in f.terms.items()]
+        step = k * (ya * width + yb)
+        j = k - 1 - (l1 - 1).bit_length()
+        if (j, ft) not in masks:
+            masks[j, ft] = _masks(k, width, rows, j, ft)
+        framed.append((fq, k * b, fterms, abs(_shift_sum(1, fterms)).bit_length(),
+                       [(i * step, c) for i, c in r] if r != [(0, 1)] else [], d * step, j, l1r, *masks[j, ft]))
+    return [_divide_out(v, e, b0, k, width, k * width * rows, factors, framed) for v, e, b0 in items]
+
+
+def _divide_out(v: int, e: int, b0: int, k: int, width: int, limit: int, factors: list[tuple], framed: list
+                ) -> _Frac:
+    """One numerator of _divided, with each factor's frame data from there."""
+    qk = k * width
+    part = {}
+    for n, ((f, m, *_), fr) in enumerate(zip(factors, framed)):
+        if fr:
+            fq, sigma, fterms, flen, r, stride, j, l1r, fill, mask = fr
+            while m:
+                # its q-span, from the rows of its lowest and highest digits, is at least fq
+                if fq and fq > (abs(v).bit_length() + 1) // qk - ((v & -v).bit_length() - 1) // qk:
                     break
-            q = _div_packed(dict(rem), width, st - ft, f.terms)  # a copy: the division consumes it
-            if q is None:
-                break
-            rem, sq, st = q, sq - fq, st - ft
-            ne = ne // fe if fe and ne is not None else None
-            m -= 1
+                x = _quotient(v, sigma, fterms, flen, r, stride)
+                if x is None:
+                    break
+                y = x + fill
+                if y < 0 or y >> limit or y & mask:
+                    terms = _decode(v, e, k, width, b0)
+                    bound = sum(map(abs, terms.values())) * l1r
+                    if bound >> j:  # a quotient could reach 2^j: decide in wider slots
+                        k = 64 * (((bound * factors[n][4]).bit_length() + 1) // 64 + 1)
+                        (num, more), = _divided(k, width, [(*_encode(terms, k, width, b0), b0)],
+                                                [(f, m, *factors[n][2:])] + factors[n + 1:])
+                        return num, {**part, **more}
+                    break
+                v = x
+                m -= 1
         if m:
-            out[f] = m
-    return QTPoly({(aq + k // width, lt + k % width): v for k, v in rem.items()}), out
+            part[f] = m
+    return QTPoly(_decode(v, e, k, width, b0)), part
 
 
 def _over_common_den(coeffs) -> tuple[dict[QTPoly, int], list[QTPoly]]:
@@ -334,15 +458,11 @@ def _solve_fresh(rs: RootSystem, lam: Weight) -> tuple[list[Weight], tuple[_Frac
     if p < 2:
         return basis, ((ZERO_P, {}),) * (len(basis) - 1) + ((ONE_P, {}),)
     nu = tuple(l - (p - 1) * c for l, c in zip(lam, theta))
-    den, f = _climb(rs, nu)
     mq, mt = expected_eigen_exponents(rs, nu, coroot)
     mq, mt = mq + 1, mt - sum(coroot)  # m = q^mq t^mt; rho = (1, ..., 1), so <vartheta^vee, rho> = sum(coroot)
-    sign, uq, ut = _add_gap(den, QTPoly({(0, 0): 1, (mq, mt): -1}))
-    phi = _shift(_word(rs, word, f), theta)
     h = (len(word) - 1) // 2
-    # (1 - m) Phi f + (1 - t) t^h m f, divided by the unit sign q^uq t^ut of 1 - m
-    f = _comb((phi, -uq, -ut, sign, 0), (phi, mq - uq, mt - ut, -sign, 0), (f, mq - uq, mt + h - ut, sign, -sign))
-    coeffs = _coefficients(lam, basis, den, f)
+    # (1 - m) Phi f + (1 - t) t^h m f over den (1 - m), f / den = E_nu
+    coeffs = _coefficients(lam, basis, *_climb(rs, nu, (word, theta, mq, mt, mq, mt + h)))
     lead, part = coeffs[-1]
     if part or not lead.is_monomial():
         return basis, coeffs  # not a unit: _result refuses it
@@ -350,35 +470,116 @@ def _solve_fresh(rs: RootSystem, lam: Weight) -> tuple[list[Weight], tuple[_Frac
     return basis, tuple((num.shift(-lq, -lt).scale(lc), part) for num, part in coeffs)
 
 
-def _climb(rs: RootSystem, lam: Weight) -> tuple[dict[QTPoly, int], Kernel]:
-    """(den, f) with E_lam = f / prod(den): E_{lam_+} from _solve, walked up to lam by finite intertwiners.
+# a numerator in a Kronecker frame: (k, width, b0, {weight: (v, e)}), v as _encode writes it
+_Framed = tuple[int, int, int, dict[Weight, tuple[int, int]]]
+
+
+def _climb(rs: RootSystem, lam: Weight, affine: tuple | None = None) -> tuple[dict[QTPoly, int], _Framed]:
+    """(den, f) with E_lam = f / prod(den), f framed: E_{lam_+} from _solve, walked up to lam by finite
+    intertwiners, then taken by the affine step if one is given (_solve_fresh).
 
     With u lam = lam_+, the letters of u lead lam_+ up its orbit to lam; each step mu -> s_i mu
     has <alpha_i^vee, mu> > 0 and is E_{s_i mu} = T_i E_mu + (1 - t) / (1 - q^-a t^(1-b)) E_mu,
     q^a t^b the eigenvalue of Y^{alpha_i^vee} on E_mu.  Each step multiplies f by its binomial
-    and adds the binomial's factors to den."""
+    and adds the binomial's factors to den (_walk)."""
     lam_plus, u = rs.dominant(lam)
     seed_basis, seed = _solve(rs, lam_plus)
     den, nums = _over_common_den(seed)
-    f = {w: _pack(num.terms) for w, num in zip(seed_basis, nums) if not num.is_zero()}
-    nu = lam_plus
+    steps, nu = [], lam_plus
     for i in u:
         assert nu[i - 1] > 0, "intertwiner step does not go up the orbit"
         a, b = expected_eigen_exponents(rs, nu, tuple(int(k == i - 1) for k in range(rs.rank)))
-        sign, uq, ut = _add_gap(den, QTPoly({(0, 0): 1, (-a, 1 - b): -1}))
-        ti = _t(rs, i, f)
-        # (1 - q^-a t^(1-b)) T_i f + (1 - t) f, divided by the unit sign q^uq t^ut of the binomial
-        f = _comb((ti, -uq, -ut, sign, 0), (ti, -a - uq, 1 - b - ut, -sign, 0), (f, -uq, -ut, sign, -sign))
+        steps.append(((i,), None, -a, 1 - b, 0, 0))
         nu = rs.reflect(i, nu)
-    return den, f
+    if affine:
+        steps.append(affine)
+    return den, _walk(rs, {w: num.terms for w, num in zip(seed_basis, nums) if not num.is_zero()}, den, steps)
 
 
-def _coefficients(lam: Weight, basis: list[Weight], den: dict[QTPoly, int], f: Kernel) -> tuple[_Frac, ...]:
+def _walk(rs: RootSystem, f: dict[Weight, Mapping[Term, int]], den: dict[QTPoly, int], steps: list[tuple]) -> _Framed:
+    """The intertwiner steps on f, in one Kronecker frame; the factors of their gaps are added to den.
+
+    A step (word, shift, mq, mt, nq, nt) maps g to ((1 - m) A g + (1 - t) n g) / unit, with
+    A = X^shift T_word (T_i for each letter i, the last first), m = q^mq t^mt, n = q^nq t^nt and unit
+    the monomial of 1 - m that _add_gap splits off.  In the frame (hecke._y_fixes), q^a t^b is the
+    bit k ((a - e_w) width + b - b0) of one integer per weight, so a letter is hecke._framed_letter
+    and a monomial factor a shift.  The frame is planned before the first step, so no value is
+    decoded on the way:
+      - a letter raises t-exponents by 0 or 1 and the other shifts are known, so the t-exponents
+        of every value lie in a window fixed by the steps alone; b0 and width cover it;
+      - the largest coefficient of each weight's value is bounded by running the steps on those
+        bounds with every coefficient taken as its size: a string entry of T_i adds its source's
+        bound to its target's, and the step adds 2 of A's and 2 of g's.  k is the least multiple
+        of 64 bits above the last bounds, so the result decodes exactly (_divided)."""
+    units, bound = [], {w: max(map(abs, c.values())) for w, c in f.items()}
+    lo = min(min(b for _, b in c) for c in f.values())
+    low, high = 0, max(max(b for _, b in c) for c in f.values()) - lo  # the window, relative to lo
+    floor = 0
+    for word, shift, mq, mt, nq, nt in steps:
+        sign, uq, ut = _add_gap(den, QTPoly({(0, 0): 1, (mq, mt): -1}))
+        units.append((sign, uq, ut))
+        image = bound
+        for i in reversed(word):
+            memo = rs._caches.setdefault(("alpha_strings", i), {})
+            out: dict[Weight, int] = {}
+            for mu, x in image.items():
+                for w, _, _ in memo.get(mu) or _alpha_string(rs, i, mu, memo):
+                    out[w] = out.get(w, 0) + x
+            image = out
+        if shift:
+            image = {tuple(a + b for a, b in zip(w, shift)): x for w, x in image.items()}
+        for w, x in bound.items():
+            image[w] = image.get(w, 0) + x
+        bound = {w: 2 * x for w, x in image.items()}
+        low, high = (min(low - ut, low + mt - ut, low + nt - ut),
+                     max(high + len(word) - ut, high + len(word) + mt - ut, high + nt - ut + 1))
+        floor = min(floor, low)
+    k = 64 * (max(bound.values()).bit_length() // 64 + 1)
+    width, b0 = high - floor + 1, lo + floor
+    g = {w: _encode(c, k, width, b0) for w, c in f.items()}
+    for (word, shift, mq, mt, nq, nt), (sign, uq, ut) in zip(steps, units):
+        image = g
+        for i in reversed(word):
+            memo = rs._caches.setdefault(("alpha_strings", i), {})
+            strings = [memo.get(w) or _alpha_string(rs, i, w, memo) for w in image]
+            image = _framed_letter(image, strings, False, k, width)
+        if shift:
+            image = {tuple(a + b for a, b in zip(w, shift)): ve for w, ve in image.items()}
+        g = _framed_comb(k, width, (image, -uq, -ut, sign, 0), (image, mq - uq, mt - ut, -sign, 0),
+                         (g, nq - uq, nt - ut, sign, -sign))
+    return k, width, b0, g
+
+
+def _framed_comb(k: int, width: int, *parts: tuple) -> dict[Weight, tuple[int, int]]:
+    """The sum of q^dq t^dt (c0 + c1 t) g over the parts (g, dq, dt, c0, c1), on framed values (hecke._comb)."""
+    out: dict[Weight, list[int]] = {}
+    qk = k * width
+    for g, dq, dt, c0, c1 in parts:
+        up, down = k * max(dt, 0), k * max(-dt, 0)  # t^dt: a shift up, or an exact shift down
+        terms = [(s, c) for s, c in ((up, c0), (up + k, c1)) if c]
+        for w, (v, e) in g.items():
+            x = _shift_sum(v >> down if down else v, terms)
+            e += dq
+            o = out.get(w)
+            if o is None:
+                out[w] = [x, e]
+                continue
+            if e > o[1]:
+                x <<= (e - o[1]) * qk
+            elif e < o[1]:
+                o[0] <<= (o[1] - e) * qk
+                o[1] = e
+            o[0] += x
+    return {w: (v, e) for w, (v, e) in out.items() if v}
+
+
+def _coefficients(lam: Weight, basis: list[Weight], den: dict[QTPoly, int], f: _Framed) -> tuple[_Frac, ...]:
     """The reduced coefficients of f / prod(den) on basis, the lower set of lam, which must hold f's support."""
-    if not f.keys() <= set(basis):
+    k, width, b0, g = f
+    if not g.keys() <= set(basis):
         raise OrderViolationError(f"the intertwiners left the lower set of {lam}")
-    factors = _factor_data(den)
-    return tuple(_reduced_packed(f.get(w, {}), factors) for w in basis)
+    out = iter(_divided(k, width, [(*g[w], b0) for w in basis if w in g], _factor_data(den)))
+    return tuple(next(out) if w in g else (ZERO_P, {}) for w in basis)
 
 
 def _is_eigenvector(rs: RootSystem, mu: CorootVec, cleared: QTLaurent, exps: tuple[int, int]) -> bool:
@@ -493,15 +694,11 @@ def sym_p(rs: RootSystem, lam: Weight) -> QTLaurent:
     f = _coset_sum(rs, lam, f)
     if f.get(lam) != _pack(res.clearing.terms):
         raise AssertionError(f"the coset sum's e^{lam} coefficient is not the clearing")
-    factors = _factor_data(res.clearing_factors)
-    reduced: dict[frozenset, RatQT] = {}  # an orbit repeats each coefficient value
-    terms = {}
-    for w, c in f.items():
-        key = frozenset(c.items())
-        if key not in reduced:
-            reduced[key] = _ratqt(_reduced_packed(c, factors))
-        terms[w] = reduced[key]
-    p = QTLaurent(rs, terms)
+    keys = {w: frozenset(c.items()) for w, c in f.items()}
+    distinct = dict(zip(keys.values(), f.values()))  # an orbit repeats each coefficient value
+    reduced = dict(zip(distinct, map(_ratqt, _reduced_packed(list(distinct.values()),
+                                                              _factor_data(res.clearing_factors)))))
+    p = QTLaurent(rs, {w: reduced[key] for w, key in keys.items()})
     if not p.is_w_invariant():
         raise AssertionError("the coset sum is not W-invariant")
     return p

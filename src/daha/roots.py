@@ -122,7 +122,8 @@ class RootSystem:
             for j in range(self.rank)
         )
         # integer root coordinates: M = D A^{-1} with D > 0 least, so M lam = D A^{-1} lam
-        self.root_den, self.root_mat = _scaled_inverse(cartan)
+        self.root_den, self.root_mat = (_scaled_inverse_a(self.rank) if key == f"A{self.rank}"
+                                        else _scaled_inverse(cartan))
         self._caches: dict = {}
 
     def __repr__(self):
@@ -549,6 +550,12 @@ def _scaled_inverse(cartan) -> tuple[int, tuple[tuple[int, ...], ...]]:
     g = gcd(prev, *(x for row in scaled for x in row))
     sign = 1 if prev > 0 else -1
     return abs(prev) // g, tuple(tuple(sign * x // g for x in row) for row in scaled)
+
+
+def _scaled_inverse_a(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """_scaled_inverse of the Cartan matrix of A_n in closed form: A^{-1} has entries
+    min(i, j)(n + 1 - max(i, j))/(n + 1), and its (1, 1) entry n/(n + 1) is in lowest terms, so D = n + 1."""
+    return n + 1, tuple(tuple(min(i, j) * (n + 1 - max(i, j)) for j in range(1, n + 1)) for i in range(1, n + 1))
 
 
 def _linear_extension(keys: dict[Weight, OrderKey]) -> list[Weight]:

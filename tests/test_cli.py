@@ -479,6 +479,19 @@ def test_p_golden(capsys, command):
     assert rc == P_GOLDEN[command]["exit"]
 
 
+# `daha e` in every format, with and without --integral, byte for byte as the engine that reduced each
+# coefficient by sparse heap division printed it
+
+E_GOLDEN = json.loads((Path(__file__).parent / "data" / "e_golden.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(E_GOLDEN))
+def test_e_golden(capsys, command):
+    rc = run(command.split())
+    assert capsys.readouterr().out == E_GOLDEN[command]["stdout"]
+    assert rc == E_GOLDEN[command]["exit"]
+
+
 # the sl2 laboratory in every format, byte for byte as the engine with a separate Gauss-Jordan
 # block solver and a forward-only echelon printed it
 

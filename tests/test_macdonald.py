@@ -5,6 +5,7 @@ formulas (two-step Y applications and 2x2/3x3 triangular solves), then
 double-checked numerically at two rational points before freezing.
 """
 
+import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -17,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from daha import hecke, macdonald, qt
 from daha.qt import ONE_P, ZERO_P, QTPoly, RatQT, poly_to_json, rat, ratqt_to_json
 from daha.roots import EQUAL, LESS, root_system, weight_box
-from daha.polyring import QTLaurent, _unpack, integral_form, laurent_to_json, laurent_to_text, specialize_dim
+from daha.polyring import QTLaurent, _pack, _unpack, integral_form, laurent_to_json, laurent_to_text, specialize_dim
 from daha.macdonald import (
     DegenerateSpectrumError,
     OrderViolationError,
@@ -344,6 +345,47 @@ class TestIntertwinerWalk:
         assert _fields(nonsym_e(A2, lam)) == expected
 
 
+def _dict_walk(rs, lam, affine=None):
+    """macdonald._climb on the dict kernel (hecke._t, hecke._comb), as it ran before the frame: (den, f)."""
+    lam_plus, u = rs.dominant(lam)
+    seed_basis, seed = macdonald._solve(rs, lam_plus)
+    den, nums = macdonald._over_common_den(seed)
+    f = {w: _pack(num.terms) for w, num in zip(seed_basis, nums) if not num.is_zero()}
+    steps, nu = [], lam_plus
+    for i in u:
+        a, b = expected_eigen_exponents(rs, nu, tuple(int(k == i - 1) for k in range(rs.rank)))
+        steps.append(((i,), None, -a, 1 - b, 0, 0))
+        nu = rs.reflect(i, nu)
+    for word, shift, mq, mt, nq, nt in steps + ([affine] if affine else []):
+        sign, uq, ut = macdonald._add_gap(den, QTPoly({(0, 0): 1, (mq, mt): -1}))
+        image = hecke._word(rs, word, f)
+        if shift:
+            image = hecke._shift(image, shift)
+        f = hecke._comb((image, -uq, -ut, sign, 0), (image, mq - uq, mt - ut, -sign, 0),
+                        (f, nq - uq, nt - ut, sign, -sign))
+    return den, {w: _unpack(c) for w, c in f.items()}
+
+
+@pytest.mark.parametrize("name", sorted(_E_TABLE_BOXES))
+def test_framed_walk_matches_dict_walk(name):
+    # every weight of the e-table boxes: the finite walk of a non-dominant weight, the affine step of a
+    # dominant one above the minuscule weights
+    rs = root_system(name)
+    theta, coroot, word = rs.short_theta()
+    for lam in weight_box([_E_TABLE_BOXES[name]] * rs.rank):
+        affine = None
+        if rs.is_dominant(lam):
+            p = rs.coroot_pair(coroot, lam)
+            if p < 2:
+                continue
+            lam = tuple(l - (p - 1) * c for l, c in zip(lam, theta))
+            mq, mt = expected_eigen_exponents(rs, lam, coroot)
+            mq, mt = mq + 1, mt - sum(coroot)
+            affine = (word, theta, mq, mt, mq, mt + (len(word) - 1) // 2)
+        den, (k, width, b0, g) = macdonald._climb(rs, lam, affine)
+        assert (den, {w: hecke._decode(v, e, k, width, b0) for w, (v, e) in g.items()}) == _dict_walk(rs, lam, affine)
+
+
 # the dominant weights of A1 box 6, A2/B2/C2 box 3 and A3/A4 box 1: 79 weights
 _DOMINANT_BOXES = {"A1": 6, "A2": 3, "B2": 3, "C2": 3, "A3": 1, "A4": 1}
 
@@ -496,15 +538,21 @@ class TestOperatorChoice:
 
 # the one-frame reduction of macdonald._reduced against the per-factor division loop it replaced
 
+def _ieval(p):
+    """Exact integer value at (q, t) = (2, 3); negative exponents are cleared first."""
+    mq, mt = p.min_exps()
+    return sum(c * 2 ** (a - mq) * 3 ** (b - mt) for (a, b), c in p.terms.items())
+
+
 def _reduced_reference(num, den):
     """num / prod(den) in lowest terms: each factor of den divided out by qt.div_exact while it divides,
     tried only if its value at (2, 3) divides num's there."""
     if num.is_zero():
         return num, {}
     out = {}
-    ne = macdonald._ieval(num)
+    ne = _ieval(num)
     for f, m in den.items():
-        fe = macdonald._ieval(f)
+        fe = _ieval(f)
         while m > 0:
             if fe not in (0, 1, -1) and ne % fe:
                 break
@@ -512,7 +560,7 @@ def _reduced_reference(num, den):
             if q is None:
                 break
             num = q
-            ne = ne // fe if fe else macdonald._ieval(num)
+            ne = ne // fe if fe else _ieval(num)
             m -= 1
         if m:
             out[f] = m
@@ -539,6 +587,81 @@ def test_one_frame_reduction_matches_per_factor_division(data):
     assert macdonald._reduced(num, den) == _reduced_reference(num, den)
 
 
+# the frame's division (macdonald._divided): an exact 2-adic quotient, accepted only if its digits pass
+# the injectivity checks, against the per-factor division loop above
+
+def _cyclo(d, a, b):
+    """Phi_d(q^a t^b) in canonical form, as _add_gap puts it into den for a primitive (a, b)."""
+    return qt._canon_unit(QTPoly({(k * a, k * b): c for k, c in macdonald._cyclotomic(d)}))
+
+
+_directions = st.tuples(st.integers(0, 3), st.integers(-3, 3)).filter(
+    lambda e: e != (0, 0) and math.gcd(*e) == 1 and (e[0] > 0 or e[1] > 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_framed_division_matches_per_factor_division(data):
+    # a cofactor with coefficients up to 2^100 times cyclotomic factors Phi_d(q^a t^b), d <= 12 and b of
+    # either sign (t^2 - q is Phi_1(q t^-2)), each at multiplicity 0-2; den holds each at 0-3
+    factors = {_cyclo(d, a, b) for d, (a, b) in data.draw(
+        st.lists(st.tuples(st.integers(1, 12), _directions), min_size=1, max_size=3))}
+    scale = data.draw(st.sampled_from([9, 1 << 40, 1 << 100]))
+    num = QTPoly(data.draw(st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                                           st.integers(-scale, scale), min_size=1, max_size=6)))
+    for f in factors:
+        num = num * f ** data.draw(st.integers(0, 2))
+    if data.draw(st.booleans()):  # usually no longer divisible
+        num = num + QTPoly({data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))): 1})
+    den = {f: m for f in factors if (m := data.draw(st.integers(0, 3)))}
+    assert macdonald._reduced(num, den) == _reduced_reference(num, den)
+
+
+# A2 (-4, 3): an 8-term coefficient of the eigensolve whose image is a multiple of that of 1 - q^2 t, with a
+# quotient that wraps a t-column; 1 - q^2 t does not divide it
+_WRAPPING = (QTPoly({(7, 0): -1, (7, 1): 1, (6, 1): 1, (6, 0): -1, (2, 0): 1, (2, 1): -1, (1, 0): 1, (1, 1): -1}),
+             {QTPoly({(0, 0): 1, (2, 1): -1}): 1, QTPoly({(0, 0): 1, (1, 0): -1}): 1,
+              QTPoly({(k, 0): 1 for k in range(5)}): 1})
+
+
+def _overflowing():
+    """A numerator N with 64-bit slots (width 5) whose image is F Q for Phi_3(t) with Q's digits 2^62 - 1:
+    Q Phi_3(t) has a coefficient of 3 (2^62 - 1), which carries, and Phi_3(t) does not divide N."""
+    big = (1 << 62) - 1
+    num = QTPoly({(0, 0): big, (0, 1): 2 * big, (0, 2): 3 * big - (1 << 64), (0, 3): 2 * big + 1, (0, 4): big})
+    return num, {_cyclo(3, 0, 1): 1}
+
+
+def _long_quotient():
+    """(1 - t) times a 40-term polynomial: the series for 1 / (1 - t) needs every doubling."""
+    return QTPoly({(0, 0): 1, (0, 40): -1}) * QTPoly({(0, 1): 3, (1, 0): 1}), {_cyclo(1, 0, 1): 1}
+
+
+def _wide_quotient():
+    """c (1 - t^20) over 1 - t, c = 2^62: its quotient has digits c, past 2^j for 64-bit slots, so the
+    numerator is decoded and divided again in 128-bit slots."""
+    return QTPoly({(0, 0): 1 << 62, (0, 20): -(1 << 62)}), {_cyclo(1, 0, 1): 1}
+
+
+@pytest.mark.parametrize("example", [_WRAPPING, _overflowing(), _long_quotient(), _wide_quotient()],
+                         ids=["column-wrap", "digit-overflow", "long-series", "wide-slots"])
+def test_framed_division_fixed_examples(example):
+    assert macdonald._reduced(*example) == _reduced_reference(*example)
+
+
+@pytest.mark.parametrize("fault, example", [("no column check", _WRAPPING), ("slot one bit narrow", _overflowing()),
+                                            ("doubling one step short", _long_quotient())])
+def test_planted_division_fault_is_caught(monkeypatch, fault, example):
+    real_masks, real_series = macdonald._masks, macdonald._series
+    if fault == "no column check":
+        monkeypatch.setattr(macdonald, "_masks", lambda k, width, rows, j, ft: real_masks(k, width, rows, j, 0))
+    elif fault == "slot one bit narrow":
+        monkeypatch.setattr(macdonald, "_masks", lambda k, width, rows, j, ft: real_masks(k, width, rows, j + 1, ft))
+    else:
+        monkeypatch.setattr(macdonald, "_series", lambda x, step, n: real_series(x, 2 * step, n))
+    assert macdonald._reduced(*example) != _reduced_reference(*example)
+
+
 class TestCertificate:
     """A failing zero test is never bypassed: every route to E_lam ends in the residual check."""
 
@@ -561,9 +684,9 @@ class TestCertificate:
     def test_scaled_e_raises(self, monkeypatch, fresh_caches, name, lam):
         real = macdonald._climb
 
-        def doubled(rs, nu):
-            den, f = real(rs, nu)
-            return den, {w: {k: 2 * v for k, v in c.items()} for w, c in f.items()}
+        def doubled(rs, nu, *affine):
+            den, (k, width, b0, g) = real(rs, nu, *affine)
+            return den, (k, width, b0, {w: (2 * v, e) for w, (v, e) in g.items()})
 
         monkeypatch.setattr(macdonald, "_climb", doubled)
         with pytest.raises(AssertionError, match="coefficient other than 1"):

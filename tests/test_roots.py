@@ -527,6 +527,12 @@ class TestIntegerKernel:
                            for i in range(1, n + 1)]
             assert rs.root_den == lcm(*(x.denominator for row in inv for x in row))
 
+    def test_a_n_closed_form_matches_bareiss(self):
+        # A_n takes its root coordinates from the closed form; every other type from Bareiss
+        for n in range(1, 61):
+            rs = RootSystem(f"A{n}")
+            assert (rs.root_den, rs.root_mat) == roots._scaled_inverse(rs.cartan), n
+
     @pytest.mark.parametrize("name,bound", [("A1", 6), ("A2", 3), ("B2", 3), ("C2", 3), ("A3", 2), ("A4", None)])
     def test_linear_extension_matches_all_pairs(self, name, bound):
         # every lower set of the box (A4: the 291 weights below (-1,-1,-1,-1)), in the all-pairs order
