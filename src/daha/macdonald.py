@@ -18,10 +18,22 @@ Every coefficient is one pair (num, den): a QTPoly over {irreducible
 canonical factor: multiplicity}.  Each gap an intertwiner divides by is a
 difference of two monomials, whose cyclotomic factors _add_gap adds to den;
 each coefficient is reduced once by exact division with those factors, so no
-gcd is computed.  The numerator is packed once, straight from the kernel, and
-divided by every factor in that one frame (_reduced_packed).  The residual
-check Y^mu E = q^A t^B E of every result is hecke._y_fixes, an exact zero
-test on one big integer per weight.
+gcd is computed.
+
+From the seed to the reduced coefficients, each numerator is one big integer
+per weight, in the Kronecker frame of the residual check hecke._y_fixes:
+q^a t^b goes to 2^(k ((a - e_w) width + b - b0)), a ring map that every T_i
+commutes with.  The walk and the affine step apply their letters and
+binomials as shifts and adds (_walk), in a frame planned from the steps
+before the first letter, so no value is decoded on the way.  The divisions
+run in the same frame (_divided): every factor is t^b P(y) with P = +-Phi_D
+and y a monomial, so its inverse is a 2-adic geometric series, and the
+quotient takes a few doubling shift-adds.  A quotient is accepted only if it
+multiplies back to the numerator and its digits pass the checks that make the
+map injective; a rejection proves the factor does not divide.  Each
+coefficient is decoded once, at the end.  The residual check
+Y^mu E = q^A t^B E of every result is hecke._y_fixes, an exact zero test on
+one big integer per weight.
 
 Symmetric P_lam (sym_p) comes from E_lam without the full symmetrizer.
 Lengths add over minimal coset representatives, so sum_{w in W} T_w =
@@ -30,7 +42,8 @@ Coxeter Groups, 2.4), and T_i E_lam = t E_lam whenever s_i lam = lam
 (Macdonald, ch. 5), which sym_p checks exactly; so the symmetrizer's image of
 E_lam is W_lam(t) sum_u T_u E_lam, and P_lam = sum_u T_u E_lam, one T_i per
 orbit point.  Its coefficients are reduced by exact division with the
-clearing's known factors, so no gcd is computed there either.
+clearing's known factors, in one frame (_reduced_packed), so no gcd is
+computed there either.
 
 Also here: the eigenvalue-exponent check, monomial expansion, and a classical
 Demazure-operator Weyl character used as an independent specialization
@@ -225,11 +238,17 @@ def _shift_sum(x: int, terms: list[tuple[int, int]]) -> int:
 
 def _reduced_packed(cs: list[Mapping[int, int]], factors: list[tuple]) -> list[_Frac]:
     """Each c / prod(den) in lowest terms, for c packed as {a * 2^64 + b: int} and den listed by
-    _factor_data: all in one frame (_divided), each with its own origin."""
+    _factor_data.
+
+    The coefficients share one Kronecker frame (_divided): k is the least multiple of 64 bits
+    above their largest coefficient, and the width is one more than their largest t-span; each
+    is encoded from its own least exponents.  Every factor is divided out there while it
+    divides.  The frame decides divisibility exactly, so no cheaper test screens the divisions
+    first."""
     terms = [_unpack(c) for c in cs]
     live = [c for c in terms if c]
-    if not live:
-        return [(ZERO_P, {})] * len(cs)
+    if not live or not factors:
+        return [(QTPoly(c), {}) for c in terms]
     top = max(max(map(abs, c.values())) for c in live)
     k = 64 * (top.bit_length() // 64 + 1)
     lows = [min(b for _, b in c) for c in live]
@@ -430,19 +449,26 @@ def _solve(rs: RootSystem, lam: Weight) -> tuple[list[Weight], tuple[_Frac, ...]
         nu = s_vartheta mu + vartheta = mu + (1 - <vartheta^vee, mu>) vartheta = lam:
 
     at t = 1, E_mu = e^mu and Phi = X^vartheta T_{s_vartheta} is X^vartheta s_vartheta, which maps
-    e^mu to e^nu.  For generic t, Phi is the intertwiner of the Y-side affine root
-    alpha_0 = [-vartheta, 1] without its scalar part (Cherednik, IMRN 1995; Double Affine Hecke
-    Algebras, CUP 2005, ch. 3), so Phi E_mu = a E_nu + b E_mu with
+    e^mu to e^nu.  For generic t, E_lam is sought as (Phi E_mu - b E_mu) / a, and both scalars are
+    forced by what E_lam must be.  nu = lam is above mu, so E_mu has no e^nu term, and E_nu is
+    monic: a is the coefficient of e^nu in Phi E_mu.  The eigenvalues of Y^{vartheta^vee} on E_mu
+    and E_nu are y_mu = q^A t^B and, by the eigenvalue formula (A = p - 2 and -p are its
+    q-parts), y_nu = q^-2 t^(2 <vartheta^vee, rho>) / y_mu.  Y is triangular on monomials with
+    these eigenvalues on the diagonal, and E_mu has coefficient 1 at e^mu, so reading
+    (Y^{vartheta^vee} - y_nu)(Phi E_mu - b E_mu) = 0 at e^mu leaves one linear equation for b,
+    whose solution is
 
-        b = -(1 - t) t^h m / (1 - m),   m = q^(A+1) t^(B - <vartheta^vee, rho>),
+        b = -(1 - t) t^h m / (1 - m) = t^h (1 - t) / (1 - 1/m),   m = q^(A+1) t^(B - <vartheta^vee, rho>),
 
-    q^A t^B the eigenvalue of Y^{vartheta^vee} on E_mu: m is to alpha_0 what q^-a t^(1-b) is to
-    alpha_i in _climb.  E_nu is monic, so a is the coefficient of e^nu in Phi E_mu.  For
-    E_mu = f / den, (1 - m) Phi f + (1 - t) t^h m f = a (1 - m) den E_lam; so E_lam is that
-    numerator over den (1 - m), divided by its coefficient at e^lam, which must be a unit.  Support
-    in the lower set and _result's checks certify it, as lam's eigenvalue is simple on its lower
-    set.  |mu|^2 = |lam|^2 - (p - 1) |vartheta|^2, so the seeds mu_+ descend to p < 2.  Only the
-    coefficients are memoized: _climb reads its seed from here.
+    with m^2 = y_mu / y_nu.  The finite step of _climb, E_{s_i mu} = T_i E_mu + (1 - t) / (1 - m_i)
+    E_mu, is the same computation for Y^{alpha_i^vee}, with m_i = q^-a t^(1-b) = t / y_mu and
+    m_i^2 = y_{s_i mu} / y_mu there (Cherednik, IMRN 1995: the two are the intertwiners of the
+    simple roots of the Y side, alpha_0 = [-vartheta, 1] among them).  Nothing here assumes that
+    the combination is an eigenvector: for E_mu = f / den, (1 - m) Phi f + (1 - t) t^h m f =
+    a (1 - m) den E_lam, so E_lam is that numerator over den (1 - m), divided by its coefficient
+    at e^lam, which must be a unit, and support in the lower set and _result's checks certify it,
+    as lam's eigenvalue is simple on its lower set.  |mu|^2 = |lam|^2 - (p - 1) |vartheta|^2, so the seeds mu_+ descend to p < 2.  Only
+    the coefficients are memoized: _climb reads its seed from here.
     """
     key = rs.name, lam
     if key not in _solved:

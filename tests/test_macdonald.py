@@ -406,6 +406,29 @@ class TestAffineStep:
             if rs.is_dominant(lam):
                 assert _fields(nonsym_e(rs, lam)) == _fields(_eigensolve(rs, lam)), lam
 
+    @pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2"])
+    def test_b_solves_the_eigen_equation_at_e_mu(self, name):
+        # the derivation of _solve: y_mu y_nu = q^-2 t^(2 <vartheta^vee, rho>) for Y^{vartheta^vee}, and
+        # b = -(1 - t) t^h m / (1 - m) solves (Y - y_nu)(Phi E_mu - b E_mu) = 0 at e^mu
+        rs = root_system(name)
+        theta, coroot, word = rs.short_theta()
+        one, t = RatQT.from_int(1), rat(QTPoly({(0, 1): 1}))
+        for lam in weight_box([2] * rs.rank):
+            p = rs.coroot_pair(coroot, lam)
+            if not rs.is_dominant(lam) or p < 2:
+                continue
+            mu = tuple(l - (p - 1) * c for l, c in zip(lam, theta))
+            (a, b), (an, bn) = expected_eigen_exponents(rs, mu, coroot), expected_eigen_exponents(rs, lam, coroot)
+            assert (a + an, b + bn) == (-2, 2 * sum(coroot)), lam
+            e_mu = nonsym_e(rs, mu).e_poly
+            phi = QTLaurent(rs, {tuple(x + y for x, y in zip(w, theta)): c
+                                 for w, c in hecke.word_op(rs, word, e_mu).terms.items()})
+            y_nu = RatQT.monomial(1, an, bn)
+            lhs = hecke.y_op(rs, coroot, phi) - phi.scale(y_nu)
+            m = RatQT.monomial(1, a + 1, b - sum(coroot))
+            closed = -(one - t) * RatQT.monomial(1, 0, (len(word) - 1) // 2) * m / (one - m)
+            assert lhs.terms.get(mu, RatQT.from_int(0)) == closed * (RatQT.monomial(1, a, b) - y_nu), lam
+
     def test_short_theta(self):
         for name, theta, coroot in [("A1", (2,), (1,)), ("A3", (1, 0, 1), (1, 1, 1)),
                                     ("B2", (1, 0), (2, 1)), ("C2", (0, 1), (1, 2))]:
