@@ -206,10 +206,10 @@ def _quotient(v: int, sigma: int, fterms: list[tuple[int, int]], flen: int, r: l
               ) -> int | None:
     """v / F if F divides v, else None, for F = sum c 2^s over fterms = 2^sigma P(Y), with |F| of flen bits.
 
-    P(Y) r(Y) = 1 - Y^D with Y^D = 2^stride (_factor_data; r is [] for r = 1), so F^-1 = 2^-sigma r(Y) (1 + Y^D + ...)
-    as a 2-adic integer, and v / F is that series times v, read modulo 2^n for n = len(v) -
-    flen + 2: an exact quotient is below 2^(n-1) in size.  The product with F, a few shift-adds,
-    decides: it gives v back exactly when F divides v."""
+    P(Y) r(Y) = 1 - Y^D with Y^D = 2^stride (_factor_data; r is [] for r = 1), so
+    F^-1 = 2^-sigma r(Y) (1 + Y^D + ...) as a 2-adic integer, and v / F is that series times v,
+    read modulo 2^n for n = len(v) - flen + 2: an exact quotient is below 2^(n-1) in size.  The
+    product with F, a few shift-adds, decides: it gives v back exactly when F divides v."""
     n = abs(v).bit_length() - flen + 2
     if n < 2:
         return None
@@ -302,7 +302,7 @@ def _divide_out(v: int, e: int, b0: int, k: int, width: int, limit: int, factors
         if fr:
             fq, sigma, fterms, flen, r, stride, j, l1r, fill, mask = fr
             while m:
-                # its q-span, from the rows of its lowest and highest digits, is at least fq
+                # N's q-span is at most the rows from its lowest digit to its highest, f's is fq
                 if fq and fq > (abs(v).bit_length() + 1) // qk - ((v & -v).bit_length() - 1) // qk:
                     break
                 x = _quotient(v, sigma, fterms, flen, r, stride)
@@ -467,8 +467,9 @@ def _solve(rs: RootSystem, lam: Weight) -> tuple[list[Weight], tuple[_Frac, ...]
     the combination is an eigenvector: for E_mu = f / den, (1 - m) Phi f + (1 - t) t^h m f =
     a (1 - m) den E_lam, so E_lam is that numerator over den (1 - m), divided by its coefficient
     at e^lam, which must be a unit, and support in the lower set and _result's checks certify it,
-    as lam's eigenvalue is simple on its lower set.  |mu|^2 = |lam|^2 - (p - 1) |vartheta|^2, so the seeds mu_+ descend to p < 2.  Only
-    the coefficients are memoized: _climb reads its seed from here.
+    as lam's eigenvalue is simple on its lower set.  |mu|^2 = |lam|^2 - (p - 1) |vartheta|^2, so
+    the seeds mu_+ descend to p < 2.  Only the coefficients are memoized: _climb reads its seed
+    from here.
     """
     key = rs.name, lam
     if key not in _solved:
