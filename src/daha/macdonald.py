@@ -114,7 +114,11 @@ def _add_gap(den: dict[QTPoly, int], p: QTPoly) -> tuple[int, int, int]:
     Writes p = sign q^shift_q t^shift_t * prod over d | g of the cyclotomic
     Phi_d evaluated at the primitive monomial z of m2/m1 = z^g, each
     normalized canonically (no monomial content, lexicographically least
-    term positive).  The decomposition is verified by exact division.
+    term positive).  z has a nonnegative q-exponent, so the constant term
+    Phi_d(0), -1 for d = 1 and 1 otherwise, is the lex-least term of Phi_d(z),
+    and its least t-exponent is that of its constant or of its top term.  As
+    z^g - 1 = prod Phi_d(z), the unit is the coefficient and the componentwise
+    least exponents of p.  The decomposition is verified by multiplying it out.
     """
     assert len(p.terms) == 2, "eigenvalue gap is not a binomial"
     (k1, c1), (k2, c2) = sorted(p.terms.items())
@@ -122,17 +126,18 @@ def _add_gap(den: dict[QTPoly, int], p: QTPoly) -> tuple[int, int, int]:
     dq, dt = k2[0] - k1[0], k2[1] - k1[1]
     g = gcd(abs(dq), abs(dt))
     za, zb = dq // g, dt // g
-    rest = p
+    product = None
     for d in range(1, g + 1):
         if g % d == 0:
-            f = _canon_unit(QTPoly({(k * za, k * zb): c for k, c in _cyclotomic(d)}))
-            rest = div_exact(rest, f)
-            assert rest is not None, "binomial factorization failed"
+            cyc = _cyclotomic(d)
+            low, sign = min(0, cyc[-1][0] * zb), cyc[0][1]
+            f = QTPoly({(k * za, k * zb - low): sign * c for k, c in cyc})
             den[f] = den.get(f, 0) + 1
-    assert rest.is_monomial(), "binomial factorization left a non-unit"
-    (uq, ut), uc = next(iter(rest.terms.items()))
-    assert abs(uc) == 1
-    return uc, uq, ut
+            product = f if product is None else product * f
+    uq, ut = k1[0], min(k1[1], k2[1])
+    back = {(a + uq, b + ut): c1 * c for (a, b), c in product.terms.items()}
+    assert back == p.terms, "binomial factorization failed"
+    return c1, uq, ut
 
 
 def _reduced(num: QTPoly, den: dict[QTPoly, int]) -> _Frac:

@@ -618,6 +618,28 @@ def _cyclo(d, a, b):
     return qt._canon_unit(QTPoly({(k * a, k * b): c for k, c in macdonald._cyclotomic(d)}))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+       st.sampled_from([1, -1]))
+def test_gap_factors_match_division(m1, m2, sign):
+    # _add_gap builds the canonical Phi_d(z) and the unit in closed form; the reference divides them out
+    assume(m1 != m2)
+    p = QTPoly({m1: sign, m2: -sign})
+    (k1, _), (k2, _) = sorted(p.terms.items())
+    g = math.gcd(k2[0] - k1[0], k2[1] - k1[1])
+    za, zb = (k2[0] - k1[0]) // g, (k2[1] - k1[1]) // g
+    rest, expected = p, {}
+    for d in range(1, g + 1):
+        if g % d == 0:
+            f = qt._canon_unit(QTPoly({(k * za, k * zb): c for k, c in macdonald._cyclotomic(d)}))
+            rest = qt.div_exact(rest, f)
+            expected[f] = 1
+    ((uq, ut), uc), = rest.terms.items()
+    den = {}
+    assert macdonald._add_gap(den, p) == (uc, uq, ut)
+    assert list(den.items()) == list(expected.items())
+
+
 _directions = st.tuples(st.integers(0, 3), st.integers(-3, 3)).filter(
     lambda e: e != (0, 0) and math.gcd(*e) == 1 and (e[0] > 0 or e[1] > 0))
 
