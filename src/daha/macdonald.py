@@ -269,8 +269,8 @@ def _divided(k: int, width: int, items: list[tuple[int, int, int]], factors: lis
     The frame maps q^a t^b to 2^(k ((a - e) width + b - b0)): an evaluation at powers of 2, so a ring
     map, and injective on polynomials whose coefficients are below 2^(k-1) in size and whose
     t-exponents lie in [b0, b0 + width); every numerator here meets both bounds.  A factor f of
-    t-span ft goes to the integer F (_quotient) and divides a numerator N exactly when a quotient
-    Q with F Q = N as integers passes two checks, one add and one AND (_masks):
+    t-span ft goes to the integer F (_quotient), and it divides a numerator N if the quotient Q
+    with F Q = N as integers passes two checks, one add and one AND (_masks):
       - every balanced base-2^k digit of Q is below 2^j in size, with 2^j |f|_1 <= 2^(k-1), so the
         coefficients of the polynomial Q read off those digits, times f, stay in the injective
         range;

@@ -631,7 +631,7 @@ def test_gap_factors_match_division(m1, m2, sign):
     rest, expected = p, {}
     for d in range(1, g + 1):
         if g % d == 0:
-            f = qt._canon_unit(QTPoly({(k * za, k * zb): c for k, c in macdonald._cyclotomic(d)}))
+            f = _cyclo(d, za, zb)
             rest = qt.div_exact(rest, f)
             expected[f] = 1
     ((uq, ut), uc), = rest.terms.items()
@@ -678,7 +678,7 @@ def _overflowing():
 
 
 def _long_quotient():
-    """(1 - t) times a 40-term polynomial: the series for 1 / (1 - t) needs every doubling."""
+    """(1 - t^40)(q + 3t) over 1 - t: the quotient runs over 40 t-columns, so its series needs every doubling."""
     return QTPoly({(0, 0): 1, (0, 40): -1}) * QTPoly({(0, 1): 3, (1, 0): 1}), {_cyclo(1, 0, 1): 1}
 
 
