@@ -56,7 +56,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 from math import gcd
 
-from .qt import ONE_P, QTPoly, RatQT, ZERO_P, Term, _canon_unit, div_exact
+from .qt import ONE_P, QTPoly, RatQT, ZERO_P, Term, div_exact
 from .polyring import QTLaurent, _kernel, _pack, _unpack
 from .roots import LESS, EQUAL, RootSystem, Weight, CorootVec, root_system
 from .hecke import _alpha_string, _comb, _coset_sum, _decode, _encode, _framed_letter, _mono, _t, _y, _y_fixes
