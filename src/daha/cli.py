@@ -237,6 +237,9 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, ZeroDivisionError, OverflowError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # its message is empty
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -30,8 +30,9 @@ run in the same frame (_divided): every factor is t^b P(y) with P = +-Phi_D
 and y a monomial, so its inverse is a 2-adic geometric series, and the
 quotient takes a few doubling shift-adds.  A quotient is accepted only if it
 multiplies back to the numerator and its digits pass the checks that make the
-map injective; a rejection proves the factor does not divide.  Each
-coefficient is decoded once, at the end.  The residual check
+map injective.  A failed multiply-back proves that the factor does not
+divide; a quotient the digit checks reject is left to qt.div_exact, on the
+decoded numerator.  Each coefficient is decoded once.  The residual check
 Y^mu E = q^A t^B E of every result is hecke._y_fixes, an exact zero test on
 one big integer per weight.
 
@@ -140,13 +141,8 @@ def _add_gap(den: dict[QTPoly, int], p: QTPoly) -> tuple[int, int, int]:
     return c1, uq, ut
 
 
-def _reduced(num: QTPoly, den: dict[QTPoly, int]) -> _Frac:
-    """num / prod(den) in lowest terms (_reduced_packed)."""
-    return _reduced_packed([_pack(num.terms)], _factor_data(den))[0]
-
-
 def _factor_data(den: dict[QTPoly, int]) -> list[tuple]:
-    """(f, multiplicity, q-span, t-span, sum of |c|, b, (ya, yb), D, r, sum of |r|) for each factor f of den.
+    """(f, multiplicity, q-span, t-span, sum of |c|, b, (ya, yb), D, r) for each factor f of den.
 
     f is canonical, so its minima are (0, 0) and its maxima its spans, and (_add_gap) it is
     t^b P(y) for y = q^ya t^yb, the primitive step from its lex-least term t^b to its next, and
@@ -166,7 +162,7 @@ def _factor_data(den: dict[QTPoly, int]) -> list[tuple]:
             assert (a, bt) == (i * ya, b + i * yb), "a factor of den is not a polynomial in one monomial"
             p[i] = c
         d, r = _period(p) if i > 1 else (1, [(0, 1)]) if p[1] == -1 else (2, [(0, 1), (1, -1)])
-        out.append((f, m, a, max(b, bt), sum(map(abs, p.values())), b, (ya, yb), d, r, sum(abs(c) for _, c in r)))
+        out.append((f, m, a, max(b, bt), sum(map(abs, p.values())), b, (ya, yb), d, r))
     return out
 
 
@@ -276,15 +272,14 @@ def _divided(k: int, width: int, items: list[tuple[int, int, int]], factors: lis
         range;
       - Q has no digit in the last ft columns of a row, so Q f does not carry into the next row.
     Then Q f and N have the same image, so they are equal, and Q is the next numerator, again
-    inside both bounds.  If F does not divide N, f does not divide N.  If F divides N but a check
-    fails, f divides N only with a quotient past 2^j: the quotient's coefficients are partial sums
-    along y-chains of N r (_factor_data), so at most |N|_1 |r|_1, and N is decoded to decide; if
-    that bound reaches 2^j, N goes on in a frame with wider slots.  A factor whose q-span passes
-    N's, or whose t-span passes the window, is not tried.
+    inside both bounds.  If Q does not multiply back to N, F does not divide N, so f does not.  If
+    it does but a check fails, the frame cannot decide: N is decoded, and qt.div_exact divides out
+    the rest of f's multiplicity and every later factor.  A factor whose q-span passes N's, or
+    whose t-span passes the window, is not tried.
     """
     rows = max((abs(v).bit_length() // k // width for v, _, _ in items), default=0) + 2
     framed, masks = [], {}
-    for f, _, fq, ft, l1, b, (ya, yb), d, r, l1r in factors:
+    for f, _, fq, ft, l1, b, (ya, yb), d, r in factors:
         if ft >= width:  # it divides no numerator here, and its step y may map to 2^0
             framed.append(None)
             continue
@@ -294,7 +289,7 @@ def _divided(k: int, width: int, items: list[tuple[int, int, int]], factors: lis
         if (j, ft) not in masks:
             masks[j, ft] = _masks(k, width, rows, j, ft)
         framed.append((fq, k * b, fterms, abs(_shift_sum(1, fterms)).bit_length(),
-                       [(i * step, c) for i, c in r] if r != [(0, 1)] else [], d * step, j, l1r, *masks[j, ft]))
+                       [(i * step, c) for i, c in r] if r != [(0, 1)] else [], d * step, *masks[j, ft]))
     return [_divide_out(v, e, b0, k, width, k * width * rows, factors, framed) for v, e, b0 in items]
 
 
@@ -305,7 +300,7 @@ def _divide_out(v: int, e: int, b0: int, k: int, width: int, limit: int, factors
     part = {}
     for n, ((f, m, *_), fr) in enumerate(zip(factors, framed)):
         if fr:
-            fq, sigma, fterms, flen, r, stride, j, l1r, fill, mask = fr
+            fq, sigma, fterms, flen, r, stride, fill, mask = fr
             while m:
                 # N's q-span is at most the rows from its lowest digit to its highest, f's is fq
                 if fq and fq > (abs(v).bit_length() + 1) // qk - ((v & -v).bit_length() - 1) // qk:
@@ -314,15 +309,14 @@ def _divide_out(v: int, e: int, b0: int, k: int, width: int, limit: int, factors
                 if x is None:
                     break
                 y = x + fill
-                if y < 0 or y >> limit or y & mask:
-                    terms = _decode(v, e, k, width, b0)
-                    bound = sum(map(abs, terms.values())) * l1r
-                    if bound >> j:  # a quotient could reach 2^j: decide in wider slots
-                        k = 64 * (((bound * factors[n][4]).bit_length() + 1) // 64 + 1)
-                        (num, more), = _divided(k, width, [(*_encode(terms, k, width, b0), b0)],
-                                                [(f, m, *factors[n][2:])] + factors[n + 1:])
-                        return num, {**part, **more}
-                    break
+                if y < 0 or y >> limit or y & mask:  # the frame cannot decide: div_exact does, from here on
+                    num = QTPoly(_decode(v, e, k, width, b0))
+                    for g, mg, *_ in [(f, m)] + factors[n + 1:]:
+                        while mg and (q := div_exact(num, g)) is not None:
+                            num, mg = q, mg - 1
+                        if mg:
+                            part[g] = mg
+                    return num, part
                 v = x
                 m -= 1
         if m:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from daha import sl2
+from daha import cli, sl2
 from daha.cli import _emit, run
 from daha.macdonald import nonsym_e
 from daha.polyring import QTLaurent, integral_form
@@ -280,6 +280,18 @@ def test_bad_input_exits_2(capsys, argv):
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     assert "Traceback" not in out.err
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    # exit 1 is a failed verification, so running out of memory is reported as an error
+    def exhausted(rs, bound):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._SUITES, "hecke", exhausted)
+    assert run(["verify", "hecke", "--type", "A3", "--bound", "15"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: out of memory\n"
 
 
 def _limit_address_space():

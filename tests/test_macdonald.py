@@ -277,7 +277,7 @@ def _eigensolve(rs, lam):
         s = sum((num * mij for (mij, _), num in zip(row, nums)), ZERO_P)
         if not s.is_zero():
             sign, uq, ut = macdonald._add_gap(den, y - mat[i][i])
-            coeffs[i] = macdonald._reduced(s.shift(-uq, -ut).scale(sign), den)
+            coeffs[i] = _reduced(s.shift(-uq, -ut).scale(sign), den)
     return macdonald._result(rs, lam, basis, tuple(coeffs))
 
 
@@ -559,7 +559,12 @@ class TestOperatorChoice:
             _eigensolve(A2, (2, 0))
 
 
-# the one-frame reduction of macdonald._reduced against the per-factor division loop it replaced
+# the one-frame reduction of macdonald._reduced_packed against the per-factor division loop it replaced
+
+def _reduced(num, den):
+    """num / prod(den) in lowest terms, by macdonald._reduced_packed on the one coefficient num."""
+    return macdonald._reduced_packed([_pack(num.terms)], macdonald._factor_data(den))[0]
+
 
 def _ieval(p):
     """Exact integer value at (q, t) = (2, 3); negative exponents are cleared first."""
@@ -607,7 +612,7 @@ def test_one_frame_reduction_matches_per_factor_division(data):
     if data.draw(st.booleans()):  # usually no longer divisible: the early breaks
         num = num + QTPoly({data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))): 1})
     den = {f: m for f in gaps if (m := data.draw(st.integers(0, 3)))}
-    assert macdonald._reduced(num, den) == _reduced_reference(num, den)
+    assert _reduced(num, den) == _reduced_reference(num, den)
 
 
 # the frame's division (macdonald._divided): an exact 2-adic quotient, accepted only if its digits pass
@@ -659,7 +664,7 @@ def test_framed_division_matches_per_factor_division(data):
     if data.draw(st.booleans()):  # usually no longer divisible
         num = num + QTPoly({data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))): 1})
     den = {f: m for f in factors if (m := data.draw(st.integers(0, 3)))}
-    assert macdonald._reduced(num, den) == _reduced_reference(num, den)
+    assert _reduced(num, den) == _reduced_reference(num, den)
 
 
 # A2 (-4, 3): an 8-term coefficient of the eigensolve whose image is a multiple of that of 1 - q^2 t, with a
@@ -684,14 +689,28 @@ def _long_quotient():
 
 def _wide_quotient():
     """c (1 - t^20) over 1 - t, c = 2^62: its quotient has digits c, past 2^j for 64-bit slots, so the
-    numerator is decoded and divided again in 128-bit slots."""
+    numerator is decoded and divided by qt.div_exact."""
     return QTPoly({(0, 0): 1 << 62, (0, 20): -(1 << 62)}), {_cyclo(1, 0, 1): 1}
 
 
-@pytest.mark.parametrize("example", [_WRAPPING, _overflowing(), _long_quotient(), _wide_quotient()],
+@pytest.mark.parametrize("example, divisions", [(_WRAPPING, 3), (_overflowing(), 1), (_long_quotient(), 0),
+                                                (_wide_quotient(), 1)],
                          ids=["column-wrap", "digit-overflow", "long-series", "wide-slots"])
-def test_framed_division_fixed_examples(example):
-    assert macdonald._reduced(*example) == _reduced_reference(*example)
+def test_framed_division_fixed_examples(monkeypatch, example, divisions):
+    # a quotient the digit checks reject goes to qt.div_exact on the decoded numerator, for that factor and
+    # every later one, in the one frame: the column check rejects column-wrap's first factor
+    calls = {"div_exact": 0, "_divided": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(macdonald, "div_exact", counted("div_exact", qt.div_exact))
+    monkeypatch.setattr(macdonald, "_divided", counted("_divided", macdonald._divided))
+    assert _reduced(*example) == _reduced_reference(*example)
+    assert calls == {"div_exact": divisions, "_divided": 1}
 
 
 @pytest.mark.parametrize("fault, example", [("no column check", _WRAPPING), ("slot one bit narrow", _overflowing()),
@@ -704,7 +723,7 @@ def test_planted_division_fault_is_caught(monkeypatch, fault, example):
         monkeypatch.setattr(macdonald, "_masks", lambda k, width, rows, j, ft: real_masks(k, width, rows, j + 1, ft))
     else:
         monkeypatch.setattr(macdonald, "_series", lambda x, step, n: real_series(x, 2 * step, n))
-    assert macdonald._reduced(*example) != _reduced_reference(*example)
+    assert _reduced(*example) != _reduced_reference(*example)
 
 
 class TestCertificate:
