@@ -217,6 +217,10 @@ def _y(rs: RootSystem, mu: CorootVec, f: Kernel) -> Kernel:
 _Q_EXP, _T_EXP = itemgetter(0), itemgetter(1)  # the exponents of q and of t in a term key (a, b)
 
 
+# the memoryview format of each slot size in bytes that is a machine word; used on little-endian hosts only
+_WORDS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "BHIQ"}
+
+
 def _fill(n: int, s: int) -> bytes:
     """n slots of s bytes, each holding 2^(8s - 1) in little-endian order."""
     return (bytes(s - 1) + b"\x80") * n
@@ -232,8 +236,8 @@ def _encode(terms: Mapping[Term, int], k: int, width: int, b0: int) -> tuple[int
     fill = _fill((max(map(_Q_EXP, terms)) - e + 1) * width, s)
     buf = bytearray(fill)
     half = 1 << (k - 1)
-    if s == 8 and sys.byteorder == "little":
-        slots = memoryview(buf).cast("Q")
+    if fmt := sys.byteorder == "little" and _WORDS.get(s):
+        slots = memoryview(buf).cast(fmt)
         for (a, b), c in terms.items():
             slots[(a - e) * width + b - b0] = c + half
         slots.release()
@@ -254,8 +258,8 @@ def _decode(v: int, e: int, k: int, width: int, b0: int) -> dict[Term, int]:
     n = abs(v).bit_length() // k + 1  # a top digit at slot p makes |v| > 2^(k p - 1)
     fill = _fill(n, s)
     raw = (v + int.from_bytes(fill, "little")).to_bytes(n * s, "little")
-    if s == 8 and sys.byteorder == "little":
-        slots = memoryview(raw).cast("Q").tolist()
+    if fmt := sys.byteorder == "little" and _WORDS.get(s):
+        slots = memoryview(raw).cast(fmt).tolist()
     else:
         slots = [int.from_bytes(raw[p:p + s], "little") for p in range(0, n * s, s)]
     half = 1 << (k - 1)
@@ -537,9 +541,16 @@ def _braid_checks(rs: RootSystem, box: list[Weight], report: RelationReport):
 
 
 def _xcommute_checks(rs: RootSystem, box: list[Weight], report: RelationReport):
-    """X-T commutation for pairings 0 and 1."""
+    """X-T commutation for pairings 0 and 1; T_i e^mu is computed once per (i, mu), when first compared."""
     for i in _affine_indices(rs):
         step_w, step_q = _alpha_step(rs, i)
+        images: dict[Weight, Kernel] = {}
+
+        def lhs(lam: Weight, mu: Weight) -> Kernel:
+            if mu not in images:
+                images[mu] = _t(rs, i, _mono(mu))
+            return _shift(images[mu], lam)
+
         for pairing_target in (0, 1):
             lams = [lam for lam in box if _pairing(rs, i, lam) == pairing_target]
 
@@ -552,7 +563,7 @@ def _xcommute_checks(rs: RootSystem, box: list[Weight], report: RelationReport):
             name = "commute" if pairing_target == 0 else "shift"
             report.first_failure(f"x-{name} i={i} ({len(lams)} weights)", (
                 f"counterexample lam={lam} e^{mu}" for lam in lams for mu in box
-                if _shift(_t(rs, i, _mono(mu)), lam) != rhs(lam, _mono(mu))))
+                if lhs(lam, mu) != rhs(lam, _mono(mu))))
 
 
 RELATION_CHECKS = {"quadratic": _quadratic_checks, "braid": _braid_checks, "xcommute": _xcommute_checks}

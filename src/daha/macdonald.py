@@ -30,9 +30,14 @@ run in the same frame (_divided): every factor is t^b P(y) with P = +-Phi_D
 and y a monomial, so its inverse is a 2-adic geometric series, and the
 quotient takes a few doubling shift-adds.  A quotient is accepted only if it
 multiplies back to the numerator and its digits pass the checks that make the
-map injective.  A failed multiply-back proves that the factor does not
-divide; a quotient the digit checks reject is left to qt.div_exact, on the
-decoded numerator.  Each coefficient is decoded once.  The residual check
+map injective: each digit below 2^j, j = k - 1 - bitlen(|f|_1 - 1) for the
+factor f, |f|_1 the sum of its |c|.  The slot k is the least of 8, 16, 32, 64,
+128, 192, ... bits that holds both the planned coefficient bound and the
+largest |f|_1 below 2^(k-1) (_slot), so the bound decodes exactly and j is
+never negative; slots of up to 8 bytes are machine words to _encode and
+_decode.  A failed multiply-back proves that the factor does not divide; a
+quotient the digit checks reject is left to qt.div_exact, on the decoded
+numerator.  Each coefficient is decoded once.  The residual check
 Y^mu E = q^A t^B E of every result is hecke._y_fixes, an exact zero test on
 one big integer per weight.
 
@@ -184,6 +189,16 @@ def _period(p: dict[int, int]) -> tuple[int, list[tuple[int, int]]]:
     raise AssertionError("a factor of den is not cyclotomic")
 
 
+def _slot(bound: int) -> int:
+    """The least k in 8, 16, 32, 64, 128, 192, ... with bound < 2^(k-1): the slot of a frame whose
+    coefficients, and the sum of |c| of each factor it divides by (_divided), are at most bound in
+    size.  Slots of 1, 2, 4 and 8 bytes are machine words to _encode and _decode."""
+    k = 8
+    while bound >> (k - 1):
+        k = 2 * k if k < 64 else k + 64
+    return k
+
+
 def _masks(k: int, width: int, rows: int, j: int, ft: int) -> tuple[int, int]:
     """(fill, mask) for the digit check of a quotient by a factor of t-span ft, in a frame of rows * width
     k-bit slots: fill holds 2^j in each slot outside the last ft columns of a row, mask the bits
@@ -241,17 +256,16 @@ def _reduced_packed(cs: list[Mapping[int, int]], factors: list[tuple]) -> list[_
     """Each c / prod(den) in lowest terms, for c packed as {a * 2^64 + b: int} and den listed by
     _factor_data.
 
-    The coefficients share one Kronecker frame (_divided): k is the least multiple of 64 bits
-    above their largest coefficient, and the width is one more than their largest t-span; each
-    is encoded from its own least exponents.  Every factor is divided out there while it
-    divides.  The frame decides divisibility exactly, so no cheaper test screens the divisions
-    first."""
+    The coefficients share one Kronecker frame (_divided): k is the _slot of their largest
+    coefficient and of the largest sum of |c| of a factor, and the width is one more than their
+    largest t-span; each is encoded from its own least exponents.  Every factor is divided out
+    there while it divides.  The frame decides divisibility exactly, so no cheaper test screens
+    the divisions first."""
     terms = [_unpack(c) for c in cs]
     live = [c for c in terms if c]
     if not live or not factors:
         return [(QTPoly(c), {}) for c in terms]
-    top = max(max(map(abs, c.values())) for c in live)
-    k = 64 * (top.bit_length() // 64 + 1)
+    k = _slot(max(max(max(map(abs, c.values())) for c in live), max(fd[4] for fd in factors)))
     lows = [min(b for _, b in c) for c in live]
     width = max(max(b for _, b in c) - lo for c, lo in zip(live, lows)) + 1
     out = iter(_divided(k, width, [(*_encode(c, k, width, lo), lo) for c, lo in zip(live, lows)], factors))
@@ -535,8 +549,9 @@ def _walk(rs: RootSystem, f: dict[Weight, Mapping[Term, int]], den: dict[QTPoly,
         of every value lie in a window fixed by the steps alone; b0 and width cover it;
       - the largest coefficient of each weight's value is bounded by running the steps on those
         bounds with every coefficient taken as its size: a string entry of T_i adds its source's
-        bound to its target's, and the step adds 2 of A's and 2 of g's.  k is the least multiple
-        of 64 bits above the last bounds, so the result decodes exactly (_divided)."""
+        bound to its target's, and the step adds 2 of A's and 2 of g's.  k is the _slot of the
+        largest last bound and of the largest sum of |c| of a factor of den, so the result decodes
+        exactly and every digit check of _divided has a headroom j >= 0."""
     units, bound = [], {w: max(map(abs, c.values())) for w, c in f.items()}
     lo = min(min(b for _, b in c) for c in f.values())
     low, high = 0, max(max(b for _, b in c) for c in f.values()) - lo  # the window, relative to lo
@@ -560,7 +575,7 @@ def _walk(rs: RootSystem, f: dict[Weight, Mapping[Term, int]], den: dict[QTPoly,
         low, high = (min(low - ut, low + mt - ut, low + nt - ut),
                      max(high + len(word) - ut, high + len(word) + mt - ut, high + nt - ut + 1))
         floor = min(floor, low)
-    k = 64 * (max(bound.values()).bit_length() // 64 + 1)
+    k = _slot(max(max(bound.values()), max(sum(map(abs, p.terms.values())) for p in den)))
     width, b0 = high - floor + 1, lo + floor
     g = {w: _encode(c, k, width, b0) for w, c in f.items()}
     for (word, shift, mq, mt, nq, nt), (sign, uq, ut) in zip(steps, units):

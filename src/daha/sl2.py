@@ -316,15 +316,20 @@ def _check_cyclic(rep: FiniteRep, k: int):
 # fusion product
 # ---------------------------------------------------------------------------
 
+def _check_fusion_size(k: int):
+    """ValueError unless k >= 1 and a fusion of k blocks has at most MAX_BOX action entries (fusion)."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    if (entries := len(GENERATORS) * k * 4 ** k) > MAX_BOX:
+        raise ValueError(f"a fusion of {k} blocks has up to {entries} action entries, more than the {MAX_BOX} allowed")
+
+
 def fusion(k: int, alphas: tuple | None = None) -> FiniteRep:
     """Tensor product of k deformed blocks at pairwise distinct parameters.
 
     Each generator acts on the 4^k basis vectors by columns of at most k entries, so a table of
     more than MAX_BOX entries (k >= 8) is refused before any block is built."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if (entries := len(GENERATORS) * k * 4 ** k) > MAX_BOX:
-        raise ValueError(f"a fusion of {k} blocks has up to {entries} action entries, more than the {MAX_BOX} allowed")
+    _check_fusion_size(k)
     if alphas is None:
         alphas = tuple(range(1, k + 1))
     alphas = tuple(Fraction(a) for a in alphas)
@@ -526,9 +531,9 @@ class CrossValidation:
 
 def cross_validate(k_max: int) -> list[CrossValidation]:
     """Fusion supercharacter == filtration recursion == operator integral form, plus
-    dimensions 4^k, independence of the deformation parameters, and eigenvalue patterns."""
-    if k_max < 1:
-        raise ValueError("k must be positive")
+    dimensions 4^k, independence of the deformation parameters, and eigenvalue patterns.  A k_max
+    whose fusion is refused is refused before k = 1 runs."""
+    _check_fusion_size(k_max)
     rs = root_system("A1")
     out = []
     for k in range(1, k_max + 1):

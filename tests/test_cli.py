@@ -170,6 +170,13 @@ class TestOtherVerbs:
             "  FAIL fusion == recursion: (1-q*t)*x^-1 + (1-t)*x vs 1",
         ]
 
+    def test_sl2_validate_refuses_before_any_fusion(self, monkeypatch):
+        # k = 8 is refused as sl2 build and sl2 char refuse it, before k = 1..7 run
+        calls = []
+        monkeypatch.setattr(sl2, "fusion", lambda *args: calls.append(args))
+        assert run(["sl2", "validate", "-k", "8"]) == 2
+        assert calls == []
+
     def test_sl2_build(self, capture):
         rc, out = capture("sl2", "build", "-k", "2")
         assert rc == 0

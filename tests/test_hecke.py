@@ -440,6 +440,23 @@ def test_low_growth_estimate_is_caught(monkeypatch):
     assert not hecke._y_fixes(rs, mu, f, dq, dt - 1)
 
 
+@pytest.mark.parametrize("byteorder", ["little", "big"], ids=["word-path", "portable-path"])
+@pytest.mark.parametrize("k", [8, 16, 32, 64, 128])
+def test_frame_round_trip_at_every_slot(monkeypatch, byteorder, k):
+    # 1-, 2-, 4- and 8-byte slots are machine words on a little-endian host; a big-endian one, and a
+    # 16-byte slot, take the portable bytes path.  Both write the same integer and read the same terms,
+    # up to the largest coefficient a k-bit slot holds
+    monkeypatch.setattr(hecke.sys, "byteorder", byteorder)
+    top = (1 << (k - 1)) - 1
+    width, b0 = 3, -1
+    terms = {(2, -1): top, (2, 1): -top, (3, 0): 1, (4, -1): -1, (4, 1): top, (5, 0): -top}
+    v, e = hecke._encode(terms, k, width, b0)
+    assert e == 2
+    assert v == sum(c << k * ((a - e) * width + b - b0) for (a, b), c in terms.items())
+    assert hecke._decode(v, e, k, width, b0) == terms
+    assert hecke._decode(-v, e, k, width, b0) == {key: -c for key, c in terms.items()}
+
+
 def test_zero_test_with_the_empty_word():
     f = {(1,): {(0, 0): 3, (2, -1): -1}}
     assert hecke._y_fixes(A1, (0,), f, 0, 0)

@@ -726,6 +726,33 @@ def test_planted_division_fault_is_caught(monkeypatch, fault, example):
     assert _reduced(*example) != _reduced_reference(*example)
 
 
+def test_slot_ladder():
+    # whole bytes up to a machine word, then whole 64-bit words
+    bounds = [0, 1, 127, 128, (1 << 15) - 1, 1 << 15, 1 << 31, (1 << 63) - 1, 1 << 63, 1 << 127, 1 << 191]
+    assert [macdonald._slot(b) for b in bounds] == [8, 8, 8, 16, 16, 32, 64, 64, 128, 192, 256]
+
+
+def test_slot_covers_the_factor_norm():
+    # Phi_131(q), a factor of the gap 1 - q^131, has |f|_1 = 131: a slot sized by the numerator's
+    # coefficients alone (8 bits) would leave its digit check a negative headroom
+    den = {}
+    macdonald._add_gap(den, QTPoly({(0, 0): 1, (131, 0): -1}))
+    phi = _cyclo(131, 1, 0)
+    assert den == {_cyclo(1, 1, 0): 1, phi: 1} and sum(map(abs, phi.terms.values())) == 131
+    num = QTPoly({(0, 0): 1, (1, 1): -1}) * phi
+    assert _reduced(num, den) == _reduced_reference(num, den) == (QTPoly({(0, 0): 1, (1, 1): -1}),
+                                                                   {_cyclo(1, 1, 0): 1})
+
+
+def test_narrow_walk_slot_is_caught(monkeypatch, fresh_caches):
+    # a planted fault: the walk's slot one step below the one its bound asks for (16 -> 8 bits here) lets
+    # coefficients wrap into the next slot, and the residual check refuses the result
+    real = macdonald._slot
+    monkeypatch.setattr(macdonald, "_slot", lambda bound: 8 if (k := real(bound)) <= 16 else k // 2)
+    with pytest.raises(AssertionError, match="eigen residual is nonzero"):
+        nonsym_e(A2, (-4, -2))
+
+
 class TestCertificate:
     """A failing zero test is never bypassed: every route to E_lam ends in the residual check."""
 
