@@ -128,6 +128,12 @@ def _alpha_string(rs: RootSystem, i: int, mu: Weight, memo: dict) -> tuple[tuple
     return s
 
 
+def _strings(rs: RootSystem, i: int, weights: Iterable[Weight]) -> list[tuple[tuple[Weight, int, int], ...]]:
+    """The alpha_i-string of each weight, from the memo of rs (_alpha_string)."""
+    memo = rs._caches.setdefault(("alpha_strings", i), {})
+    return [memo.get(w) or _alpha_string(rs, i, w, memo) for w in weights]
+
+
 def _t(rs: RootSystem, i: int, f: Kernel) -> Kernel:
     """T_i on the kernel form, along the alpha_i-strings memoized once per root system."""
     memo = rs._caches.setdefault(("alpha_strings", i), {})
@@ -175,23 +181,6 @@ def _sym(rs: RootSystem, f: Kernel) -> Kernel:
     images: dict[WeylWord, Kernel] = {}
     for word in rs.weyl_elements().values():
         images[word] = _t(rs, word[0], images[word[1:]]) if word else f
-    return _comb(*((k, 0, 0, 1, 0) for k in images.values()))
-
-
-def _coset_sum(rs: RootSystem, lam: Weight, f: Kernel) -> Kernel:
-    """sum over the minimal coset representatives u of W/W_lam of T_u f, for dominant lam, on the kernel form.
-
-    u -> u lam is a bijection onto the orbit W lam, walked breadth first from lam: a step
-    mu -> s_i mu with <alpha_i^vee, mu> > 0 is u -> s_i u with l(s_i u) = l(u) + 1, and s_i u is
-    again minimal.  So T_{s_i u} f = T_i (T_u f) costs one T_i per orbit point, where _sym
-    applies one per element of W."""
-    images = {tuple(lam): f}
-    queue = [tuple(lam)]
-    for mu in queue:
-        for i in range(1, rs.rank + 1):
-            if mu[i - 1] > 0 and (nu := rs.reflect(i, mu)) not in images:
-                images[nu] = _t(rs, i, images[mu])
-                queue.append(nu)
     return _comb(*((k, 0, 0, 1, 0) for k in images.values()))
 
 
@@ -270,8 +259,7 @@ def _growth(rs: RootSystem, letter: tuple[int, bool], support) -> int:
     """The factor by which the letter can multiply the sum of |c| of an element on support: the
     longest alpha_i-string there (its coefficients are +-1), plus 2 for an inverse letter."""
     i, inv = letter
-    memo = rs._caches.setdefault(("alpha_strings", i), {})
-    return max(len(memo.get(w) or _alpha_string(rs, i, w, memo)) for w in support) + 2 * inv
+    return max(map(len, _strings(rs, i, support))) + 2 * inv
 
 
 def _frame(rs: RootSystem, letters: list, n: int, terms: dict, reserve: int) -> tuple[int, int, int, int, int]:
@@ -339,8 +327,7 @@ def _y_fixes(rs: RootSystem, mu: CorootVec, f: Mapping[Weight, Mapping[Term, int
             framed_f = g
         while n < stop:
             i, inv = letters[n]
-            memo = rs._caches.setdefault(("alpha_strings", i), {})
-            strings = [memo.get(w) or _alpha_string(rs, i, w, memo) for w in g]
+            strings = _strings(rs, i, g)
             growth = max(map(len, strings)) + 2 * inv
             if (bound * growth + reserve) >> (k - 1):
                 break

@@ -11,8 +11,10 @@ Nonsymmetric Macdonald polynomials, IMRN 1995; Macdonald, Affine Hecke
 Algebras and Orthogonal Polynomials, ch. 5): a dominant lam by one affine
 step from a lower dominant E, down to e^0 or a minuscule e^omega (_solve),
 any other lam from its dominant seed by finite steps (_climb).  No linear
-system is solved; y_matrix serves independent checks only.  _result alone
-checks the unit coefficient, picks the operator and runs the residual checks.
+system is solved; y_matrix serves independent checks only.  _certified alone
+checks the unit coefficient, picks the operator and runs the residual checks;
+_result assembles the EigenResult from what it certified, and sym_p reads the
+cleared form from it directly.
 
 Every coefficient is one pair (num, den): a QTPoly over {irreducible
 canonical factor: multiplicity}.  Each gap an intertwiner divides by is a
@@ -47,9 +49,12 @@ Lengths add over minimal coset representatives, so sum_{w in W} T_w =
 Coxeter Groups, 2.4), and T_i E_lam = t E_lam whenever s_i lam = lam
 (Macdonald, ch. 5), which sym_p checks exactly; so the symmetrizer's image of
 E_lam is W_lam(t) sum_u T_u E_lam, and P_lam = sum_u T_u E_lam, one T_i per
-orbit point.  Its coefficients are reduced by exact division with the
-clearing's known factors, in one frame (_reduced_packed), so no gcd is
-computed there either.
+orbit point.  From E_lam's certified cleared form to the reduced
+coefficients it runs in one Kronecker frame, planned before the first letter
+(_orbit_plan): the letters, the sum, the stabilizer, lead and W-invariance
+checks and the lookup of distinct coefficients all act on framed integers,
+and the distinct coefficients are divided in that frame (_divided) by the
+clearing's known factors, so no gcd is computed there either.
 
 Also here: the eigenvalue-exponent check, monomial expansion, and a classical
 Demazure-operator Weyl character used as an independent specialization
@@ -63,9 +68,9 @@ from functools import lru_cache
 from math import gcd
 
 from .qt import ONE_P, QTPoly, RatQT, ZERO_P, Term, div_exact
-from .polyring import QTLaurent, _kernel, _pack, _unpack
+from .polyring import QTLaurent, _kernel, _unpack
 from .roots import LESS, EQUAL, RootSystem, Weight, CorootVec, root_system
-from .hecke import _alpha_string, _comb, _coset_sum, _decode, _encode, _framed_letter, _mono, _t, _y, _y_fixes
+from .hecke import _T_EXP, _decode, _encode, _framed_letter, _mono, _strings, _y, _y_fixes
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -252,26 +257,6 @@ def _shift_sum(x: int, terms: list[tuple[int, int]]) -> int:
     return out
 
 
-def _reduced_packed(cs: list[Mapping[int, int]], factors: list[tuple]) -> list[_Frac]:
-    """Each c / prod(den) in lowest terms, for c packed as {a * 2^64 + b: int} and den listed by
-    _factor_data.
-
-    The coefficients share one Kronecker frame (_divided): k is the _slot of their largest
-    coefficient and of the largest sum of |c| of a factor, and the width is one more than their
-    largest t-span; each is encoded from its own least exponents.  Every factor is divided out
-    there while it divides.  The frame decides divisibility exactly, so no cheaper test screens
-    the divisions first."""
-    terms = [_unpack(c) for c in cs]
-    live = [c for c in terms if c]
-    if not live or not factors:
-        return [(QTPoly(c), {}) for c in terms]
-    k = _slot(max(max(max(map(abs, c.values())) for c in live), max(fd[4] for fd in factors)))
-    lows = [min(b for _, b in c) for c in live]
-    width = max(max(b for _, b in c) - lo for c, lo in zip(live, lows)) + 1
-    out = iter(_divided(k, width, [(*_encode(c, k, width, lo), lo) for c, lo in zip(live, lows)], factors))
-    return [next(out) if c else (ZERO_P, {}) for c in terms]
-
-
 def _divided(k: int, width: int, items: list[tuple[int, int, int]], factors: list[tuple]) -> list[_Frac]:
     """Each numerator (v, e, b0) of items, in the frame (k, width) of _encode, over prod(den) in lowest
     terms: each factor of den divided out while it divides, in the frame, and the rest decoded once.
@@ -442,8 +427,14 @@ def nonsym_e(rs: RootSystem, lam: Weight) -> EigenResult:
     rs, lam = root_system(rs.name), rs.check_weight(lam)
     if rs.is_dominant(lam):
         return _result(rs, lam, *_solve(rs, lam))
-    basis = rs.lower_set(lam)
+    basis = _lower_set(rs, lam)
     return _result(rs, lam, basis, _coefficients(lam, basis, *_climb(rs, lam)))
+
+
+def _lower_set(rs: RootSystem, lam: Weight) -> list[Weight]:
+    """rs.lower_set(lam) for lam not dominant, from the memoized basis of its seed lam_+ (_solve):
+    that basis without lam_+, followed by rs.orbit_below(lam)."""
+    return _solve(rs, rs.dominant(lam)[0])[0][:-1] + rs.orbit_below(lam)
 
 
 # the memo of _solve: (type name, dominant lam) -> (basis, coefficients)
@@ -479,7 +470,7 @@ def _solve(rs: RootSystem, lam: Weight) -> tuple[list[Weight], tuple[_Frac, ...]
     simple roots of the Y side, alpha_0 = [-vartheta, 1] among them).  Nothing here assumes that
     the combination is an eigenvector: for E_mu = f / den, (1 - m) Phi f + (1 - t) t^h m f =
     a (1 - m) den E_lam, so E_lam is that numerator over den (1 - m), divided by its coefficient
-    at e^lam, which must be a unit, and support in the lower set and _result's checks certify it,
+    at e^lam, which must be a unit, and support in the lower set and _certified's checks prove it,
     as lam's eigenvalue is simple on its lower set.  |mu|^2 = |lam|^2 - (p - 1) |vartheta|^2, so
     the seeds mu_+ descend to p < 2.  Only the coefficients are memoized: _climb reads its seed
     from here.
@@ -505,7 +496,7 @@ def _solve_fresh(rs: RootSystem, lam: Weight) -> tuple[list[Weight], tuple[_Frac
     coeffs = _coefficients(lam, basis, *_climb(rs, nu, (word, theta, mq, mt, mq, mt + h)))
     lead, part = coeffs[-1]
     if part or not lead.is_monomial():
-        return basis, coeffs  # not a unit: _result refuses it
+        return basis, coeffs  # not a unit: _certified refuses it
     ((lq, lt), lc), = lead.terms.items()  # lc is +-1 for a unit: the quotient's lead lc^2 is 1 only then
     return basis, tuple((num.shift(-lq, -lt).scale(lc), part) for num, part in coeffs)
 
@@ -561,12 +552,7 @@ def _walk(rs: RootSystem, f: dict[Weight, Mapping[Term, int]], den: dict[QTPoly,
         units.append((sign, uq, ut))
         image = bound
         for i in reversed(word):
-            memo = rs._caches.setdefault(("alpha_strings", i), {})
-            out: dict[Weight, int] = {}
-            for mu, x in image.items():
-                for w, _, _ in memo.get(mu) or _alpha_string(rs, i, mu, memo):
-                    out[w] = out.get(w, 0) + x
-            image = out
+            image = _letter_bound(rs, i, image)
         if shift:
             image = {tuple(a + b for a, b in zip(w, shift)): x for w, x in image.items()}
         for w, x in bound.items():
@@ -581,14 +567,22 @@ def _walk(rs: RootSystem, f: dict[Weight, Mapping[Term, int]], den: dict[QTPoly,
     for (word, shift, mq, mt, nq, nt), (sign, uq, ut) in zip(steps, units):
         image = g
         for i in reversed(word):
-            memo = rs._caches.setdefault(("alpha_strings", i), {})
-            strings = [memo.get(w) or _alpha_string(rs, i, w, memo) for w in image]
-            image = _framed_letter(image, strings, False, k, width)
+            image = _framed_letter(image, _strings(rs, i, image), False, k, width)
         if shift:
             image = {tuple(a + b for a, b in zip(w, shift)): ve for w, ve in image.items()}
         g = _framed_comb(k, width, (image, -uq, -ut, sign, 0), (image, mq - uq, mt - ut, -sign, 0),
                          (g, nq - uq, nt - ut, sign, -sign))
     return k, width, b0, g
+
+
+def _letter_bound(rs: RootSystem, i: int, bound: dict[Weight, int]) -> dict[Weight, int]:
+    """A bound on the largest coefficient of each weight of T_i g, for g bounded by bound: each
+    alpha_i-string entry, a coefficient +-1, adds its source's bound to its target's."""
+    out: dict[Weight, int] = {}
+    for x, string in zip(bound.values(), _strings(rs, i, bound)):
+        for w, _, _ in string:
+            out[w] = out.get(w, 0) + x
+    return out
 
 
 def _framed_comb(k: int, width: int, *parts: tuple) -> dict[Weight, tuple[int, int]]:
@@ -628,36 +622,43 @@ def _is_eigenvector(rs: RootSystem, mu: CorootVec, cleared: QTLaurent, exps: tup
     return _y_fixes(rs, mu, _kernel(cleared)[0], *exps)
 
 
-def _result(rs: RootSystem, lam: Weight, basis: list[Weight], coeffs: tuple[_Frac, ...]) -> EigenResult:
-    """The EigenResult of E_lam = sum coeffs[i] e^basis[i] (basis the lower set of lam), certified: its
-    e^lam coefficient is 1 and it has the predicted eigenvalues under _operator's Y^chosen and Y^mu*.
-    Each reduced coefficient has canonical factors, whose product is its RatQT's canonical denominator."""
+def _certified(rs: RootSystem, lam: Weight, basis: list[Weight], coeffs: tuple[_Frac, ...]
+               ) -> tuple[CorootVec, tuple[int, int], dict[QTPoly, int], QTPoly, dict[Weight, QTPoly]]:
+    """(mu, exps, universe, clearing, cleared) for E_lam = sum coeffs[i] e^basis[i] (basis the lower set
+    of lam), certified: its e^lam coefficient is 1 and it has the predicted eigenvalues under _operator's
+    Y^chosen and Y^mu*.  mu is the chosen operator and exps the exponents of Y^mu* on E_lam; cleared =
+    clearing E_lam, over the nonzero weights of basis in its order, with clearing the product of the
+    universe of factors {irreducible canonical factor: multiplicity}, so no gcd is computed."""
     if coeffs[-1] != (ONE_P, {}):
         raise AssertionError(f"the intertwiners gave e^{lam} a coefficient other than 1")
     chosen, spectrum = _operator(rs, basis)
     exps = spectrum[-1]
-    e = QTLaurent(rs, {w: _ratqt(c) for w, c in zip(basis, coeffs)})
-    # clear denominators without any gcd: the factors are already known
     universe, nums = _over_common_den(coeffs)
-    clearing = _cofactor(universe, {})
-    cleared = QTLaurent(rs, {w: RatQT(num, ONE_P, _reduced=True) for w, num in zip(basis, nums)})
-    # exactness: the operator residual must vanish identically (checked on the
-    # polynomial form, which exercises the same Hecke word)
-    if not _is_eigenvector(rs, chosen, cleared, exps):
+    cleared = {w: num for w, num in zip(basis, nums) if not num.is_zero()}
+    # exactness: the operator residual must vanish identically, on the polynomial form
+    kernel = {w: num.terms for w, num in cleared.items()}
+    if not _y_fixes(rs, chosen, kernel, *exps):
         raise AssertionError("eigen residual is nonzero")
     default = rs.strictly_dominant_coroot()
     if chosen != default:
         # report the default operator's eigenvalue: E is a joint eigenvector,
         # so read it off and verify by applying the operator
         exps = expected_eigen_exponents(rs, lam, default)
-        if not _is_eigenvector(rs, default, cleared, exps):
+        if not _y_fixes(rs, default, kernel, *exps):
             raise AssertionError("joint eigenvector fails for the default operator")
+    return chosen, exps, universe, _cofactor(universe, {}), cleared
+
+
+def _result(rs: RootSystem, lam: Weight, basis: list[Weight], coeffs: tuple[_Frac, ...]) -> EigenResult:
+    """The EigenResult of E_lam, certified by _certified.  Each reduced coefficient has canonical
+    factors, whose product is its RatQT's canonical denominator."""
+    chosen, exps, universe, clearing, cleared = _certified(rs, lam, basis, coeffs)
     return EigenResult(
-        e_poly=e,
+        e_poly=QTLaurent(rs, {w: _ratqt(c) for w, c in zip(basis, coeffs)}),
         eigenvalue=RatQT.monomial(1, *exps),
         basis=list(basis),  # a copy: _solve caches the basis it returns
         conjectural=not rs.is_dominant(lam),
-        cleared=cleared,
+        cleared=QTLaurent(rs, {w: RatQT(num, ONE_P, _reduced=True) for w, num in cleared.items()}),
         clearing=clearing,
         clearing_factors=universe,
         mu_used=chosen,
@@ -718,31 +719,109 @@ def sym_p(rs: RootSystem, lam: Weight) -> QTLaurent:
 
     Lengths add over w = u v with v in the stabilizer W_lam, so sum_{w in W} T_w = (sum_u T_u)
     (sum_v T_v), and T_i E_lam = t E_lam for each s_i fixing lam; so the symmetrizer's image of
-    E_lam is W_lam(t) sum_u T_u E_lam.  The last identity is checked exactly, on the cleared form
-    f = clearing E_lam, before the sum is taken (hecke._coset_sum, one T_i per orbit point), and
-    the sum's e^lam coefficient must be the clearing itself.  P_lam is the sum over the clearing,
-    whose irreducible factors nonsym_e returns as clearing_factors: each distinct coefficient is reduced by
-    exact division with them (_reduced_packed), so no gcd is computed.  The result must be
-    W-invariant."""
+    E_lam is W_lam(t) sum_u T_u E_lam.  Everything runs on the cleared form f = clearing E_lam of
+    _certified, in one Kronecker frame planned before the first letter (_orbit_plan): the last
+    identity is checked exactly, T_i f = t f, before the sum is taken (_orbit_sum, one T_i per orbit
+    point), the sum's e^lam coefficient must be the clearing itself, and the sum must be
+    W-invariant.  Each check compares framed values with their zero low q-rows stripped
+    (_stripped), which the frame maps injectively, so equal polynomials give equal pairs.  P_lam is
+    the sum over the clearing: each distinct coefficient is reduced in the same frame by exact
+    division with the clearing's irreducible factors (_divided), so no gcd is computed, and is
+    decoded once."""
     lam = rs.check_weight(lam)
     if not rs.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    res = nonsym_e(rs, lam)
-    f = {w: _pack(c.num.terms) for w, c in res.cleared.terms.items()}
-    for i in range(1, rs.rank + 1):
-        if not lam[i - 1] and _t(rs, i, f) != _comb((f, 0, 1, 1, 0)):
+    base = root_system(rs.name)
+    _, _, universe, clearing, cleared = _certified(base, lam, *_solve(base, lam))
+    factors = _factor_data(universe)
+    f = {w: num.terms for w, num in cleared.items()}
+    k, width, b0, steps = _orbit_plan(base, lam, f, max((fd[4] for fd in factors), default=0))
+    qk = k * width
+    g = {w: _encode(c, k, width, b0) for w, c in f.items()}
+    for i in range(1, base.rank + 1):
+        if not lam[i - 1] and (_stripped(_framed_letter(g, _strings(base, i, g), False, k, width), qk)
+                               != _stripped(_framed_comb(k, width, (g, 0, 1, 1, 0)), qk)):
             raise AssertionError(f"T_{i} E_{lam} is not t E_{lam}, though s_{i} fixes {lam}")
-    f = _coset_sum(rs, lam, f)
-    if f.get(lam) != _pack(res.clearing.terms):
+    total = _stripped(_orbit_sum(base, lam, g, steps, k, width), qk)
+    if total.get(lam) != _framed(clearing.terms, k, width, b0):
         raise AssertionError(f"the coset sum's e^{lam} coefficient is not the clearing")
-    keys = {w: frozenset(c.items()) for w, c in f.items()}
-    distinct = dict(zip(keys.values(), f.values()))  # an orbit repeats each coefficient value
-    reduced = dict(zip(distinct, map(_ratqt, _reduced_packed(list(distinct.values()),
-                                                              _factor_data(res.clearing_factors)))))
-    p = QTLaurent(rs, {w: reduced[key] for w, key in keys.items()})
-    if not p.is_w_invariant():
+    distinct: dict[tuple[int, int], int] = {}  # an orbit repeats each coefficient value
+    ids = {w: distinct.setdefault(ve, len(distinct)) for w, ve in total.items()}
+    if any(ids.get(base.reflect(i, w)) != n for i in range(1, base.rank + 1) for w, n in ids.items()):
         raise AssertionError("the coset sum is not W-invariant")
-    return p
+    dens: dict[tuple, QTPoly] = {}
+    coeffs = []
+    for num, part in _divided(k, width, [(v, e, b0) for v, e in distinct], factors):
+        key = tuple(part.items())
+        if key not in dens:
+            dens[key] = _cofactor(part, {})
+        coeffs.append(RatQT(num, dens[key], _reduced=True))
+    return QTLaurent(rs, {w: coeffs[n] for w, n in ids.items()})
+
+
+def _orbit_plan(rs: RootSystem, lam: Weight, f: dict[Weight, Mapping[Term, int]], l1: int
+                ) -> tuple[int, int, int, list[tuple[Weight, int, Weight]]]:
+    """(k, width, b0, steps): the Kronecker frame of sym_p on f, and the steps (mu, i, s_i mu) of the
+    orbit walk from lam, planned before the first letter.
+
+    u -> u lam is a bijection from the minimal coset representatives onto W lam, walked breadth
+    first from lam: a step mu -> s_i mu with <alpha_i^vee, mu> > 0 is u -> s_i u with
+    l(s_i u) = l(u) + 1, and s_i u is again minimal, so T_{s_i u} f = T_i (T_u f).
+      - a letter raises t-exponents by 0 or 1, so every T_u f lies in the t-span of f plus the
+        depth of the walk, taken as at least 1 so that T_i f and t f of the stabilizer checks fit;
+      - the largest coefficient of each weight of T_u f is bounded by running the letters on the
+        bounds of f (_letter_bound), and the sum by summing those over the orbit;
+      - k is the _slot of the largest summed bound, of the bounds of T_i f for the s_i fixing lam,
+        and of l1, the largest sum of |c| of a factor that _divided divides by.
+    So every value of sym_p, and every quotient _divided accepts, decodes exactly."""
+    bound = {w: max(map(abs, c.values())) for w, c in f.items()}
+    images, depth, steps = {lam: bound}, {lam: 0}, []
+    queue = [lam]
+    for mu in queue:
+        for i in range(1, rs.rank + 1):
+            if mu[i - 1] > 0 and (nu := rs.reflect(i, mu)) not in images:
+                images[nu] = _letter_bound(rs, i, images[mu])
+                depth[nu] = depth[mu] + 1
+                steps.append((mu, i, nu))
+                queue.append(nu)
+    total: dict[Weight, int] = {}
+    for image in images.values():
+        for w, x in image.items():
+            total[w] = total.get(w, 0) + x
+    fixed = [max(_letter_bound(rs, i, bound).values()) for i in range(1, rs.rank + 1) if not lam[i - 1]]
+    k = _slot(max(max(total.values()), *fixed, l1))
+    lo = min(min(map(_T_EXP, c)) for c in f.values())
+    hi = max(max(map(_T_EXP, c)) for c in f.values())
+    return k, hi - lo + 1 + max(depth[queue[-1]], 1), lo, steps
+
+
+def _orbit_sum(rs: RootSystem, lam: Weight, g: dict[Weight, tuple[int, int]], steps: list[tuple[Weight, int, Weight]],
+               k: int, width: int) -> dict[Weight, tuple[int, int]]:
+    """sum_u T_u g over the minimal coset representatives u of W/W_lam, on framed values: one
+    _framed_letter per step of _orbit_plan's walk, then one _framed_comb."""
+    images = {lam: g}
+    for mu, i, nu in steps:
+        images[nu] = _framed_letter(images[mu], _strings(rs, i, images[mu]), False, k, width)
+    return _framed_comb(k, width, *((image, 0, 0, 1, 0) for image in images.values()))
+
+
+def _stripped(g: dict[Weight, tuple[int, int]], qk: int) -> dict[Weight, tuple[int, int]]:
+    """g with the zero low q-rows of each value (v, e) dropped, for rows of qk bits: v's lowest row is
+    then nonzero and e its q-exponent, so equal polynomials give equal pairs."""
+    out = {}
+    for w, (v, e) in g.items():
+        n = ((v & -v).bit_length() - 1) // qk
+        out[w] = (v >> n * qk, e + n) if n else (v, e)
+    return out
+
+
+def _framed(terms: Mapping[Term, int], k: int, width: int, b0: int) -> tuple[int, int] | None:
+    """_encode(terms, k, width, b0), or None if a term falls outside the frame (a t-exponent outside
+    [b0, b0 + width) or a coefficient of 2^(k-1) or more in size): then no value of the frame is terms."""
+    if (min(map(_T_EXP, terms)) < b0 or max(map(_T_EXP, terms)) >= b0 + width
+            or max(map(abs, terms.values())) >> (k - 1)):
+        return None
+    return _encode(terms, k, width, b0)
 
 
 def monomial_expand(f: QTLaurent) -> list[tuple[Weight, RatQT]]:

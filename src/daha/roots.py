@@ -321,18 +321,7 @@ class RootSystem:
 
     def orbit(self, lam: Weight) -> set[Weight]:
         """W lam; a ValueError once it passes MAX_ORBIT weights."""
-        seen = {lam}
-        frontier = [lam]
-        while frontier:
-            w = frontier.pop()
-            for i in range(1, self.rank + 1):
-                w2 = self.reflect(i, w)
-                if w2 not in seen:
-                    seen.add(w2)
-                    frontier.append(w2)
-                    if len(seen) > MAX_ORBIT:
-                        raise ValueError(f"the W-orbit of {lam} has more than the {MAX_ORBIT} weights allowed")
-        return seen
+        return set(self._orbit_coords(lam))
 
     # -- Weyl group elements ----------------------------------------------------
 
@@ -432,22 +421,51 @@ class RootSystem:
 
         Built from whole W-orbits.  Order keys compare mu_- - lam_- = w_0 (mu_+ - lam_+), and
         w_0 Q_+ = -Q_+, so a weight mu is below lam only if lam_+ - mu_+ lies in Q_+, and for a
-        dominant nu != lam_+ with lam_+ - nu in Q_+ the whole orbit W nu is below lam.  The
-        candidates are these orbits and W lam_+; the comparison with lam drops weights of W lam_+
-        only.  Such nu lie in the hull of W lam_+, so in the box 0 <= nu_k <= max of w_k over
-        W lam_+, and every weight of W nu has the same key half M nu_-.
+        dominant nu != lam_+ with lam_+ - nu in Q_+ the whole orbit W nu is below lam, with no
+        comparison.  Such nu lie in the hull of W lam_+, so in the box 0 <= nu_k <= max of w_k over
+        W lam_+, and every weight of W nu has the same key half M nu_-; the other half comes along
+        each orbit walk (_orbit_coords).  Of W lam_+, orbit_below keeps the weights below lam.
         """
         lam_plus = self.dominant(lam)[0]
-        top = self.order_key(lam)
-        keys = {}
-        for nu in _box([range(max(c) + 1) for c in zip(*self.orbit(lam_plus))]):
-            if self.dominance_leq(nu, lam_plus):
+        orbit = self._orbit_coords(lam_plus)
+        keys = self._keys_below(lam, orbit)
+        for nu in _box([range(max(c) + 1) for c in zip(*orbit)]):
+            if nu != lam_plus and self.dominance_leq(nu, lam_plus):
                 low = self.scaled_root_coords(self.antidominant(nu)[0])
-                for mu in self.orbit(nu):
-                    k = (low, self.scaled_root_coords(mu))
-                    if self.compare_keys(k, top) in (LESS, EQUAL):
-                        keys[mu] = k
+                keys.update((mu, (low, m)) for mu, m in self._orbit_coords(nu).items())
         return _linear_extension(keys)
+
+    def orbit_below(self, lam: Weight) -> list[Weight]:
+        """The weights of W lam_+ that are <= lam, in their least linear extension.
+
+        Every other orbit of lower_set(lam) lies wholly below W lam_+, so Kahn's heap
+        (_linear_extension) lists all of them first, and in the order they have in
+        lower_set(lam_+), where lam_+ comes last: lower_set(lam) is lower_set(lam_+) without lam_+,
+        followed by orbit_below(lam)."""
+        return _linear_extension(self._keys_below(lam, self._orbit_coords(self.dominant(lam)[0])))
+
+    def _keys_below(self, lam: Weight, orbit: Mapping[Weight, tuple[int, ...]]) -> dict[Weight, OrderKey]:
+        """{mu: order key} over the weights mu <= lam of W lam_+, given as {mu: M mu}: the only weights
+        that lower_set compares with lam.  They share the key half M lam_-."""
+        top = self.order_key(lam)
+        keys = ((mu, (top[0], m)) for mu, m in orbit.items())
+        return {mu: k for mu, k in keys if self.compare_keys(k, top) in (LESS, EQUAL)}
+
+    def _orbit_coords(self, lam: Weight) -> dict[Weight, tuple[int, ...]]:
+        """{mu: M mu} over W lam, walked from lam: s_i mu = mu - mu_i alpha_i, so
+        M s_i mu = M mu - mu_i D e_i.  A ValueError once it passes MAX_ORBIT weights."""
+        out = {lam: self.scaled_root_coords(lam)}
+        frontier = [lam]
+        while frontier:
+            w = frontier.pop()
+            m = out[w]
+            for i in range(1, self.rank + 1):
+                if w[i - 1] and (w2 := self.reflect(i, w)) not in out:
+                    out[w2] = m[:i - 1] + (m[i - 1] - w[i - 1] * self.root_den,) + m[i:]
+                    frontier.append(w2)
+                    if len(out) > MAX_ORBIT:
+                        raise ValueError(f"the W-orbit of {lam} has more than the {MAX_ORBIT} weights allowed")
+        return out
 
     # -- affine Weyl group words ---------------------------------------------------
 

@@ -3,9 +3,10 @@
 tests/data/identity_digests.json holds the digests of
   - every EigenResult field (term and factor order included) of nonsym_e on the weights of
     the benchmark's e-table boxes and of acceptance criterion 6;
-  - sym_p as text, JSON and LaTeX on the benchmark's p-table weights.
+  - sym_p as text, JSON and LaTeX on the benchmark's p-table weights and on the p-large weights.
 A change that claims byte-identical answers must leave every digest as it is.  To print the
-digests of the code in the working tree, as the file holds them:
+digests of the code in the working tree, as the file holds them (a test runs this under
+PYTHONHASHSEED=3 and compares the output with the file):
 
     PYTHONPATH=src python tests/test_identity_digests.py
 """
@@ -13,6 +14,9 @@ digests of the code in the working tree, as the file holds them:
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from daha import macdonald
@@ -49,6 +53,13 @@ def p_inputs() -> list:
             + [("A3", w) for w in dominant(3, 2) if sum(w) <= 2])
 
 
+def p_large_inputs() -> list:
+    """Dominant weights past the p-table, with wide orbit frames: about 1.5 s together."""
+    return ([("A1", (k,)) for k in (7, 8, 9)]
+            + [("A2", (3, 3)), ("A2", (4, 4)), ("B2", (3, 0)), ("B2", (3, 3)), ("B2", (4, 4)), ("C2", (0, 3)),
+               ("A3", (2, 2, 2))])
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -80,7 +91,7 @@ def _key(verb: str, name: str, lam: tuple) -> str:
 
 def digests() -> dict[str, str]:
     out = {_key("e", name, lam): e_digest(name, lam) for name, lam in e_inputs()}
-    out.update({_key("p", name, lam): p_digest(name, lam) for name, lam in p_inputs()})
+    out.update({_key("p", name, lam): p_digest(name, lam) for name, lam in p_inputs() + p_large_inputs()})
     return out
 
 
@@ -90,6 +101,17 @@ def test_identity_digests():
     assert got.keys() == expected.keys()
     changed = [key for key in expected if got[key] != expected[key]]
     assert not changed, f"{len(changed)} answers changed, first {changed[:5]}"
+
+
+def test_printed_digests_are_the_file_under_another_hash_seed():
+    # the script's output is the file byte for byte in a fresh interpreter with another string-hash seed:
+    # no answer depends on the order of a set or dict of strings
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONHASHSEED": "3",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == DIGESTS.read_text()
 
 
 if __name__ == "__main__":

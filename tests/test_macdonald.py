@@ -559,11 +559,18 @@ class TestOperatorChoice:
             _eigensolve(A2, (2, 0))
 
 
-# the one-frame reduction of macdonald._reduced_packed against the per-factor division loop it replaced
+# the one-frame reduction of macdonald._divided against the per-factor division loop it replaced
 
 def _reduced(num, den):
-    """num / prod(den) in lowest terms, by macdonald._reduced_packed on the one coefficient num."""
-    return macdonald._reduced_packed([_pack(num.terms)], macdonald._factor_data(den))[0]
+    """num / prod(den) in lowest terms, by macdonald._divided in the least frame of num alone: k the _slot
+    of its largest coefficient and of the largest sum of |c| of a factor, the width one more than its
+    t-span, and num encoded from its own least exponents."""
+    factors = macdonald._factor_data(den)
+    if num.is_zero() or not factors:
+        return num, {}
+    lo, hi = min(b for _, b in num.terms), max(b for _, b in num.terms)
+    k = macdonald._slot(max(max(map(abs, num.terms.values())), max(fd[4] for fd in factors)))
+    return macdonald._divided(k, hi - lo + 1, [(*hecke._encode(num.terms, k, hi - lo + 1, lo), lo)], factors)[0]
 
 
 def _ieval(p):
@@ -804,6 +811,16 @@ class TestCertificate:
                 assert not macdonald._is_eigenvector(B2, r.mu_used, QTLaurent(B2, terms), exps), (w, key)
 
 
+@pytest.mark.parametrize("name, bound", [("A1", 6), ("A2", 3), ("B2", 3), ("C2", 3), ("A3", 2)])
+def test_derived_basis_is_the_lower_set(name, bound):
+    # nonsym_e takes the basis of a weight that is not dominant from the memoized basis of its seed and the
+    # weights of the seed's orbit below it
+    rs = root_system(name)
+    for lam in weight_box([bound] * rs.rank):
+        if not rs.is_dominant(lam):
+            assert macdonald._lower_set(rs, lam) == rs.lower_set(lam), lam
+
+
 class TestFreshResults:
     def test_mutating_a_result_changes_no_later_answer(self, fresh_caches):
         lam = (1, 1)
@@ -913,12 +930,97 @@ def _full_symmetrizer(rs, lam):
 
 
 def _faulty_e(real, fault):
-    """nonsym_e with its result's cleared form changed by fault(lam, cleared)."""
-    def nonsym(rs, lam):
-        r = real(rs, lam)
-        r.cleared = QTLaurent(rs, fault(lam, r.cleared.terms))
-        return r
-    return nonsym
+    """macdonald._certified with the cleared form it returns, {weight: QTPoly}, changed by fault(lam, cleared):
+    the certified E_lam that sym_p reads."""
+    def certified(rs, lam, basis, coeffs):
+        *head, cleared = real(rs, lam, basis, coeffs)
+        return (*head, fault(lam, cleared))
+    return certified
+
+
+def _coset_sum_reference(rs, lam, f):
+    """sum over the minimal coset representatives u of W/W_lam of T_u f on the dict kernel (hecke._t,
+    hecke._comb), walked breadth first from lam, as sym_p summed before the frame."""
+    images = {tuple(lam): f}
+    queue = [tuple(lam)]
+    for mu in queue:
+        for i in range(1, rs.rank + 1):
+            if mu[i - 1] > 0 and (nu := rs.reflect(i, mu)) not in images:
+                images[nu] = hecke._t(rs, i, images[mu])
+                queue.append(nu)
+    return hecke._comb(*((k, 0, 0, 1, 0) for k in images.values()))
+
+
+def _orbit_sum_agrees(rs, lam, f):
+    """sym_p's orbit sum of f = {weight: {(a, b): c}} in its frame decodes to the dict kernel's, weight for
+    weight and in its order, and each framed value is the canonical pair that _encode writes for its
+    polynomial."""
+    k, width, b0, steps = macdonald._orbit_plan(rs, lam, f, 0)
+    g = {w: hecke._encode(c, k, width, b0) for w, c in f.items()}
+    total = macdonald._stripped(macdonald._orbit_sum(rs, lam, g, steps, k, width), k * width)
+    decoded = {w: hecke._decode(v, e, k, width, b0) for w, (v, e) in total.items()}
+    expected = {w: _unpack(c) for w, c in _coset_sum_reference(rs, lam, {w: _pack(c) for w, c in f.items()}).items()}
+    return (list(decoded) == list(expected) and decoded == expected
+            and all(total[w] == hecke._encode(c, k, width, b0) for w, c in decoded.items()))
+
+
+def _cleared(rs, lam):
+    """The cleared E_lam that sym_p reads, as {weight: {(a, b): c}}."""
+    return {w: num.terms for w, num in macdonald._certified(rs, lam, *macdonald._solve(rs, lam))[4].items()}
+
+
+_P_TABLE = [(name, lam) for name, lam in _P_WEIGHTS if name != "A4"]
+
+
+@pytest.mark.parametrize("name, lam", _P_TABLE)
+def test_framed_orbit_sum_matches_dict_kernel_on_e_lambda(name, lam):
+    rs = root_system(name)
+    assert _orbit_sum_agrees(rs, lam, _cleared(rs, lam))
+
+
+@st.composite
+def _integer_kernels(draw):
+    """(rs, lam, f): a dominant lam and f a few weights of small box, each with integer coefficients of
+    up to 8 or 80 bits at (q, t)-exponents in [-2, 2]."""
+    rs = root_system(draw(st.sampled_from(["A1", "A2", "B2", "C2", "A3"])))
+    lam = tuple(draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank)))
+    size = draw(st.sampled_from([1 << 7, 1 << 80]))
+    weights = st.tuples(*[st.integers(-2, 2)] * rs.rank)
+    terms = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                            st.integers(-size, size).filter(bool), min_size=1, max_size=4)
+    return rs, lam, draw(st.dictionaries(weights, terms, min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_kernels())
+def test_framed_orbit_sum_matches_dict_kernel_on_integer_kernels(example):
+    assert _orbit_sum_agrees(*example)
+
+
+# A1 (1,): T_1 e^1 = e^-1 and T_1 e^-1 = t e^1 + (t - 1) e^-1, so both coefficients of the sum are
+# (1 + q) + t (-t^-1) = q, whose lowest q-row cancels
+_CANCELLING = (A1, (1,), {(1,): {(0, 0): 1, (1, 0): 1}, (-1,): {(0, -1): -1}})
+
+
+@pytest.mark.parametrize("fault, example", [
+    # the sum 1 + (1 - t) e^0 + e^-2 reaches the last column of the window
+    ("window one column short", (A1, (2,), {(2,): {(0, 0): 1}})),
+    # T_1 e^0 = t e^0, so the sum is 100 + 200 t + 100 t^2: the bound 200 asks for 16-bit slots
+    ("plan bound halved", (A1, (2,), {(0,): {(0, 0): 100, (0, 1): 100}})),
+    ("no strip of the zero low rows", _CANCELLING),
+])
+def test_planted_orbit_frame_fault_is_caught(monkeypatch, fault, example):
+    assert _orbit_sum_agrees(*example)
+    if fault == "window one column short":
+        real = macdonald._orbit_plan
+        monkeypatch.setattr(macdonald, "_orbit_plan", lambda *args: (lambda k, width, b0, steps: (
+            k, width - 1, b0, steps))(*real(*args)))
+    elif fault == "plan bound halved":
+        real = macdonald._slot
+        monkeypatch.setattr(macdonald, "_slot", lambda bound: real(bound // 2))
+    else:
+        monkeypatch.setattr(macdonald, "_stripped", lambda g, qk: g)
+    assert not _orbit_sum_agrees(*example)
 
 
 class TestCosetSum:
@@ -935,6 +1037,7 @@ class TestCosetSum:
 
     def test_no_gcd_and_one_t_per_orbit_point(self, monkeypatch):
         calls = {"gcd": 0, "walk": 0, "stabilizer": 0}
+        phase = ["stabilizer"]  # the letters sym_p applies outside _orbit_sum are its stabilizer checks
 
         def counted(key, real):
             def wrapper(*args):
@@ -942,13 +1045,25 @@ class TestCosetSum:
                 return real(*args)
             return wrapper
 
+        def letter(*args):
+            calls[phase[0]] += 1
+            return real_letter(*args)
+
+        def walking(*args):
+            phase[0] = "walk"
+            try:
+                return real_sum(*args)
+            finally:
+                phase[0] = "stabilizer"
+
+        real_letter, real_sum = macdonald._framed_letter, macdonald._orbit_sum
         monkeypatch.setattr(qt, "poly_gcd", counted("gcd", qt.poly_gcd))
         for name, lam in _P_WEIGHTS:
             rs = root_system(name)
-            nonsym_e(rs, lam)  # the eigensolve's own T_i letters are not counted
+            nonsym_e(rs, lam)  # the eigensolve's own framed letters are not counted
             with monkeypatch.context() as m:
-                m.setattr(hecke, "_t", counted("walk", hecke._t))
-                m.setattr(macdonald, "_t", counted("stabilizer", macdonald._t))
+                m.setattr(macdonald, "_framed_letter", letter)
+                m.setattr(macdonald, "_orbit_sum", walking)
                 sym_p(rs, lam)
             assert calls["walk"] == len(rs.orbit(lam)) - 1, (name, lam)
             assert calls["stabilizer"] == lam.count(0), (name, lam)
@@ -961,8 +1076,8 @@ class TestCosetSum:
         # T_i E_lam = t E_lam, on which the coset sum rests
         i = lam.index(0) + 1
         omega = tuple(int(k == i) for k in range(1, len(lam) + 1))
-        monkeypatch.setattr(macdonald, "nonsym_e",
-                            _faulty_e(nonsym_e, lambda lam, terms: {**terms, omega: terms.get(omega, rat(0)) + rat(1)}))
+        monkeypatch.setattr(macdonald, "_certified", _faulty_e(
+            macdonald._certified, lambda lam, terms: {**terms, omega: terms.get(omega, ZERO_P) + ONE_P}))
         with pytest.raises(AssertionError, match=f"T_{i} E_.* is not t E_"):
             sym_p(root_system(name), lam)
 
@@ -970,11 +1085,32 @@ class TestCosetSum:
     def test_broken_lead_raises(self, monkeypatch, name, lam):
         # a scalar multiple of the cleared form passes the stabilizer check, but its coset sum
         # does not have the clearing at e^lam
-        scalar = rat(QTPoly({(0, 0): 1, (1, 0): 1}))
-        monkeypatch.setattr(macdonald, "nonsym_e",
-                            _faulty_e(nonsym_e, lambda lam, terms: {w: c * scalar for w, c in terms.items()}))
+        scalar = QTPoly({(0, 0): 1, (1, 0): 1})
+        monkeypatch.setattr(macdonald, "_certified", _faulty_e(
+            macdonald._certified, lambda lam, terms: {w: c * scalar for w, c in terms.items()}))
         with pytest.raises(AssertionError, match="is not the clearing"):
             sym_p(root_system(name), lam)
+
+    @pytest.mark.parametrize("name, lam", [("A1", (2,)), ("A2", (2, 1)), ("B2", (1, 1)), ("C2", (2, 1)),
+                                           ("A3", (1, 1, 1))])
+    def test_dropped_orbit_term_is_not_w_invariant(self, monkeypatch, name, lam):
+        # lam has no zero coordinate, so every framed letter of sym_p is a step of the orbit walk; the
+        # last step's image feeds no later step, so dropping one of its weights, neither lam nor 0,
+        # leaves the e^lam coefficient and changes the sum at that weight alone
+        rs = root_system(name)
+        macdonald._solve(rs, lam)  # the eigensolve's own framed letters are not faulted
+        real, left = macdonald._framed_letter, [len(rs.orbit(lam)) - 1]
+
+        def dropped(*args):
+            out = real(*args)
+            left[0] -= 1
+            if not left[0]:
+                out.pop(next(w for w in reversed(out) if w != lam and any(w)))
+            return out
+
+        monkeypatch.setattr(macdonald, "_framed_letter", dropped)
+        with pytest.raises(AssertionError, match="not W-invariant"):
+            sym_p(rs, lam)
 
 
 class TestWeylCharacter:

@@ -552,6 +552,15 @@ class TestIntegerKernel:
         assert rs.cherednik_cmp(a, b) == ref.cherednik_cmp(a, b)
         assert rs.compare_keys(rs.order_key(a), rs.order_key(b)) == ref.cherednik_cmp(a, b)
 
+    @pytest.mark.parametrize("name,lam", [("A1", (3,)), ("A2", (2, 1)), ("B2", (1, 2)), ("C2", (0, 3)),
+                                          ("A3", (1, 0, 2)), ("A1xA1", (2, 1))])
+    def test_orbit_walk_carries_root_coordinates(self, name, lam):
+        # M s_i mu = M mu - mu_i D e_i along the walk, against the matrix product at every orbit weight
+        rs = root_system(name)
+        coords = rs._orbit_coords(lam)
+        assert coords.keys() == {rs.apply_word(word, lam) for word in rs.weyl_elements().values()}
+        assert all(m == rs.scaled_root_coords(mu) for mu, m in coords.items())
+
     @pytest.mark.parametrize("name,bound", [("A1", 4), ("A2", 2), ("B2", 2), ("C2", 2), ("A3", 1), ("A1xA1", 2)])
     def test_lower_sets_match_pairwise_sort(self, name, bound):
         # the weights of the e-table benchmark boxes, and the reducible type, element for element
