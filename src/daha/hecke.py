@@ -32,9 +32,15 @@ The eigenvector check Y^mu f == q^a t^b f (_y_fixes, the residual check of
 every E_lam) runs on a third form, one big integer per weight: q^a t^b goes to
 2^(k (a width + b)), a ring map that T_i commutes with, so a letter is one
 shift and one add per alpha_i-string entry, and the check is one integer
-comparison per weight.  The window width, the slot k and exact checkpoints on
-long words keep the map injective; _y_fixes gives the argument.  y_op and _y
-stay the operator on the kernel.
+comparison per weight.  The map is injective on the values a frame can hold,
+by its plan (_plan), made before the frame's first letter as macdonald's walk
+and orbit sum make theirs: per-weight coefficient bounds run through the
+letters (_letter_bound) fix the slot k, the least of 8, 16, 32, 64, 128, ...
+bits that holds them (_slot), and the t-span of the start plus one column per
+letter fixes the window.  A frame ends before a letter that would take its
+bound past 64 bits or widen its window by more than 16 columns; its values
+then decode exactly, and the next frame is planned from them.  _y_fixes gives
+the argument.  y_op and _y stay the operator on the kernel.
 
 The relation suites run entirely on the kernel: they build e^mu as a kernel,
 apply the kernel operators and compare pruned kernels with ==.  Each check
@@ -255,30 +261,54 @@ def _decode(v: int, e: int, k: int, width: int, b0: int) -> dict[Term, int]:
     return {(e + p // width, b0 + p % width): u - half for p, u in enumerate(slots) if u != half}
 
 
-def _growth(rs: RootSystem, letter: tuple[int, bool], support) -> int:
-    """The factor by which the letter can multiply the sum of |c| of an element on support: the
-    longest alpha_i-string there (its coefficients are +-1), plus 2 for an inverse letter."""
-    i, inv = letter
-    return max(map(len, _strings(rs, i, support))) + 2 * inv
+def _slot(bound: int) -> int:
+    """The least k in 8, 16, 32, 64, 128, 192, ... with bound < 2^(k-1): the slot of a frame whose
+    coefficients, and the sum of |c| of each factor macdonald._divided divides by there, are at
+    most bound in size.  Slots of 1, 2, 4 and 8 bytes are machine words to _encode and _decode."""
+    k = 8
+    while bound >> (k - 1):
+        k = 2 * k if k < 64 else k + 64
+    return k
 
 
-def _frame(rs: RootSystem, letters: list, n: int, terms: dict, reserve: int) -> tuple[int, int, int, int, int]:
-    """(k, width, b0, stop, bound): a frame for the letters n..stop-1 on terms, and the sum of |c| over terms.
+def _letter_bound(rs: RootSystem, i: int, bound: dict[Weight, int]) -> dict[Weight, int]:
+    """A bound on the largest coefficient of each weight of T_i g, for g bounded by bound: each
+    alpha_i-string entry, a coefficient +-1, adds its source's bound to its target's."""
+    out: dict[Weight, int] = {}
+    get = out.get
+    for x, string in zip(bound.values(), _strings(rs, i, bound)):
+        for w, _, _ in string:
+            out[w] = get(w, 0) + x
+    return out
 
-    The growth of each letter is estimated on the current support (_growth).  k is the least
-    multiple of 64 bits that fits the next letter, stop the end of the letters that fit in it on
-    these estimates, and the t-window is the t-span of terms plus one per letter of the frame."""
-    bound = sum([sum(map(abs, c.values())) for c in terms.values()])
+
+def _plan(rs: RootSystem, letters: list[tuple[int, bool]], n: int, terms: Mapping[Weight, Mapping[Term, int]],
+          reserve: int) -> tuple[int, int, int, int]:
+    """(k, width, b0, stop): the frame of _y_fixes for the letters n..stop-1 on terms, planned before
+    the first of them.
+
+    The largest coefficient of each weight is bounded by running the letters on those bounds:
+    _letter_bound for T_i, and for an inverse letter T_i + 1 - t twice each weight's own bound on
+    top.  The frame runs at least one letter.  It ends before a letter that would take the bound
+    past a 64-bit slot, or that would add a 17th column to the window: the Y^mu* words of the
+    rank-2 and A3 checks, 10 to 14 letters, run in one frame, and long words on windows at most 16
+    columns wider than the t-span they start from.  b0 and width are the t-span of terms plus one
+    column per letter, and k is the _slot of the largest bound and of reserve."""
+    bound = {w: max(map(abs, c.values())) for w, c in terms.items()}
     lo = min([min(map(_T_EXP, c)) for c in terms.values()])
-    hi = max([max(map(_T_EXP, c)) for c in terms.values()])
-    growth = {letter: _growth(rs, letter, terms) for letter in set(letters[n:])}
-    first = bound * growth[letters[n]] if n < len(letters) else bound
-    k = 64 * (((first + reserve).bit_length() + 64) // 64)
-    stop, x = n, bound
-    while stop < len(letters) and not (x * growth[letters[stop]] + reserve) >> (k - 1):
-        x *= growth[letters[stop]]
-        stop += 1
-    return k, hi - lo + 1 + stop - n, lo, stop, bound
+    span = max([max(map(_T_EXP, c)) for c in terms.values()]) - lo + 1
+    top, stop = max(reserve, *bound.values()), n
+    while stop < len(letters) and stop - n < 16:
+        i, inv = letters[stop]
+        image = _letter_bound(rs, i, bound)
+        if inv:
+            for w, x in bound.items():
+                image[w] = image.get(w, 0) + 2 * x
+        x = max(image.values())
+        if x >> 63 and stop > n:
+            break
+        bound, top, stop = image, max(top, x), stop + 1
+    return _slot(top), span + stop - n, lo, stop
 
 
 def _y_fixes(rs: RootSystem, mu: CorootVec, f: Mapping[Weight, Mapping[Term, int]], dq: int, dt: int) -> bool:
@@ -295,23 +325,28 @@ def _y_fixes(rs: RootSystem, mu: CorootVec, f: Mapping[Weight, Mapping[Term, int
     monomials and adds them with coefficients +-1, which on the integers is one shift and one add
     or subtract per target (_framed_letter).  The map is injective on the polynomials whose terms
     have a >= e_w, 0 <= b - b0 < width and coefficients below 2^(k-1) in size: their slots are
-    distinct, and a sum of balanced base-2^k digits is 0 only if every digit is.  So once both
-    sides meet these bounds, one integer comparison per weight decides the identity, and a
-    mismatch is a conclusive False.  The bounds hold because
+    distinct, and balanced base-2^k digits are unique.  So once both sides meet these bounds, one
+    integer comparison per weight decides the identity, and a mismatch is a conclusive False.
+    Each frame is planned before its first letter (_plan), and the bounds hold because
       - e_w is the least q-offset with which a term reaches e^w, so no term has a < e_w;
-      - a letter raises a t-exponent by 0 or 1, so the window of a frame is the t-span of the
-        terms it starts from plus one per letter it runs (_frame);
-      - the sum B of the |c| over all terms bounds every coefficient, and a letter multiplies it
-        at most by the length of the longest alpha_i-string on the support (_growth).
+      - a letter raises a t-exponent by 0 or 1, so the window, the t-span of the terms the frame
+        starts from plus one column per letter it runs, holds every value of the frame;
+      - a letter adds each alpha_i-string entry's source, times +-1, to its target, and T_i + 1 - t
+        adds the weight's own value twice more, so the per-weight bounds run through the letters
+        bound every coefficient; the slot k, the least of 8, 16, 32, 64, 128, ... bits that holds
+        the largest of them and the largest |c| of f (_slot), keeps both sides below 2^(k-1).
     If the right side q^dq t^(dt+m) f has a t-exponent outside the window of the last frame, the
     left side has none there, and the answer is False as well.
 
-    Slots are multiples of 64 bits.  A frame runs the letters that fit its slot on the growth
-    estimated at its start; after them, or before a letter that would take B + max |c of f|
-    past 2^(k-1), the values still meet the bounds, so they decode exactly (_decode): B is
-    recomputed from the actual coefficients and the rest of the word runs on a new frame.  Long
-    words need these checkpoints: the worst-case bound grows by a few bits a letter, and the
-    window by one, while the actual coefficients and t-span stay small.
+    A frame ends before a letter that would take its bound past a 64-bit slot, or widen its window
+    by more than 16 columns.  Its values then meet the bounds, so they decode exactly (_decode),
+    and the rest of the word runs on a frame planned afresh from the actual coefficients and
+    t-span.  Long words need these checkpoints: the planned bound and the window grow with every
+    letter, while the actual coefficients and t-span of an eigenvector stay small.  With the 64-bit
+    cut alone, C2 E_(2,-3) under Y^(-5,9), 388 letters, runs on windows of about 55 extra columns,
+    an order of magnitude slower; a cut when the window outgrows twice the starting t-span lets
+    the windows of a check that fails, whose t-span spreads letter by letter, double frame by
+    frame.
     """
     letters = _y_letters(rs, mu)
     f = {w: c for w, c in f.items() if c}
@@ -321,19 +356,13 @@ def _y_fixes(rs: RootSystem, mu: CorootVec, f: Mapping[Weight, Mapping[Term, int
     reserve = max([max(map(abs, c.values())) for c in f.values()])
     terms, n = f, 0
     while True:
-        k, width, b0, stop, bound = _frame(rs, letters, n, terms, reserve)
+        k, width, b0, stop = _plan(rs, letters, n, terms, reserve)
         g = {w: _encode(c, k, width, b0) for w, c in terms.items()}
         if n == 0:
             framed_f = g
-        while n < stop:
-            i, inv = letters[n]
-            strings = _strings(rs, i, g)
-            growth = max(map(len, strings)) + 2 * inv
-            if (bound * growth + reserve) >> (k - 1):
-                break
-            g = _framed_letter(g, strings, inv, k, width)
-            bound *= growth
-            n += 1
+        for i, inv in letters[n:stop]:
+            g = _framed_letter(g, _strings(rs, i, g), inv, k, width)
+        n = stop
         if n == len(letters):
             break
         terms = {w: _decode(v, e, k, width, b0) for w, (v, e) in g.items()}

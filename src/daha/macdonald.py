@@ -70,7 +70,8 @@ from math import gcd
 from .qt import ONE_P, QTPoly, RatQT, ZERO_P, Term, div_exact
 from .polyring import QTLaurent, _kernel, _unpack
 from .roots import LESS, EQUAL, RootSystem, Weight, CorootVec, root_system
-from .hecke import _T_EXP, _decode, _encode, _framed_letter, _mono, _strings, _y, _y_fixes
+from .hecke import (_T_EXP, _decode, _encode, _framed_letter, _letter_bound, _mono, _slot, _strings, _y,
+                    _y_fixes)
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -194,16 +195,6 @@ def _period(p: dict[int, int]) -> tuple[int, list[tuple[int, int]]]:
     raise AssertionError("a factor of den is not cyclotomic")
 
 
-def _slot(bound: int) -> int:
-    """The least k in 8, 16, 32, 64, 128, 192, ... with bound < 2^(k-1): the slot of a frame whose
-    coefficients, and the sum of |c| of each factor it divides by (_divided), are at most bound in
-    size.  Slots of 1, 2, 4 and 8 bytes are machine words to _encode and _decode."""
-    k = 8
-    while bound >> (k - 1):
-        k = 2 * k if k < 64 else k + 64
-    return k
-
-
 def _masks(k: int, width: int, rows: int, j: int, ft: int) -> tuple[int, int]:
     """(fill, mask) for the digit check of a quotient by a factor of t-span ft, in a frame of rows * width
     k-bit slots: fill holds 2^j in each slot outside the last ft columns of a row, mask the bits
@@ -324,18 +315,33 @@ def _divide_out(v: int, e: int, b0: int, k: int, width: int, limit: int, factors
 
 
 def _over_common_den(coeffs) -> tuple[dict[QTPoly, int], list[QTPoly]]:
-    """(den, nums) with coeffs[k] = nums[k] / prod(den), den taking each factor's largest multiplicity."""
+    """(den, nums) with coeffs[k] = nums[k] / prod(den), den taking each factor's largest multiplicity.
+    Each distinct cofactor, keyed by its multiplicities over den, is multiplied out once."""
     den: dict[QTPoly, int] = {}
     for _, part in coeffs:
         for f, m in part.items():
             den[f] = max(den.get(f, 0), m)
-    return den, [ZERO_P if num.is_zero() else num * _cofactor(den, part) for num, part in coeffs]
+    cofactors: dict[tuple[int, ...], QTPoly] = {}
+    nums = []
+    for num, part in coeffs:
+        if num.is_zero():
+            nums.append(ZERO_P)
+            continue
+        key = tuple(part.get(f, 0) for f in den)
+        if key not in cofactors:
+            cofactors[key] = _cofactor(den, part)
+        nums.append(num * cofactors[key])
+    return den, nums
 
 
-def _ratqt(c: _Frac) -> RatQT:
-    """The RatQT of a reduced coefficient: its canonical denominator is the product of its factors."""
-    num, den = c
-    return RatQT(num, _cofactor(den, {}), _reduced=True)
+def _ratqt(c: _Frac, dens: dict[tuple, QTPoly]) -> RatQT:
+    """The RatQT of a reduced coefficient: its canonical denominator is the product of its factors,
+    multiplied out once per distinct part and kept in dens."""
+    num, part = c
+    key = tuple(part.items())
+    if key not in dens:
+        dens[key] = _cofactor(part, {})
+    return RatQT(num, dens[key], _reduced=True)
 
 
 def _cofactor(den: dict[QTPoly, int], part: dict[QTPoly, int]) -> QTPoly:
@@ -575,16 +581,6 @@ def _walk(rs: RootSystem, f: dict[Weight, Mapping[Term, int]], den: dict[QTPoly,
     return k, width, b0, g
 
 
-def _letter_bound(rs: RootSystem, i: int, bound: dict[Weight, int]) -> dict[Weight, int]:
-    """A bound on the largest coefficient of each weight of T_i g, for g bounded by bound: each
-    alpha_i-string entry, a coefficient +-1, adds its source's bound to its target's."""
-    out: dict[Weight, int] = {}
-    for x, string in zip(bound.values(), _strings(rs, i, bound)):
-        for w, _, _ in string:
-            out[w] = out.get(w, 0) + x
-    return out
-
-
 def _framed_comb(k: int, width: int, *parts: tuple) -> dict[Weight, tuple[int, int]]:
     """The sum of q^dq t^dt (c0 + c1 t) g over the parts (g, dq, dt, c0, c1), on framed values (hecke._comb)."""
     out: dict[Weight, list[int]] = {}
@@ -653,8 +649,9 @@ def _result(rs: RootSystem, lam: Weight, basis: list[Weight], coeffs: tuple[_Fra
     """The EigenResult of E_lam, certified by _certified.  Each reduced coefficient has canonical
     factors, whose product is its RatQT's canonical denominator."""
     chosen, exps, universe, clearing, cleared = _certified(rs, lam, basis, coeffs)
+    dens: dict[tuple, QTPoly] = {}
     return EigenResult(
-        e_poly=QTLaurent(rs, {w: _ratqt(c) for w, c in zip(basis, coeffs)}),
+        e_poly=QTLaurent(rs, {w: _ratqt(c, dens) for w, c in zip(basis, coeffs)}),
         eigenvalue=RatQT.monomial(1, *exps),
         basis=list(basis),  # a copy: _solve caches the basis it returns
         conjectural=not rs.is_dominant(lam),
@@ -688,11 +685,16 @@ def expected_eigen_exponents(rs: RootSystem, lam: Weight, mu: CorootVec) -> tupl
     making lam antidominant: len(t_mu) = <mu, 2 rho>, and u_lam^{-1} keeps
     positive exactly the roots that u_lam does not invert, those with
     (lam, gamma) <= 0, so 2 rho + u_lam^{-1}(2 rho) is twice their sum.  For
-    gamma = sum_i c_i alpha_i, (lam, gamma) has the sign of sum_i c_i d_i lam_i.
+    gamma = sum_i c_i alpha_i, (lam, gamma) has the sign of sum_i c_i d_i lam_i.  Memoized per
+    (mu, lam) in rs._caches.
     """
-    t_exp = sum(rs.coroot_pair(mu, gamma) for coords, gamma in rs.positive_roots()
-                if sum(c * d * l for c, d, l in zip(coords, rs.d, lam)) <= 0)
-    return -rs.coroot_pair(mu, lam), t_exp
+    lam, memo = tuple(lam), rs._caches.setdefault(("eigen_exponents", tuple(mu)), {})
+    exps = memo.get(lam)
+    if exps is None:
+        t_exp = sum(rs.coroot_pair(mu, gamma) for coords, gamma in rs.positive_roots()
+                    if sum(c * d * l for c, d, l in zip(coords, rs.d, lam)) <= 0)
+        exps = memo[lam] = -rs.coroot_pair(mu, lam), t_exp
+    return exps
 
 
 def eigen_check(rs: RootSystem, lam: Weight, mu: CorootVec, result: EigenResult | None = None) -> EigenCheck:
@@ -750,12 +752,7 @@ def sym_p(rs: RootSystem, lam: Weight) -> QTLaurent:
     if any(ids.get(base.reflect(i, w)) != n for i in range(1, base.rank + 1) for w, n in ids.items()):
         raise AssertionError("the coset sum is not W-invariant")
     dens: dict[tuple, QTPoly] = {}
-    coeffs = []
-    for num, part in _divided(k, width, [(v, e, b0) for v, e in distinct], factors):
-        key = tuple(part.items())
-        if key not in dens:
-            dens[key] = _cofactor(part, {})
-        coeffs.append(RatQT(num, dens[key], _reduced=True))
+    coeffs = [_ratqt(c, dens) for c in _divided(k, width, [(v, e, b0) for v, e in distinct], factors)]
     return QTLaurent(rs, {w: coeffs[n] for w, n in ids.items()})
 
 

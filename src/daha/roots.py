@@ -40,7 +40,9 @@ Lower-set contract.  lower_set(lam) lists P[<= lam] in the lexicographically
 least linear extension of the Cherednik order: at each step the least weight
 (as a tuple) all of whose predecessors are already listed.  Inside a lower set
 every weight lies in lam + Q, so no divisibility test is needed there.  It has
-no memo: a caller that needs one lam more than once keeps the set itself.
+no memo of its own, and returns a fresh list: a caller that needs one lam more
+than once keeps the set itself.  The W-orbits it is built from are memoized per
+dominant weight (_orbit_coords) and handed out read-only.
 """
 
 from __future__ import annotations
@@ -320,8 +322,8 @@ class RootSystem:
         return lam
 
     def orbit(self, lam: Weight) -> set[Weight]:
-        """W lam; a ValueError once it passes MAX_ORBIT weights."""
-        return set(self._orbit_coords(lam))
+        """W lam, a fresh set; a ValueError once it passes MAX_ORBIT weights."""
+        return set(self._orbit_coords(self.dominant(lam)[0]))
 
     # -- Weyl group elements ----------------------------------------------------
 
@@ -451,21 +453,25 @@ class RootSystem:
         keys = ((mu, (top[0], m)) for mu, m in orbit.items())
         return {mu: k for mu, k in keys if self.compare_keys(k, top) in (LESS, EQUAL)}
 
-    def _orbit_coords(self, lam: Weight) -> dict[Weight, tuple[int, ...]]:
-        """{mu: M mu} over W lam, walked from lam: s_i mu = mu - mu_i alpha_i, so
-        M s_i mu = M mu - mu_i D e_i.  A ValueError once it passes MAX_ORBIT weights."""
-        out = {lam: self.scaled_root_coords(lam)}
-        frontier = [lam]
-        while frontier:
-            w = frontier.pop()
-            m = out[w]
-            for i in range(1, self.rank + 1):
-                if w[i - 1] and (w2 := self.reflect(i, w)) not in out:
-                    out[w2] = m[:i - 1] + (m[i - 1] - w[i - 1] * self.root_den,) + m[i:]
-                    frontier.append(w2)
-                    if len(out) > MAX_ORBIT:
-                        raise ValueError(f"the W-orbit of {lam} has more than the {MAX_ORBIT} weights allowed")
-        return out
+    def _orbit_coords(self, lam: Weight) -> Mapping[Weight, tuple[int, ...]]:
+        """Read-only {mu: M mu} over W lam for dominant lam, walked from lam and memoized per lam:
+        s_i mu = mu - mu_i alpha_i, so M s_i mu = M mu - mu_i D e_i.  A ValueError once it passes
+        MAX_ORBIT weights."""
+        key = ("orbit", lam)
+        if key not in self._caches:
+            out = {lam: self.scaled_root_coords(lam)}
+            frontier = [lam]
+            while frontier:
+                w = frontier.pop()
+                m = out[w]
+                for i in range(1, self.rank + 1):
+                    if w[i - 1] and (w2 := self.reflect(i, w)) not in out:
+                        out[w2] = m[:i - 1] + (m[i - 1] - w[i - 1] * self.root_den,) + m[i:]
+                        frontier.append(w2)
+                        if len(out) > MAX_ORBIT:
+                            raise ValueError(f"the W-orbit of {lam} has more than the {MAX_ORBIT} weights allowed")
+            self._caches[key] = out
+        return MappingProxyType(self._caches[key])
 
     # -- affine Weyl group words ---------------------------------------------------
 

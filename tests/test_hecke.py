@@ -404,10 +404,12 @@ def test_zero_test_matches_y_op(data):
     assert hecke._y_fixes(rs, mu, f, dq, dt) == expected
 
 
-@pytest.mark.parametrize("name, lam, mu", [("A3", (-1, -1, -1), (-2, 3, 2)), ("B2", (-1, -1), (-3, 2))])
+@pytest.mark.parametrize("name, lam, mu", [("A3", (-1, -1, -1), (-2, 3, 2)), ("B2", (-1, -1), (-3, 2)),
+                                           ("C2", (2, -3), (-5, 9))])
 def test_zero_test_across_checkpoints(monkeypatch, name, lam, mu):
-    # long words with T_i^{-1} letters: the worst-case bound outgrows the first slot, so the word runs
-    # on several frames, each decoded exactly at its end
+    # long words with T_i^{-1} letters (202, 98 and 388 letters): the plan's window would grow by more than
+    # 16 columns, so the word runs on several frames, each decoded exactly at its end and the next planned
+    # from the actual coefficients
     rs = root_system(name)
     f = _kernel(nonsym_e(rs, lam).cleared)[0]
     dq, dt = expected_eigen_exponents(rs, lam, mu)
@@ -415,8 +417,16 @@ def test_zero_test_across_checkpoints(monkeypatch, name, lam, mu):
     decoded = []
     real = hecke._decode
     monkeypatch.setattr(hecke, "_decode", lambda v, e, k, width, b0: decoded.append(k) or real(v, e, k, width, b0))
+    frames = []  # (first letter, (k, width, b0, stop)) of each frame
+    plan = hecke._plan
+    monkeypatch.setattr(hecke, "_plan", lambda rs, letters, n, terms, reserve: (
+        lambda p: frames.append((n, p)) or p)(plan(rs, letters, n, terms, reserve)))
     assert hecke._y_fixes(rs, mu, f, dq, dt)
-    assert decoded
+    assert decoded and len(decoded) == len(f) * (len(frames) - 1)
+    if name == "C2":
+        # every frame but the last ends by the window rule: it has added 16 columns, in slots of at most
+        # 64 bits
+        assert all(k <= 64 and stop - n == 16 for n, (k, width, b0, stop) in frames[:-1])
     w = sorted(f)[len(f) // 2]
     key = min(f[w])
     for delta in (1, -1):
@@ -425,19 +435,52 @@ def test_zero_test_across_checkpoints(monkeypatch, name, lam, mu):
     assert not hecke._y_fixes(rs, mu, f, dq - 1, dt)
 
 
-def test_low_growth_estimate_is_caught(monkeypatch):
-    # a frame plans its letters on estimated growth; with every estimate 1 the plan fits the whole word
-    # into 64-bit slots, and the check before each letter must end the frame before the bound passes it
-    rs, lam, mu = B2, (-1, -1), (-3, 2)
+def test_plan_ends_a_frame_before_64_bits():
+    # f = 2^40 E_(-1,-1,-1): the bound of the 202-letter word passes a 64-bit slot before the window rule
+    # would end the frame, and the frame ends there, still in 64-bit slots
+    rs, lam, mu = root_system("A3"), (-1, -1, -1), (-2, 3, 2)
+    f = {w: {key: c << 40 for key, c in terms.items()} for w, terms in _kernel(nonsym_e(rs, lam).cleared)[0].items()}
+    k, width, b0, stop = hecke._plan(rs, hecke._y_letters(rs, mu), 0, f, 1 << 40)
+    assert k == 64 and stop < 16
+
+
+# A2 E_(-1,1) under Y^(1,1), four letters, times p = 88 - 88 t, with the carries of an 8-bit frame of
+# width 8 taken: g(2^64, 2^8) = p(2^8) E(2^64, 2^8) weight by weight, while g, whose coefficients fit 8 bits,
+# is no multiple of E, so no eigenvector.  The bounds of Y^(1,1) g need 16 bits.
+_CARRIED = (A2, (1, 1), (-1, 1), {(1, 0): {(0, 0): 88, (0, 1): 80, (0, 2): 87},
+                                  (-1, 1): {(0, 0): 88, (0, 1): -88, (1, 2): -88, (1, 3): 88}})
+
+
+def test_carried_kernel_is_no_eigenvector():
+    rs, mu, lam, g = _CARRIED
     f = _kernel(nonsym_e(rs, lam).cleared)[0]
     dq, dt = expected_eigen_exponents(rs, lam, mu)
-    monkeypatch.setattr(hecke, "_growth", lambda rs, letter, support: 1)
-    decoded = []
-    real = hecke._decode
-    monkeypatch.setattr(hecke, "_decode", lambda v, e, k, width, b0: decoded.append(k) or real(v, e, k, width, b0))
-    assert hecke._y_fixes(rs, mu, f, dq, dt)
-    assert decoded and set(decoded) == {64}
-    assert not hecke._y_fixes(rs, mu, f, dq, dt - 1)
+    k, width, b0, stop = hecke._plan(rs, hecke._y_letters(rs, mu), 0, g, 88)
+    assert (k, width, b0, stop) == (16, 8, 0, 4)
+    p = QTPoly({(0, 0): 88, (0, 1): -88})
+    products = {w: (p * QTPoly(c)).terms for w, c in f.items()}
+    assert all(_frame_map(c, 8, width) == _frame_map(products[w], 8, width) for w, c in g.items())
+    assert g[(-1, 1)] == products[(-1, 1)] and g[(1, 0)] != products[(1, 0)]  # the carries of one weight
+    G = QTLaurent(rs, {w: rat(QTPoly(c)) for w, c in g.items()})
+    assert y_op(rs, mu, G) != G.scale(RatQT.monomial(1, dq, dt))
+    assert not hecke._y_fixes(rs, mu, g, dq, dt)
+
+
+def test_low_growth_estimate_is_caught(monkeypatch):
+    # a planted fault: the plan leaves out the bound of the frame's first letter, so the 8-bit slot
+    # it then picks wraps the coefficients of Y^(1,1) g, and the carried kernel passes as an eigenvector
+    rs, mu, lam, g = _CARRIED
+    dq, dt = expected_eigen_exponents(rs, lam, mu)
+    assert not hecke._y_fixes(rs, mu, g, dq, dt)
+    real = hecke._letter_bound
+    calls = []
+
+    def under_count(rs, i, bound):
+        calls.append(i)
+        return dict(bound) if len(calls) == 1 else real(rs, i, bound)
+
+    monkeypatch.setattr(hecke, "_letter_bound", under_count)
+    assert hecke._y_fixes(rs, mu, g, dq, dt)
 
 
 @pytest.mark.parametrize("byteorder", ["little", "big"], ids=["word-path", "portable-path"])
@@ -472,35 +515,39 @@ def _frame_map(terms, k, width):
 
 
 class TestFrameBounds:
-    """Each bound of the frame is load-bearing: a residual it rules out maps to 0 in a frame one step narrower."""
+    """Each bound of the plan is load-bearing: a residual it rules out maps to 0 in a frame one step narrower."""
 
     LETTERS = [(1, False), (0, False)]  # Y^(1) = T_0 T_1 in A1, first letter outermost
 
     def test_window(self, monkeypatch):
         # Y^(1) 1 = t^2 in A1.  Claiming q instead leaves the residual t^2 - q, which a window of 2 maps to 0;
-        # the real window is 3: the one t-exponent of f plus one per letter.
+        # the planned window is 3: the one t-exponent of f plus one per letter.
         f = {(0,): {(0, 0): 1}}
         assert hecke._y_fixes(A1, (1,), f, 0, 2)
-        assert _frame_map({(0, 2): 1, (1, 0): -1}, 64, 2) == 0
-        assert hecke._frame(A1, self.LETTERS, 0, f, 1)[1] == 3
+        assert _frame_map({(0, 2): 1, (1, 0): -1}, 8, 2) == 0
+        assert hecke._plan(A1, self.LETTERS, 0, f, 1) == (8, 3, 0, 2)
         assert not hecke._y_fixes(A1, (1,), f, 1, 0)
-        real = hecke._frame
-
-        def narrow(*args):
-            k, width, b0, stop, bound = real(*args)
-            return k, width - 1, b0, stop, bound
-
-        monkeypatch.setattr(hecke, "_frame", narrow)
+        real = hecke._plan
+        monkeypatch.setattr(hecke, "_plan", lambda *args: (
+            lambda k, width, b0, stop: (k, width - 1, b0, stop))(*real(*args)))
         assert hecke._y_fixes(A1, (1,), f, 1, 0)  # the planted fault accepts the wrong eigenvalue
 
-    def test_slot(self):
+    def test_slot(self, monkeypatch):
         # (t - 2^64) e^0 is an eigenvector of Y^(1) with eigenvalue t^2.  Claiming t leaves the residual
         # t (t - 1)(t - 2^64), which 64-bit slots map to 0 (t = 2^64); its coefficients need 128.
         f = {(0,): {(0, 1): 1, (0, 0): -2**64}}
         assert _frame_map({(0, 3): 1, (0, 2): -2**64 - 1, (0, 1): 2**64}, 64, 4) == 0
-        assert hecke._frame(A1, self.LETTERS, 0, f, 2**64)[0] == 128
+        assert hecke._plan(A1, self.LETTERS, 0, f, 2**64)[0] == 128
         assert hecke._y_fixes(A1, (1,), f, 0, 2)
         assert not hecke._y_fixes(A1, (1,), f, 0, 1)
+        # a planted fault: each slot one step below the plan's (16 -> 8 bits for the carried kernel, whose
+        # coefficients fit 8 bits and those of its image do not) lets the kernel pass as an eigenvector
+        rs, mu, lam, g = _CARRIED
+        dq, dt = expected_eigen_exponents(rs, lam, mu)
+        assert not hecke._y_fixes(rs, mu, g, dq, dt)
+        real = hecke._slot
+        monkeypatch.setattr(hecke, "_slot", lambda bound: (lambda k: k // 2 if k <= 128 else k - 64)(real(bound)))
+        assert hecke._y_fixes(rs, mu, g, dq, dt)
 
 
 def _const(rs, c):

@@ -3,12 +3,15 @@
 tests/data/identity_digests.json holds the digests of
   - every EigenResult field (term and factor order included) of nonsym_e on the weights of
     the benchmark's e-table boxes and of acceptance criterion 6;
-  - sym_p as text, JSON and LaTeX on the benchmark's p-table weights and on the p-large weights.
+  - sym_p as text, JSON and LaTeX on the benchmark's p-table weights and on the p-large weights;
+  - every EigenResult field of nonsym_e on the e-large weights: wide E_lam with many waypoints.
+    The first E_LARGE_TIER1 of them run in every test run, the rest only with RUN_E_LARGE=1.
 A change that claims byte-identical answers must leave every digest as it is.  To print the
 digests of the code in the working tree, as the file holds them (a test runs this under
-PYTHONHASHSEED=3 and compares the output with the file):
+PYTHONHASHSEED=3 and compares the output with the file's entries other than the opt-in ones):
 
-    PYTHONPATH=src python tests/test_identity_digests.py
+    PYTHONPATH=src python tests/test_identity_digests.py           # without the opt-in e-large digests
+    PYTHONPATH=src python tests/test_identity_digests.py --large   # every digest: the whole file
 """
 
 import hashlib
@@ -17,7 +20,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 from daha import macdonald
 from daha.polyring import laurent_to_json, laurent_to_latex, laurent_to_text
@@ -60,6 +66,16 @@ def p_large_inputs() -> list:
                ("A3", (2, 2, 2))])
 
 
+def e_large_inputs() -> list:
+    """The e-large weights, the first E_LARGE_TIER1 cheap enough for every run (about 0.3 s each).  B2 (4,-4)
+    and (-4,4) are criterion-6 weights, among e_inputs."""
+    return [("B2", (4, 4)), ("A3", (-2, -2, -2)), ("B2", (-4, -4)), ("B2", (5, 5)), ("A3", (3, 3, 3)),
+            ("A4", (-1, -1, -1, -1)), ("A1", (30,)), ("A1", (-30,))]
+
+
+E_LARGE_TIER1 = 2
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -89,30 +105,79 @@ def _key(verb: str, name: str, lam: tuple) -> str:
     return f"{verb} {name} {','.join(map(str, lam))}"
 
 
-def digests() -> dict[str, str]:
+def digests(large: bool = False) -> dict[str, str]:
+    """The digests of the file's inputs, without the opt-in e-large ones unless large."""
     out = {_key("e", name, lam): e_digest(name, lam) for name, lam in e_inputs()}
     out.update({_key("p", name, lam): p_digest(name, lam) for name, lam in p_inputs() + p_large_inputs()})
+    e_large = e_large_inputs() if large else e_large_inputs()[:E_LARGE_TIER1]
+    out.update({_key("e", name, lam): e_digest(name, lam) for name, lam in e_large})
     return out
 
 
-def test_identity_digests():
+def _render(d: dict[str, str]) -> str:
+    return json.dumps(d, indent=1) + "\n"
+
+
+def _expected(large: bool = False) -> dict[str, str]:
+    """The file's digests, without the opt-in e-large ones unless large."""
     expected = json.loads(DIGESTS.read_text())
-    got = digests()
+    if not large:
+        for name, lam in e_large_inputs()[E_LARGE_TIER1:]:
+            del expected[_key("e", name, lam)]
+    return expected
+
+
+def _changed(got: dict[str, str], expected: dict[str, str]) -> list[str]:
     assert got.keys() == expected.keys()
-    changed = [key for key in expected if got[key] != expected[key]]
+    return [key for key in expected if got[key] != expected[key]]
+
+
+def test_identity_digests():
+    changed = _changed(digests(), _expected())
     assert not changed, f"{len(changed)} answers changed, first {changed[:5]}"
 
 
+@pytest.mark.skipif(not os.environ.get("RUN_E_LARGE"), reason="optional e-large digests")
+def test_large_identity_digests():
+    # the opt-in e-large weights, about 8 s together in one process; budget 30 s
+    expected = _expected(large=True)
+    t0 = time.time()
+    got = {_key("e", name, lam): e_digest(name, lam) for name, lam in e_large_inputs()}
+    elapsed = time.time() - t0
+    changed = [key for key, d in got.items() if d != expected[key]]
+    assert not changed, f"{len(changed)} answers changed: {changed}"
+    assert elapsed < 30
+
+
+def test_planted_sign_fault_changes_exactly_its_digest(monkeypatch):
+    # one coefficient's sign flipped on one large weight changes that weight's digest and no other
+    name, lam = e_large_inputs()[0]
+    real = macdonald.nonsym_e
+
+    def faulty(rs, weight):
+        r = real(rs, weight)
+        if (rs.name, tuple(weight)) == (name, lam):
+            w = next(iter(r.e_poly.terms))
+            r.e_poly.terms[w] = -r.e_poly.terms[w]
+        return r
+
+    monkeypatch.setattr(macdonald, "nonsym_e", faulty)
+    inputs = e_large_inputs()[:E_LARGE_TIER1] + e_inputs()[:3]
+    expected = _expected()
+    got = {_key("e", n, w): e_digest(n, w) for n, w in inputs}
+    assert _changed(got, {key: expected[key] for key in got}) == [_key("e", name, lam)]
+
+
 def test_printed_digests_are_the_file_under_another_hash_seed():
-    # the script's output is the file byte for byte in a fresh interpreter with another string-hash seed:
-    # no answer depends on the order of a set or dict of strings
+    # the script's output is the file, less the opt-in entries, byte for byte in a fresh interpreter with
+    # another string-hash seed: no answer depends on the order of a set or dict of strings
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ, "PYTHONHASHSEED": "3",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == DIGESTS.read_text()
+    assert run.stdout == _render(_expected())
 
 
 if __name__ == "__main__":
-    print(json.dumps(digests(), indent=1))
+    sys.stdout.write(_render(digests(large="--large" in sys.argv[1:])))

@@ -331,6 +331,25 @@ class TestSharedCaches:
         assert len(rs.weyl_elements()) == 6 and rs.weyl_elements()[ident] == ()
         assert len(rs.longest_word()) == 3
 
+    def test_mutating_orbits_and_lower_sets_changes_no_later_lower_set(self):
+        # the W-orbits behind orbit and lower_set are memoized per dominant weight and handed out read-only;
+        # what the two return is a fresh set and a fresh list
+        rs, fresh = RootSystem("B2"), RootSystem("B2")
+        coords = rs._orbit_coords((1, 1))
+        with pytest.raises(TypeError):
+            coords[(0, 0)] = (0, 0)
+        with pytest.raises(AttributeError):
+            coords.clear()
+        for lam in [(2, 0), (-1, 1), (0, -2)]:
+            want = fresh.lower_set(lam)
+            orbit, lower = rs.orbit(lam), rs.lower_set(lam)
+            orbit.clear()
+            lower.reverse()
+            lower.append((9, 9))
+            rs.orbit(rs.dominant(lam)[0]).add((9, 9))
+            assert rs.lower_set(lam) == want and rs.orbit_below(lam) == fresh.orbit_below(lam)
+            assert rs.orbit(lam) == fresh.orbit(lam) == set(rs._orbit_coords(rs.dominant(lam)[0]))
+
 
 class TestCherednikOrder:
     def test_a1_examples(self):
