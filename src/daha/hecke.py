@@ -19,8 +19,14 @@ into itself, so they run on one integer kernel: an element is a dict
 {weight: {packed: int}} (polyring.Kernel), where q^a t^b is the one integer
 key a * 2^64 + b, and T_i only adds integer coefficients at shifted keys: a
 shift by q^a t^b is one integer add, with no tuple built per term.  The
-alpha_i-string of T_i e^mu (its target weights, packed offsets and integer
-coefficients) is built once per (i, mu) and root system, in rs._caches.  The
+alpha_i-string of T_i e^mu holds one entry per target weight, (target,
+q-shift, c0, c1, |c0| + |c1|) for the coefficient (c0 + c1 t) q^(q-shift),
+with c1 = -c0 or one of them 0: t, 1, 1 - t or t - 1.  It is built once per
+(i, mu) and root system, in rs._caches, from a template of shifts memoized
+per (i, <alpha_i^vee, mu>) there.  The kernel operator adds the source's
+terms once or twice per entry, the framed letter adds v, t v or v - t v once
+(_framed_letter), and a frame's bounds add |c0| + |c1| times the source's
+bound (_letter_bound).  The
 public operators (dl_op, dl_inv, word_op, y_op, demazure_op, demazure_char,
 symmetrizer) take and return QTLaurent and convert once per call in _lifted,
 however many letters they apply.  An input with a non-polynomial coefficient
@@ -116,25 +122,38 @@ def _shift(k: Kernel, lam: Weight, dq: int = 0) -> Kernel:
     return {tuple(a + b for a, b in zip(w, lam)): {e + off: v for e, v in c.items()} for w, c in k.items()}
 
 
-def _alpha_string(rs: RootSystem, i: int, mu: Weight, memo: dict) -> tuple[tuple[Weight, int, int], ...]:
-    """T_i e^mu as (target, packed offset, coefficient) triples, stored in memo[mu].
+# an alpha_i-string entry (target, q-shift, c0, c1, |c0| + |c1|): (c0 + c1 t) q^(q-shift) e^target
+_Entry = tuple[Weight, int, int, int, int]
 
-    With m = <alpha_i^vee, mu>, s_i e^mu = X^{-m alpha_i} e^mu and T_i e^mu = t X^{-m alpha_i} e^mu
-    + (1 - t) sum_{k=1..m} X^{-k alpha_i} e^mu (the k = m terms add up to X^{-m alpha_i} e^mu), or
-    + (t - 1) sum_{k=0..-m-1} X^{k alpha_i} e^mu when m <= 0.  A shift (k, c0, c1) stands for
-    (c0 + c1 t) X^{k alpha_i} e^mu, and gives one triple for c0 and one, at offset + 1, for c1."""
-    m = _pairing(rs, i, mu)
-    if abs(m) > MAX_BOX:
-        raise ValueError(f"an alpha_{i}-string of {abs(m)} shifts is more than the {MAX_BOX} allowed")
-    step_w, step_q = _alpha_step(rs, i)
-    shifts = ([(-k, 1, -1) for k in range(1, m)] + [(-m, 1, 0)] if m > 0
-              else [(-m, 0, 1)] + [(k, -1, 1) for k in range(-m)])
-    s = memo[mu] = tuple((tuple(a + k * b for a, b in zip(mu, step_w)), k * step_q * _Q + dt, v)
-                         for k, c0, c1 in shifts for dt, v in ((0, c0), (1, c1)) if v)
+
+def _alpha_template(rs: RootSystem, i: int, m: int) -> tuple[_Entry, ...]:
+    """T_i e^mu for every mu with <alpha_i^vee, mu> = m, as entries (shift, q-shift, c0, c1, |c0| + |c1|)
+    whose targets are mu + shift: memoized per (i, m) in rs._caches.
+
+    s_i e^mu = X^{-m alpha_i} e^mu and T_i e^mu = t X^{-m alpha_i} e^mu + (1 - t) sum_{k=1..m}
+    X^{-k alpha_i} e^mu when m > 0 (the k = m terms add up to X^{-m alpha_i} e^mu), or
+    + (t - 1) sum_{k=0..-m-1} X^{k alpha_i} e^mu when m <= 0: one entry per k, with X^{k alpha_i} =
+    q^(k q-step) e^(k step) (_alpha_step)."""
+    key = ("alpha_template", i, m)
+    if key not in rs._caches:
+        if abs(m) > MAX_BOX:
+            raise ValueError(f"an alpha_{i}-string of {abs(m)} shifts is more than the {MAX_BOX} allowed")
+        step_w, step_q = _alpha_step(rs, i)
+        shifts = ([(-k, 1, -1) for k in range(1, m)] + [(-m, 1, 0)] if m > 0
+                  else [(-m, 0, 1)] + [(k, -1, 1) for k in range(-m)])
+        rs._caches[key] = tuple((tuple(k * b for b in step_w), k * step_q, c0, c1, abs(c0) + abs(c1))
+                                for k, c0, c1 in shifts)
+    return rs._caches[key]
+
+
+def _alpha_string(rs: RootSystem, i: int, mu: Weight, memo: dict) -> tuple[_Entry, ...]:
+    """T_i e^mu as one entry per target (_Entry), from the template of <alpha_i^vee, mu>; stored in memo[mu]."""
+    s = memo[mu] = tuple((tuple(a + b for a, b in zip(mu, shift)), dq, c0, c1, n)
+                         for shift, dq, c0, c1, n in _alpha_template(rs, i, _pairing(rs, i, mu)))
     return s
 
 
-def _strings(rs: RootSystem, i: int, weights: Iterable[Weight]) -> list[tuple[tuple[Weight, int, int], ...]]:
+def _strings(rs: RootSystem, i: int, weights: Iterable[Weight]) -> list[tuple[_Entry, ...]]:
     """The alpha_i-string of each weight, from the memo of rs (_alpha_string)."""
     memo = rs._caches.setdefault(("alpha_strings", i), {})
     return [memo.get(w) or _alpha_string(rs, i, w, memo) for w in weights]
@@ -145,14 +164,24 @@ def _t(rs: RootSystem, i: int, f: Kernel) -> Kernel:
     memo = rs._caches.setdefault(("alpha_strings", i), {})
     out: Kernel = {}
     for mu, c in f.items():
-        for w, off, v in memo.get(mu) or _alpha_string(rs, i, mu, memo):
+        for w, dq, c0, c1, _ in memo.get(mu) or _alpha_string(rs, i, mu, memo):
+            off = dq * _Q
             d = out.get(w)
-            if d is None:
-                out[w] = {k + off: v * x for k, x in c.items()}
-            else:
-                for k, x in c.items():
-                    k += off
-                    d[k] = d.get(k, 0) + v * x
+            if c0:  # c0 at t^0; into a fresh weight, one copy and no merge
+                if d is None:
+                    out[w] = d = {k + off: c0 * x for k, x in c.items()}
+                else:
+                    for k, x in c.items():
+                        k += off
+                        d[k] = d.get(k, 0) + c0 * x
+            if c1:  # c1 at t^1
+                off += 1
+                if d is None:
+                    out[w] = {k + off: c1 * x for k, x in c.items()}
+                else:
+                    for k, x in c.items():
+                        k += off
+                        d[k] = d.get(k, 0) + c1 * x
     return _pruned(out)
 
 
@@ -273,12 +302,12 @@ def _slot(bound: int) -> int:
 
 def _letter_bound(rs: RootSystem, i: int, bound: dict[Weight, int]) -> dict[Weight, int]:
     """A bound on the largest coefficient of each weight of T_i g, for g bounded by bound: each
-    alpha_i-string entry, a coefficient +-1, adds its source's bound to its target's."""
+    alpha_i-string entry (c0 + c1 t) adds |c0| + |c1| times its source's bound to its target's."""
     out: dict[Weight, int] = {}
     get = out.get
     for x, string in zip(bound.values(), _strings(rs, i, bound)):
-        for w, _, _ in string:
-            out[w] = get(w, 0) + x
+        for w, _, _, _, n in string:
+            out[w] = get(w, 0) + n * x
     return out
 
 
@@ -390,26 +419,29 @@ def _y_fixes(rs: RootSystem, mu: CorootVec, f: Mapping[Weight, Mapping[Term, int
 
 def _framed_letter(g: dict[Weight, tuple[int, int]], strings: list, inv: bool, k: int, width: int
                    ) -> dict[Weight, tuple[int, int]]:
-    """One letter T_i (T_i + 1 - t if inv) on the framed values g, along the alpha_i-strings of g's weights."""
+    """One letter T_i (T_i + 1 - t if inv) on the framed values g, along the alpha_i-strings of g's
+    weights: an entry (c0 + c1 t) q^dq e^w adds c0 v + c1 t v to the value at w, for v = g[mu].  The
+    entries have c1 = -c0 or one of them 0, so that is one add or subtract of v, t v or v - t v."""
     out: dict[Weight, list[int]] = {}
     qk = k * width
     for (mu, (v, e)), string in zip(g.items(), strings):
         vt = v << k
+        d = v - vt
         if inv:
-            string += ((mu, 0, 1), (mu, 1, -1))
-        for w, off, c in string:
-            x = vt if off & 1 else v  # off = (q-shift) 2^64 + (t-shift), the t-shift 0 or 1
-            eq = e + (off >> 64)
+            string += ((mu, 0, 1, -1, 2),)
+        for w, dq, c0, c1, _ in string:
+            x = d if c0 and c1 else v if c0 else vt
+            eq = e + dq
             o = out.get(w)
             if o is None:
-                out[w] = [x if c > 0 else -x, eq]
+                out[w] = [x if (c0 or c1) > 0 else -x, eq]
                 continue
             if eq > o[1]:
                 x <<= (eq - o[1]) * qk
             elif eq < o[1]:
                 o[0] <<= (o[1] - eq) * qk
                 o[1] = eq
-            if c > 0:
+            if (c0 or c1) > 0:
                 o[0] += x
             else:
                 o[0] -= x

@@ -39,20 +39,34 @@ and M lam >= M mu (one orbit lies in one coset of the root lattice).
 Lower-set contract.  lower_set(lam) lists P[<= lam] in the lexicographically
 least linear extension of the Cherednik order: at each step the least weight
 (as a tuple) all of whose predecessors are already listed.  Inside a lower set
-every weight lies in lam + Q, so no divisibility test is needed there.  It has
-no memo of its own, and returns a fresh list: a caller that needs one lam more
-than once keeps the set itself.  The W-orbits it is built from are memoized per
-dominant weight (_orbit_coords) and handed out read-only.
+every weight lies in lam + Q, so no divisibility test is needed there.  It is
+merged, once per call, from two memos kept per dominant weight nu in
+RootSystem._caches: the least linear extension of the whole orbit W nu
+(_orbit_order) and the dominant weights nu - beta, beta > 0 (_covers).  Any two
+dominant weights mu < lam are joined by a chain of dominant weights whose steps
+are positive roots (Stembridge, The partial order of dominant weights, Adv.
+Math. 136, 1998), so a descent along covers from lam_+ reaches every orbit of
+the lower set.  Kahn's algorithm then runs on orbits: an orbit opens once the
+orbits of its covers are used up, and one heap holds the next weight of each
+open orbit; under the min-heap rule the weights of one orbit leave in that
+orbit's own order, so the merge lists exactly what Kahn's algorithm on all
+weights lists (lower_set gives the argument).  Whole lower sets are not
+memoized, so the memos hold each orbit once, and lower_set returns a fresh
+list: a caller that needs one lam more than once keeps the set itself.  The
+W-orbits are memoized per dominant weight (_orbit_coords) and handed out
+read-only, and the orbit orders as tuples.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import product
 from math import gcd, lcm, prod
+from operator import ge
 from types import MappingProxyType
 
 
@@ -419,39 +433,93 @@ class RootSystem:
         return self.compare_keys(self.order_key(lam), self.order_key(mu))
 
     def lower_set(self, lam: Weight) -> list[Weight]:
-        """P[<= lam] in the Cherednik order, in its lexicographically least linear extension (computed afresh).
+        """P[<= lam] in the Cherednik order, in its lexicographically least linear extension.
 
-        Built from whole W-orbits.  Order keys compare mu_- - lam_- = w_0 (mu_+ - lam_+), and
-        w_0 Q_+ = -Q_+, so a weight mu is below lam only if lam_+ - mu_+ lies in Q_+, and for a
-        dominant nu != lam_+ with lam_+ - nu in Q_+ the whole orbit W nu is below lam, with no
-        comparison.  Such nu lie in the hull of W lam_+, so in the box 0 <= nu_k <= max of w_k over
-        W lam_+, and every weight of W nu has the same key half M nu_-; the other half comes along
-        each orbit walk (_orbit_coords).  Of W lam_+, orbit_below keeps the weights below lam.
+        Built from whole W-orbits, merged by Kahn's algorithm run on orbits.  Order keys compare
+        mu_- - lam_- = w_0 (mu_+ - lam_+), and w_0 Q_+ = -Q_+, so a weight mu is below lam only if
+        lam_+ - mu_+ lies in Q_+, and for a dominant nu != lam_+ with lam_+ - nu in Q_+ the whole
+        orbit W nu is below lam, with no comparison.  Those nu are the dominant weights reached from
+        lam_+ along _covers (Stembridge), and of W lam_+ only orbit_below(lam) is below lam.
+
+        An orbit opens once the orbits of all its covers are used up, so once every orbit below it
+        is, as in Kahn's algorithm on all weights; then a weight of an open orbit is ready exactly
+        when its predecessors in its own orbit are listed.  The least ready weight of an orbit
+        depends only on which of its own weights have left, so under the min-heap rule each orbit's
+        weights leave in that orbit's own least linear extension (_orbit_order), and the heap needs
+        only the next weight of each open orbit.  W lam_+ lies above every other orbit and opens last.
         """
         lam_plus = self.dominant(lam)[0]
-        orbit = self._orbit_coords(lam_plus)
-        keys = self._keys_below(lam, orbit)
-        for nu in _box([range(max(c) + 1) for c in zip(*orbit)]):
-            if nu != lam_plus and self.dominance_leq(nu, lam_plus):
-                low = self.scaled_root_coords(self.antidominant(nu)[0])
-                keys.update((mu, (low, m)) for mu, m in self._orbit_coords(nu).items())
-        return _linear_extension(keys)
+        self._orbit_order(lam_plus)  # the refusals, before any other work
+        covers: dict[Weight, tuple[Weight, ...]] = {}
+        stack = [lam_plus]
+        while stack:
+            nu = stack.pop()
+            if nu not in covers:
+                covers[nu] = self._covers(nu)
+                stack.extend(covers[nu])
+        orders = {nu: self._orbit_order(nu) for nu in covers}
+        orders[lam_plus] = self.orbit_below(lam)
+        above: dict[Weight, list[Weight]] = {nu: [] for nu in covers}
+        waiting = {}  # per orbit, its covers' orbits not yet used up
+        for nu, low in covers.items():
+            waiting[nu] = len(low)
+            for c in low:
+                above[c].append(nu)
+        heap = [(orders[nu][0], 0, nu) for nu, n in waiting.items() if not n]
+        heapify(heap)
+        out = []
+        while heap:
+            w, k, nu = heap[0]
+            out.append(w)
+            order = orders[nu]
+            if k + 1 < len(order):
+                heapreplace(heap, (order[k + 1], k + 1, nu))
+                continue
+            heappop(heap)
+            for o in above[nu]:
+                waiting[o] -= 1
+                if not waiting[o]:
+                    heappush(heap, (orders[o][0], 0, o))
+        return out
 
     def orbit_below(self, lam: Weight) -> list[Weight]:
-        """The weights of W lam_+ that are <= lam, in their least linear extension.
+        """The weights of W lam_+ that are <= lam, in their least linear extension: the memoized
+        order of W lam_+ (_orbit_order), filtered.  They form a lower set of the orbit, so a weight of
+        theirs is ready in Kahn's algorithm on them when it is ready on the whole orbit, and the
+        least ready weight of the whole orbit is theirs whenever one of theirs is ready.
 
-        Every other orbit of lower_set(lam) lies wholly below W lam_+, so Kahn's heap
-        (_linear_extension) lists all of them first, and in the order they have in
-        lower_set(lam_+), where lam_+ comes last: lower_set(lam) is lower_set(lam_+) without lam_+,
-        followed by orbit_below(lam)."""
-        return _linear_extension(self._keys_below(lam, self._orbit_coords(self.dominant(lam)[0])))
+        Every other orbit of lower_set(lam) lies wholly below W lam_+, so lower_set(lam) is
+        lower_set(lam_+) without lam_+, followed by orbit_below(lam)."""
+        lam_plus = self.dominant(lam)[0]
+        order, coords = self._orbit_order(lam_plus), self._orbit_coords(lam_plus)
+        low, top = self.scaled_root_coords(self.antidominant(lam)[0]), coords[lam]
+        return [mu for mu in order if self.compare_keys((low, coords[mu]), (low, top)) in (LESS, EQUAL)]
 
-    def _keys_below(self, lam: Weight, orbit: Mapping[Weight, tuple[int, ...]]) -> dict[Weight, OrderKey]:
-        """{mu: order key} over the weights mu <= lam of W lam_+, given as {mu: M mu}: the only weights
-        that lower_set compares with lam.  They share the key half M lam_-."""
-        top = self.order_key(lam)
-        keys = ((mu, (top[0], m)) for mu, m in orbit.items())
-        return {mu: k for mu, k in keys if self.compare_keys(k, top) in (LESS, EQUAL)}
+    def _orbit_order(self, nu: Weight) -> tuple[Weight, ...]:
+        """W nu for dominant nu in its least linear extension (_linear_extension), memoized per nu.
+
+        Refused as _orbit_coords refuses W nu, and then if the box 0 <= w_k <= max of w_k over W nu
+        holds more than MAX_BOX points: it holds the hull of W nu, so every dominant weight below
+        nu, and a lower set of nu may list every one of them."""
+        key = ("orbit_order", nu)
+        if key not in self._caches:
+            coords = self._orbit_coords(nu)
+            _refuse_box(prod(max(c) + 1 for c in zip(*coords)))
+            self._caches[key] = _linear_extension(coords)
+        return self._caches[key]
+
+    def _covers(self, nu: Weight) -> tuple[Weight, ...]:
+        """The dominant weights nu - beta, beta a positive root, memoized per dominant nu.
+
+        Any two dominant weights mu < lam are joined by a chain of dominant weights whose steps are
+        positive roots (Stembridge, The partial order of dominant weights, Adv. Math. 136, 1998),
+        so the descent along covers from nu reaches every dominant weight below it, and
+        the transitive closure of covers is the dominance order on them."""
+        key = ("covers", nu)
+        if key not in self._caches:
+            self._caches[key] = tuple(mu for _, beta in self.positive_roots()
+                                      if min(mu := self.sub(nu, beta)) >= 0)
+        return self._caches[key]
 
     def _orbit_coords(self, lam: Weight) -> Mapping[Weight, tuple[int, ...]]:
         """Read-only {mu: M mu} over W lam for dominant lam, walked from lam and memoized per lam:
@@ -541,10 +609,14 @@ def _box(ranges: list[range]):
     """The points of the product of the unit-step ranges, lazily; a ValueError above MAX_BOX points.
 
     itertools.product turns each range into a tuple first, so the size is checked before it runs."""
-    size = prod(r.stop - r.start for r in ranges)
+    _refuse_box(prod(r.stop - r.start for r in ranges))
+    return product(*ranges)
+
+
+def _refuse_box(size: int):
+    """A ValueError if a box of size integer points is more than MAX_BOX."""
     if size > MAX_BOX:
         raise ValueError(f"a box of {size} integer points is more than the {MAX_BOX} allowed")
-    return product(*ranges)
 
 
 # ---------------------------------------------------------------------------
@@ -582,52 +654,29 @@ def _scaled_inverse_a(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return n + 1, tuple(tuple(min(i, j) * (n + 1 - max(i, j)) for j in range(1, n + 1)) for i in range(1, n + 1))
 
 
-def _linear_extension(keys: dict[Weight, OrderKey]) -> list[Weight]:
-    """The lexicographically least linear extension of the Cherednik order on weights of one
-    root-lattice coset, given their order keys: Kahn's algorithm with a min-heap.
-
-    The weights of one W-orbit share the key half M lam_-, and a whole orbit lies below another
-    when its half is >= the other's, so orbits are compared with orbits and weights only within
-    their orbit.  A weight is ready once its orbit's predecessors are listed and every orbit below
-    its own is used up: the weights that are ready at each step, and so the order, are those of
-    Kahn's algorithm on all pairs."""
-    orbits: dict[tuple[int, ...], list[Weight]] = {}
-    for w, (m, _) in keys.items():
-        orbits.setdefault(m, []).append(w)
-    later = {m: [o for o in orbits if o != m and all(x >= y for x, y in zip(m, o))] for m in orbits}
-    waiting = dict.fromkeys(orbits, 0)  # per orbit, the orbits below it not yet used up
-    for m in orbits:
-        for o in later[m]:
-            waiting[o] += 1
-    succ: dict[Weight, list[Weight]] = {w: [] for w in keys}
-    indeg = dict.fromkeys(keys, 0)
-    for ws in orbits.values():
-        for a in ws:
-            av = keys[a][1]
-            for b in ws:
-                if a != b and all(x >= y for x, y in zip(av, keys[b][1])):
-                    succ[a].append(b)
-                    indeg[b] += 1
-    left = {m: len(ws) for m, ws in orbits.items()}
-    heap = [w for m, ws in orbits.items() if not waiting[m] for w in ws if not indeg[w]]
+def _linear_extension(coords: Mapping[Weight, tuple[int, ...]]) -> tuple[Weight, ...]:
+    """The lexicographically least linear extension of the Cherednik order on one W-orbit, given
+    {mu: M mu}: Kahn's algorithm with a min-heap.  Inside one orbit, a < b iff M a - M b >= 0, so
+    a < b only if M a has the larger coordinate sum, and only such pairs are compared."""
+    items = sorted(coords.items(), key=lambda p: -sum(p[1]))
+    keys = [-sum(m) for _, m in items]  # ascending
+    succ: dict[Weight, list[Weight]] = {w: [] for w in coords}
+    indeg = dict.fromkeys(coords, 0)
+    for (a, av), key in zip(items, keys):
+        for b, bv in items[bisect_right(keys, key):]:
+            if all(map(ge, av, bv)):
+                succ[a].append(b)
+                indeg[b] += 1
+    heap = [w for w, n in indeg.items() if not n]
     heapify(heap)
     out = []
     while heap:
         a = heappop(heap)
         out.append(a)
-        for b in succ[a]:  # b is in a's orbit, which is not waiting
+        for b in succ[a]:
             indeg[b] -= 1
             if not indeg[b]:
                 heappush(heap, b)
-        m = keys[a][0]
-        left[m] -= 1
-        if not left[m]:
-            for o in later[m]:
-                waiting[o] -= 1
-                if not waiting[o]:
-                    for b in orbits[o]:
-                        if not indeg[b]:
-                            heappush(heap, b)
-    if len(out) != len(keys):
+    if len(out) != len(coords):
         raise AssertionError("cycle in order relation")
-    return out
+    return tuple(out)

@@ -483,6 +483,57 @@ def test_low_growth_estimate_is_caught(monkeypatch):
     assert hecke._y_fixes(rs, mu, g, dq, dt)
 
 
+def test_memoized_strings_have_one_entry_per_target():
+    # each entry is (target, q-shift, c0, c1, |c0| + |c1|), with c1 = -c0 or one of them 0, as
+    # _framed_letter reads it; the strings of an E_lam walk, a residual check and a relation suite
+    rs = RootSystem("B2")
+    nonsym_e(rs, (-2, 1))
+    verify_relations(rs, 1)
+    memos = [v for key, v in rs._caches.items() if key[0] == "alpha_strings"]
+    assert len(memos) == 3 and all(memos)
+    for memo in memos:
+        for mu, string in memo.items():
+            targets = [w for w, *_ in string]
+            assert len(targets) == len(set(targets)), mu
+            for w, dq, c0, c1, n in string:
+                assert (c0, c1) in {(1, 0), (0, 1), (1, -1), (-1, 1)} and n == abs(c0) + abs(c1), (mu, w)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "A1xA1"])
+def test_letter_bound_holds_every_coefficient(name):
+    # the bound of each weight of T_i g against its largest coefficient, for g with alternating signs,
+    # where an entry 1 - t doubles a coefficient: (1 - t)(x - x t + x t^2) = x - 2x t + 2x t^2 - x t^3
+    rs = root_system(name)
+    box = weight_box([2] * rs.rank)
+    poly = {(0, 0): 5, (0, 1): -5, (0, 2): 5}
+    inputs = [{mu: poly} for mu in box] + [{mu: poly for mu in box}]
+    for i in hecke._affine_indices(rs):
+        for g in inputs:
+            image = hecke._t(rs, i, {w: _pack(c) for w, c in g.items()})
+            bound = hecke._letter_bound(rs, i, {w: 5 for w in g})
+            assert all(max(map(abs, c.values())) <= bound[w] for w, c in image.items()), (i, g.keys())
+
+
+def test_letter_bound_picks_the_slot_one_letter_decodes_in():
+    # T_1 (100 - 100 t) e^(2) in A1 has 100 - 200 t + 100 t^2 at e^0, as the entry 1 - t there counts
+    # twice: the bound 200 picks 16-bit slots.  Counted once, the 100 would pick 8-bit ones, where -200
+    # does not decode
+    g = {(2,): {(0, 0): 100, (0, 1): -100}}
+    assert hecke._letter_bound(A1, 1, {(2,): 100}) == {(0,): 200, (-2,): 100}
+    want = {w: _unpack(c) for w, c in hecke._t(A1, 1, {w: _pack(c) for w, c in g.items()}).items()}
+    assert want[(0,)] == {(0, 0): 100, (0, 1): -200, (0, 2): 100}
+    k = hecke._slot(200)
+    assert k == 16
+
+    def one_letter(k):
+        framed = {w: hecke._encode(c, k, 3, 0) for w, c in g.items()}
+        image = hecke._framed_letter(framed, hecke._strings(A1, 1, framed), False, k, 3)
+        return {w: hecke._decode(v, e, k, 3, 0) for w, (v, e) in image.items()}
+
+    assert one_letter(k) == want
+    assert one_letter(8) != want
+
+
 @pytest.mark.parametrize("byteorder", ["little", "big"], ids=["word-path", "portable-path"])
 @pytest.mark.parametrize("k", [8, 16, 32, 64, 128])
 def test_frame_round_trip_at_every_slot(monkeypatch, byteorder, k):

@@ -2,9 +2,11 @@
 
 import heapq
 import json
+import random
+import time
 from fractions import Fraction
 from itertools import count, product
-from math import lcm
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from daha.roots import (
     GREATER,
     INCOMPARABLE,
     LESS,
+    MAX_BOX,
     MAX_ORBIT,
     RootSystem,
     root_system,
@@ -507,7 +510,7 @@ def _typed_weights(draw, count):
 
 def _all_pairs_extension(keys):
     """The lexicographically least linear extension by Kahn's algorithm on the order graph of all
-    pairs of weights: the oracle of roots._linear_extension, which compares orbits with orbits."""
+    pairs of weights: the oracle of lower_set, which merges orbit orders."""
     succ = {w: [] for w in keys}
     indeg = dict.fromkeys(keys, 0)
     for a, (am, av) in keys.items():
@@ -527,6 +530,131 @@ def _all_pairs_extension(keys):
                 heapq.heappush(heap, b)
     assert len(out) == len(keys)
     return out
+
+
+def _box_scan_lower_set(rs, lam):
+    """lower_set(lam) as it was computed before orbits were merged: the weights of W lam_+ below lam,
+    and every orbit W nu of a dominant nu != lam_+ in the box 0 <= nu_k <= max of w_k over W lam_+
+    with nu <= lam_+ in dominance, ordered by Kahn's algorithm with a min-heap on all their weights.
+    Orbits are compared with orbits (one orbit is below another when its key half M nu_- is >= the
+    other's) and weights only within their orbit."""
+    lam_plus = rs.dominant(lam)[0]
+    orbit = rs._orbit_coords(lam_plus)
+    top = rs.order_key(lam)
+    keys = {mu: k for mu, m in orbit.items() if rs.compare_keys(k := (top[0], m), top) in (LESS, EQUAL)}
+    for nu in product(*(range(max(c) + 1) for c in zip(*orbit))):
+        if nu != lam_plus and rs.dominance_leq(nu, lam_plus):
+            low = rs.scaled_root_coords(rs.antidominant(nu)[0])
+            keys.update((mu, (low, m)) for mu, m in rs._orbit_coords(nu).items())
+    orbits = {}
+    for w, (m, _) in keys.items():
+        orbits.setdefault(m, []).append(w)
+    later = {m: [o for o in orbits if o != m and all(x >= y for x, y in zip(m, o))] for m in orbits}
+    waiting = dict.fromkeys(orbits, 0)  # per orbit, the orbits below it not yet used up
+    for m in orbits:
+        for o in later[m]:
+            waiting[o] += 1
+    succ = {w: [] for w in keys}
+    indeg = dict.fromkeys(keys, 0)
+    for ws in orbits.values():
+        for a in ws:
+            for b in ws:
+                if a != b and all(x >= y for x, y in zip(keys[a][1], keys[b][1])):
+                    succ[a].append(b)
+                    indeg[b] += 1
+    left = {m: len(ws) for m, ws in orbits.items()}
+    heap = [w for m, ws in orbits.items() if not waiting[m] for w in ws if not indeg[w]]
+    heapq.heapify(heap)
+    out = []
+    while heap:
+        a = heapq.heappop(heap)
+        out.append(a)
+        for b in succ[a]:
+            indeg[b] -= 1
+            if not indeg[b]:
+                heapq.heappush(heap, b)
+        m = keys[a][0]
+        left[m] -= 1
+        if not left[m]:
+            for o in later[m]:
+                waiting[o] -= 1
+                if not waiting[o]:
+                    for b in orbits[o]:
+                        if not indeg[b]:
+                            heapq.heappush(heap, b)
+    assert len(out) == len(keys)
+    return out
+
+
+# the boxes of the box-scan reference: every weight's lower set is compared list for list
+_SCAN_BOXES = [("A1", 9), ("A2", 6), ("B2", 5), ("C2", 5), ("A3", 3), ("A4", 1), ("A5", 1), ("A1xA1", 3)]
+
+
+@pytest.fixture(scope="module")
+def _scanned():
+    """{(name, bound): {lam: the box-scan lower set}}, each reference computed once on its own RootSystem."""
+    out = {}
+    for name, bound in _SCAN_BOXES:
+        rs = RootSystem(name)
+        out[name, bound] = {lam: _box_scan_lower_set(rs, lam) for lam in weight_box([bound] * rs.rank)}
+    return out
+
+
+class TestLowerSetMerge:
+    """lower_set merges memoized orbit orders along memoized covers; the box scan is its reference."""
+
+    @pytest.mark.parametrize("name,bound", _SCAN_BOXES)
+    def test_shuffled_in_one_process(self, _scanned, name, bound):
+        # one RootSystem whose memos fill in a shuffled order
+        rs, want = RootSystem(name), _scanned[name, bound]
+        lams = list(want)
+        random.Random(bound).shuffle(lams)
+        for lam in lams:
+            assert rs.lower_set(lam) == want[lam], lam
+
+    @pytest.mark.parametrize("name,bound", _SCAN_BOXES)
+    def test_each_weight_on_cleared_caches(self, _scanned, name, bound):
+        rs, want = RootSystem(name), _scanned[name, bound]
+        for lam, ref in want.items():
+            rs._caches.clear()
+            assert rs.lower_set(lam) == ref, lam
+
+    def test_orbit_below_is_the_tail_of_the_lower_set(self, _scanned):
+        # lower_set(lam) is lower_set(lam_+) without lam_+, followed by orbit_below(lam)
+        rs = RootSystem("B2")
+        for lam, ref in _scanned["B2", 5].items():
+            lam_plus = rs.dominant(lam)[0]
+            assert ref == rs.lower_set(lam_plus)[:-1] + rs.orbit_below(lam), lam
+
+    def test_memos_hold_orbits_and_covers_only(self):
+        rs = RootSystem("A2")
+        rs.lower_set((-3, -3))
+        kinds = {key[0] for key in rs._caches if isinstance(key, tuple)}
+        assert kinds == {"orbit", "orbit_order", "covers"}
+        orders = {key[1]: v for key, v in rs._caches.items() if key[0] == "orbit_order"}
+        assert orders.keys() == {key[1] for key in rs._caches if key[0] == "covers"}
+        assert sum(map(len, orders.values())) == len(rs.lower_set((-3, -3)))
+
+    def test_deep_chain_a1(self):
+        # the descent along covers is a loop: 2,000 dominant weights below (4000,) raise no RecursionError,
+        # where the box scan took about 2.6 s and 34 MB
+        rs = RootSystem("A1")
+        start = time.perf_counter()
+        lower = rs.lower_set((4000,))
+        assert time.perf_counter() - start < 1.0
+        assert len(lower) == 4000 and lower[0] == (0,) and lower[-1] == (4000,)
+        assert lower == sorted(lower, key=lambda w: (abs(w[0]), w[0] < 0))
+
+    @pytest.mark.parametrize("name,lam", [("A1", (MAX_BOX,)), ("A1", (10**20,)), ("A2", (4096, 4096)),
+                                          ("A1xA1", (1, MAX_BOX))])
+    def test_hull_over_max_box_is_refused(self, name, lam):
+        # the hull box of W lam_+ holds every dominant weight below lam_+: refused before any descent
+        rs = RootSystem(name)
+        size = prod(max(c) + 1 for c in zip(*rs.orbit(lam)))
+        assert size > MAX_BOX
+        with pytest.raises(ValueError, match=f"a box of {size} integer points is more than the {MAX_BOX} allowed"):
+            rs.lower_set(tuple(-x for x in lam))
+        assert not any(key[0] == "covers" for key in rs._caches if isinstance(key, tuple))
 
 
 class TestIntegerKernel:
