@@ -37,16 +37,17 @@ Q(q, t)-linear, so the image is the kernel image divided by D.
 The eigenvector check Y^mu f == q^a t^b f (_y_fixes, the residual check of
 every E_lam) runs on a third form, one big integer per weight: q^a t^b goes to
 2^(k (a width + b)), a ring map that T_i commutes with, so a letter is one
-shift and one add per alpha_i-string entry, and the check is one integer
-comparison per weight.  The map is injective on the values a frame can hold,
-by its plan (_plan), made before the frame's first letter as macdonald's walk
-and orbit sum make theirs: per-weight coefficient bounds run through the
-letters (_letter_bound) fix the slot k, the least of 8, 16, 32, 64, 128, ...
-bits that holds them (_slot), and the t-span of the start plus one column per
-letter fixes the window.  A frame ends before a letter that would take its
-bound past 64 bits or widen its window by more than 16 columns; its values
-then decode exactly, and the next frame is planned from them.  _y_fixes gives
-the argument.  y_op and _y stay the operator on the kernel.
+shift and one add per alpha_i-string entry (_framed_letter), and the check is
+one comparison per weight, of values stripped of zero low q-rows (_stripped).
+The map is injective on the values a frame can hold, by its plan (_plan), made
+from _extent before the frame's first letter, as macdonald's walk and orbit
+sum make theirs: per-weight coefficient bounds run through the letters
+(_letter_bound) fix the slot k, the least of 8, 16, 32, 64, 128, ... bits that
+holds them (_slot), and the t-span of the start plus one column per letter
+fixes the window.  A frame ends before a letter that would take its bound past
+64 bits or widen its window by more than 16 columns; its values then decode
+exactly, and the next frame is planned from them.  _y_fixes gives the
+argument.  y_op and _y stay the operator on the kernel.
 
 The relation suites run entirely on the kernel: they build e^mu as a kernel,
 apply the kernel operators and compare pruned kernels with ==.  Each check
@@ -300,6 +301,23 @@ def _slot(bound: int) -> int:
     return k
 
 
+def _extent(f: Mapping[Weight, Mapping[Term, int]]) -> tuple[dict[Weight, int], int, int]:
+    """({w: the largest |c| of f[w]}, the least t-exponent of f, the largest): what a frame's plan
+    starts from, for f = {weight: {(a, b): c}} with no empty weight."""
+    return ({w: max(map(abs, c.values())) for w, c in f.items()},
+            min([min(map(_T_EXP, c)) for c in f.values()]), max([max(map(_T_EXP, c)) for c in f.values()]))
+
+
+def _stripped(g: dict[Weight, tuple[int, int]], qk: int) -> dict[Weight, tuple[int, int]]:
+    """g with the zero low q-rows of each value (v, e) dropped, for rows of qk bits: v's lowest row is
+    then nonzero and e its q-exponent, so equal polynomials give equal pairs, the pairs _encode writes."""
+    out = {}
+    for w, (v, e) in g.items():
+        n = ((v & -v).bit_length() - 1) // qk
+        out[w] = (v >> n * qk, e + n) if n else (v, e)
+    return out
+
+
 def _letter_bound(rs: RootSystem, i: int, bound: dict[Weight, int]) -> dict[Weight, int]:
     """A bound on the largest coefficient of each weight of T_i g, for g bounded by bound: each
     alpha_i-string entry (c0 + c1 t) adds |c0| + |c1| times its source's bound to its target's."""
@@ -323,9 +341,7 @@ def _plan(rs: RootSystem, letters: list[tuple[int, bool]], n: int, terms: Mappin
     rank-2 and A3 checks, 10 to 14 letters, run in one frame, and long words on windows at most 16
     columns wider than the t-span they start from.  b0 and width are the t-span of terms plus one
     column per letter, and k is the _slot of the largest bound and of reserve."""
-    bound = {w: max(map(abs, c.values())) for w, c in terms.items()}
-    lo = min([min(map(_T_EXP, c)) for c in terms.values()])
-    span = max([max(map(_T_EXP, c)) for c in terms.values()]) - lo + 1
+    bound, lo, hi = _extent(terms)
     top, stop = max(reserve, *bound.values()), n
     while stop < len(letters) and stop - n < 16:
         i, inv = letters[stop]
@@ -337,7 +353,7 @@ def _plan(rs: RootSystem, letters: list[tuple[int, bool]], n: int, terms: Mappin
         if x >> 63 and stop > n:
             break
         bound, top, stop = image, max(top, x), stop + 1
-    return _slot(top), span + stop - n, lo, stop
+    return _slot(top), hi - lo + 1 + stop - n, lo, stop
 
 
 def _y_fixes(rs: RootSystem, mu: CorootVec, f: Mapping[Weight, Mapping[Term, int]], dq: int, dt: int) -> bool:
@@ -365,7 +381,9 @@ def _y_fixes(rs: RootSystem, mu: CorootVec, f: Mapping[Weight, Mapping[Term, int
         bound every coefficient; the slot k, the least of 8, 16, 32, 64, 128, ... bits that holds
         the largest of them and the largest |c| of f (_slot), keeps both sides below 2^(k-1).
     If the right side q^dq t^(dt+m) f has a t-exponent outside the window of the last frame, the
-    left side has none there, and the answer is False as well.
+    left side has none there, and the answer is False as well.  Otherwise the right side is framed as
+    _encode writes it, and so is the left side once its zero low q-rows, left where terms cancel,
+    are stripped (_stripped): equal polynomials give equal pairs.
 
     A frame ends before a letter that would take its bound past a 64-bit slot, or widen its window
     by more than 16 columns.  Its values then meet the bounds, so they decode exactly (_decode),
@@ -382,7 +400,8 @@ def _y_fixes(rs: RootSystem, mu: CorootVec, f: Mapping[Weight, Mapping[Term, int
     if not f:
         return True
     dt += sum(inv for _, inv in letters)
-    reserve = max([max(map(abs, c.values())) for c in f.values()])
+    bound, lo, hi = _extent(f)
+    reserve = max(bound.values())
     terms, n = f, 0
     while True:
         k, width, b0, stop = _plan(rs, letters, n, terms, reserve)
@@ -390,41 +409,28 @@ def _y_fixes(rs: RootSystem, mu: CorootVec, f: Mapping[Weight, Mapping[Term, int
         if n == 0:
             framed_f = g
         for i, inv in letters[n:stop]:
-            g = _framed_letter(g, _strings(rs, i, g), inv, k, width)
+            g = _framed_letter(rs, i, g, inv, k, width)
         n = stop
         if n == len(letters):
             break
         terms = {w: _decode(v, e, k, width, b0) for w, (v, e) in g.items()}
-    lo = min([min(map(_T_EXP, c)) for c in f.values()]) + dt
-    hi = max([max(map(_T_EXP, c)) for c in f.values()]) + dt
-    if lo < b0 or hi >= b0 + width or g.keys() != f.keys():
+    if lo + dt < b0 or hi + dt >= b0 + width:
         return False
-    if terms is f and dt >= 0:  # one frame throughout: f is framed already, t^dt is a shift
-        rhs, shift = framed_f, dt
+    if terms is f and dt >= 0:  # one frame throughout: f is framed already, t^dt is a shift inside its rows
+        rhs, shift = framed_f, k * dt
     else:
         rhs, shift = {w: _encode(c, k, width, b0 - dt) for w, c in f.items()}, 0
-    qk = k * width
-    for w, (v, e) in g.items():
-        r, er = rhs[w]
-        r <<= k * shift
-        er += dq
-        if e < er:
-            r <<= (er - e) * qk
-        elif er < e:
-            v <<= (e - er) * qk
-        if v != r:
-            return False
-    return True
+    return _stripped(g, k * width) == {w: (v << shift, e + dq) for w, (v, e) in rhs.items()}
 
 
-def _framed_letter(g: dict[Weight, tuple[int, int]], strings: list, inv: bool, k: int, width: int
+def _framed_letter(rs: RootSystem, i: int, g: dict[Weight, tuple[int, int]], inv: bool, k: int, width: int
                    ) -> dict[Weight, tuple[int, int]]:
-    """One letter T_i (T_i + 1 - t if inv) on the framed values g, along the alpha_i-strings of g's
-    weights: an entry (c0 + c1 t) q^dq e^w adds c0 v + c1 t v to the value at w, for v = g[mu].  The
-    entries have c1 = -c0 or one of them 0, so that is one add or subtract of v, t v or v - t v."""
+    """One letter T_i (T_i + 1 - t if inv) on the framed values g, along the _strings of g's weights:
+    an entry (c0 + c1 t) q^dq e^w adds c0 v + c1 t v to the value at w, for v = g[mu].  The entries
+    have c1 = -c0 or one of them 0, so that is one add or subtract of v, t v or v - t v."""
     out: dict[Weight, list[int]] = {}
     qk = k * width
-    for (mu, (v, e)), string in zip(g.items(), strings):
+    for (mu, (v, e)), string in zip(g.items(), _strings(rs, i, g)):
         vt = v << k
         d = v - vt
         if inv:
@@ -606,7 +612,8 @@ def _xcommute_checks(rs: RootSystem, box: list[Weight], report: RelationReport):
                 if pairing_target == 0:
                     return _t(rs, i, _shift(f, lam))
                 shifted = tuple(a - b for a, b in zip(lam, step_w))
-                return _comb((_t_inv(rs, i, _shift(f, shifted, -step_q)), 0, 1, 1, 0))
+                x = _shift(f, shifted, -step_q)
+                return _comb((_t(rs, i, x), 0, 0, 1, 0), (x, 0, 0, 1, -1))  # t T_i^{-1} = T_i + 1 - t
 
             name = "commute" if pairing_target == 0 else "shift"
             report.first_failure(f"x-{name} i={i} ({len(lams)} weights)", (

@@ -10,11 +10,13 @@ Every E_lam is built from a monomial by intertwiners (Cherednik,
 Nonsymmetric Macdonald polynomials, IMRN 1995; Macdonald, Affine Hecke
 Algebras and Orthogonal Polynomials, ch. 5): a dominant lam by one affine
 step from a lower dominant E, down to e^0 or a minuscule e^omega (_solve),
-any other lam from its dominant seed by finite steps (_climb).  No linear
-system is solved; y_matrix serves independent checks only.  _certified alone
-checks the unit coefficient, picks the operator and runs the residual checks;
-_result assembles the EigenResult from what it certified, and sym_p reads the
-cleared form from it directly.
+any other lam from its dominant seed by finite steps (_climb).  _solve walks
+the chain of seeds down in a loop and solves it bottom-up, memoized per weight
+in rs._caches["solved"] beside every other memo of the type; every basis is
+rs.lower_set.  No linear system is solved; y_matrix serves independent checks
+only.  _certified alone checks the unit coefficient, picks the operator and
+runs the residual checks; _result assembles the EigenResult from what it
+certified, and sym_p reads the cleared form from it directly.
 
 Every coefficient is one pair (num, den): a QTPoly over {irreducible
 canonical factor: multiplicity}.  Each gap an intertwiner divides by is a
@@ -70,7 +72,7 @@ from math import gcd
 from .qt import ONE_P, QTPoly, RatQT, ZERO_P, Term, div_exact
 from .polyring import QTLaurent, _kernel, _unpack
 from .roots import LESS, EQUAL, RootSystem, Weight, CorootVec, root_system
-from .hecke import (_T_EXP, _decode, _encode, _framed_letter, _letter_bound, _mono, _slot, _strings, _y,
+from .hecke import (_T_EXP, _decode, _encode, _extent, _framed_letter, _letter_bound, _mono, _slot, _stripped, _y,
                     _y_fixes)
 
 
@@ -433,23 +435,13 @@ def nonsym_e(rs: RootSystem, lam: Weight) -> EigenResult:
     rs, lam = root_system(rs.name), rs.check_weight(lam)
     if rs.is_dominant(lam):
         return _result(rs, lam, *_solve(rs, lam))
-    basis = _lower_set(rs, lam)
+    basis = rs.lower_set(lam)
     return _result(rs, lam, basis, _coefficients(lam, basis, *_climb(rs, lam)))
-
-
-def _lower_set(rs: RootSystem, lam: Weight) -> list[Weight]:
-    """rs.lower_set(lam) for lam not dominant, from the memoized basis of its seed lam_+ (_solve):
-    that basis without lam_+, followed by rs.orbit_below(lam)."""
-    return _solve(rs, rs.dominant(lam)[0])[0][:-1] + rs.orbit_below(lam)
-
-
-# the memo of _solve: (type name, dominant lam) -> (basis, coefficients)
-_solved: dict[tuple[str, Weight], tuple[list[Weight], tuple[_Frac, ...]]] = {}
 
 
 def _solve(rs: RootSystem, lam: Weight) -> tuple[list[Weight], tuple[_Frac, ...]]:
     """E_lam for dominant lam on rs = root_system(rs.name): (basis, coefficients), with basis the
-    lower set of lam; memoized in _solved by type name and lam.
+    lower set of lam; memoized per lam in rs._caches["solved"].
 
     vartheta is the highest short root, l the length of s_vartheta, h = (l - 1)/2 and
     p = <vartheta^vee, lam>.  If p < 2, lam is 0 or minuscule, its lower set is {lam}, and
@@ -478,23 +470,36 @@ def _solve(rs: RootSystem, lam: Weight) -> tuple[list[Weight], tuple[_Frac, ...]
     a (1 - m) den E_lam, so E_lam is that numerator over den (1 - m), divided by its coefficient
     at e^lam, which must be a unit, and support in the lower set and _certified's checks prove it,
     as lam's eigenvalue is simple on its lower set.  |mu|^2 = |lam|^2 - (p - 1) |vartheta|^2, so
-    the seeds mu_+ descend to p < 2.  Only the coefficients are memoized: _climb reads its seed
-    from here.
+    the seeds mu_+ descend to p < 2.  Only (basis, coefficients) is memoized, no EigenResult:
+    _climb reads its seed from here.
+
+    The chain of seeds lam -> mu_+ -> ... is walked down in a loop, to a memoized seed or to p < 2,
+    taking each lower set on the way, so their refusals fire before short_theta's and in the order
+    of the chain.  It is solved bottom-up by _solve_fresh, whose _climb finds its seed memoized, so
+    no chain of seeds deepens the stack.
     """
-    key = rs.name, lam
-    if key not in _solved:
-        _solved[key] = _solve_fresh(rs, lam)
-    return _solved[key]
+    memo = rs._caches.setdefault("solved", {})
+    chain, top = [], lam
+    while lam not in memo:
+        basis = rs.lower_set(lam)
+        theta, coroot, _ = rs.short_theta()
+        p = rs.coroot_pair(coroot, lam)
+        if p < 2:
+            memo[lam] = basis, ((ZERO_P, {}),) * (len(basis) - 1) + ((ONE_P, {}),)
+            break
+        nu = tuple(l - (p - 1) * c for l, c in zip(lam, theta))
+        chain.append((lam, basis, nu))
+        lam = rs.dominant(nu)[0]
+    for lam, basis, nu in reversed(chain):
+        memo[lam] = _solve_fresh(rs, lam, basis, nu)
+    return memo[top]
 
 
-def _solve_fresh(rs: RootSystem, lam: Weight) -> tuple[list[Weight], tuple[_Frac, ...]]:
-    """_solve without the memo."""
-    basis = rs.lower_set(lam)
+def _solve_fresh(rs: RootSystem, lam: Weight, basis: list[Weight], nu: Weight
+                 ) -> tuple[list[Weight], tuple[_Frac, ...]]:
+    """The affine step of _solve for lam, with basis its lower set and nu = lam - (p - 1) vartheta (the
+    mu there); the seed nu_+ must be memoized."""
     theta, coroot, word = rs.short_theta()
-    p = rs.coroot_pair(coroot, lam)
-    if p < 2:
-        return basis, ((ZERO_P, {}),) * (len(basis) - 1) + ((ONE_P, {}),)
-    nu = tuple(l - (p - 1) * c for l, c in zip(lam, theta))
     mq, mt = expected_eigen_exponents(rs, nu, coroot)
     mq, mt = mq + 1, mt - sum(coroot)  # m = q^mq t^mt; rho = (1, ..., 1), so <vartheta^vee, rho> = sum(coroot)
     h = (len(word) - 1) // 2
@@ -549,10 +554,8 @@ def _walk(rs: RootSystem, f: dict[Weight, Mapping[Term, int]], den: dict[QTPoly,
         bound to its target's, and the step adds 2 of A's and 2 of g's.  k is the _slot of the
         largest last bound and of the largest sum of |c| of a factor of den, so the result decodes
         exactly and every digit check of _divided has a headroom j >= 0."""
-    units, bound = [], {w: max(map(abs, c.values())) for w, c in f.items()}
-    lo = min(min(b for _, b in c) for c in f.values())
-    low, high = 0, max(max(b for _, b in c) for c in f.values()) - lo  # the window, relative to lo
-    floor = 0
+    bound, lo, hi = _extent(f)
+    units, low, high, floor = [], 0, hi - lo, 0  # the window, relative to lo
     for word, shift, mq, mt, nq, nt in steps:
         sign, uq, ut = _add_gap(den, QTPoly({(0, 0): 1, (mq, mt): -1}))
         units.append((sign, uq, ut))
@@ -573,7 +576,7 @@ def _walk(rs: RootSystem, f: dict[Weight, Mapping[Term, int]], den: dict[QTPoly,
     for (word, shift, mq, mt, nq, nt), (sign, uq, ut) in zip(steps, units):
         image = g
         for i in reversed(word):
-            image = _framed_letter(image, _strings(rs, i, image), False, k, width)
+            image = _framed_letter(rs, i, image, False, k, width)
         if shift:
             image = {tuple(a + b for a, b in zip(w, shift)): ve for w, ve in image.items()}
         g = _framed_comb(k, width, (image, -uq, -ut, sign, 0), (image, mq - uq, mt - ut, -sign, 0),
@@ -741,7 +744,7 @@ def sym_p(rs: RootSystem, lam: Weight) -> QTLaurent:
     qk = k * width
     g = {w: _encode(c, k, width, b0) for w, c in f.items()}
     for i in range(1, base.rank + 1):
-        if not lam[i - 1] and (_stripped(_framed_letter(g, _strings(base, i, g), False, k, width), qk)
+        if not lam[i - 1] and (_stripped(_framed_letter(base, i, g, False, k, width), qk)
                                != _stripped(_framed_comb(k, width, (g, 0, 1, 1, 0)), qk)):
             raise AssertionError(f"T_{i} E_{lam} is not t E_{lam}, though s_{i} fixes {lam}")
     total = _stripped(_orbit_sum(base, lam, g, steps, k, width), qk)
@@ -771,7 +774,7 @@ def _orbit_plan(rs: RootSystem, lam: Weight, f: dict[Weight, Mapping[Term, int]]
       - k is the _slot of the largest summed bound, of the bounds of T_i f for the s_i fixing lam,
         and of l1, the largest sum of |c| of a factor that _divided divides by.
     So every value of sym_p, and every quotient _divided accepts, decodes exactly."""
-    bound = {w: max(map(abs, c.values())) for w, c in f.items()}
+    bound, lo, hi = _extent(f)
     images, depth, steps = {lam: bound}, {lam: 0}, []
     queue = [lam]
     for mu in queue:
@@ -787,8 +790,6 @@ def _orbit_plan(rs: RootSystem, lam: Weight, f: dict[Weight, Mapping[Term, int]]
             total[w] = total.get(w, 0) + x
     fixed = [max(_letter_bound(rs, i, bound).values()) for i in range(1, rs.rank + 1) if not lam[i - 1]]
     k = _slot(max(max(total.values()), *fixed, l1))
-    lo = min(min(map(_T_EXP, c)) for c in f.values())
-    hi = max(max(map(_T_EXP, c)) for c in f.values())
     return k, hi - lo + 1 + max(depth[queue[-1]], 1), lo, steps
 
 
@@ -798,18 +799,8 @@ def _orbit_sum(rs: RootSystem, lam: Weight, g: dict[Weight, tuple[int, int]], st
     _framed_letter per step of _orbit_plan's walk, then one _framed_comb."""
     images = {lam: g}
     for mu, i, nu in steps:
-        images[nu] = _framed_letter(images[mu], _strings(rs, i, images[mu]), False, k, width)
+        images[nu] = _framed_letter(rs, i, images[mu], False, k, width)
     return _framed_comb(k, width, *((image, 0, 0, 1, 0) for image in images.values()))
-
-
-def _stripped(g: dict[Weight, tuple[int, int]], qk: int) -> dict[Weight, tuple[int, int]]:
-    """g with the zero low q-rows of each value (v, e) dropped, for rows of qk bits: v's lowest row is
-    then nonzero and e its q-exponent, so equal polynomials give equal pairs."""
-    out = {}
-    for w, (v, e) in g.items():
-        n = ((v & -v).bit_length() - 1) // qk
-        out[w] = (v >> n * qk, e + n) if n else (v, e)
-    return out
 
 
 def _framed(terms: Mapping[Term, int], k: int, width: int, b0: int) -> tuple[int, int] | None:

@@ -527,7 +527,7 @@ def test_letter_bound_picks_the_slot_one_letter_decodes_in():
 
     def one_letter(k):
         framed = {w: hecke._encode(c, k, 3, 0) for w, c in g.items()}
-        image = hecke._framed_letter(framed, hecke._strings(A1, 1, framed), False, k, 3)
+        image = hecke._framed_letter(A1, 1, framed, False, k, 3)
         return {w: hecke._decode(v, e, k, 3, 0) for w, (v, e) in image.items()}
 
     assert one_letter(k) == want
@@ -549,6 +549,37 @@ def test_frame_round_trip_at_every_slot(monkeypatch, byteorder, k):
     assert v == sum(c << k * ((a - e) * width + b - b0) for (a, b), c in terms.items())
     assert hecke._decode(v, e, k, width, b0) == terms
     assert hecke._decode(-v, e, k, width, b0) == {key: -c for key, c in terms.items()}
+
+
+def test_right_side_past_the_window_is_false(monkeypatch):
+    # Y^(1) 1 = t^2 in A1: the window of its one frame is the columns t^0..t^2.  Claiming t^3 puts the
+    # right side one column past it, and the check says False before it frames the right side at all
+    f = {(0,): {(0, 0): 1}}
+    assert hecke._plan(A1, hecke._y_letters(A1, (1,)), 0, f, 1) == (8, 3, 0, 2)
+    assert hecke._y_fixes(A1, (1,), f, 0, 2)
+    compared = []
+    real = hecke._stripped
+    monkeypatch.setattr(hecke, "_stripped", lambda g, qk: compared.append(g) or real(g, qk))
+    assert not hecke._y_fixes(A1, (1,), f, 0, 3)
+    assert not compared
+
+
+def test_zero_low_q_row_compares_equal(monkeypatch):
+    # A1 E_(-1), cleared: f = (1 - t) e^1 + (1 - q t) e^-1, and Y^(1) f = q t^2 f.  The terms that reach
+    # e^1 at q^-1 cancel, so the framed left side there has a zero lowest q-row, the row of q^-1, which
+    # the comparison strips; compared unstripped, the equal polynomials would differ
+    f = {(1,): {(0, 0): 1, (0, 1): -1}, (-1,): {(0, 0): 1, (1, 1): -1}}
+    k, width, b0, stop = hecke._plan(A1, hecke._y_letters(A1, (1,)), 0, f, 1)
+    compared = []
+    real = hecke._stripped
+    monkeypatch.setattr(hecke, "_stripped", lambda g, qk: compared.append(g) or real(g, qk))
+    assert hecke._y_fixes(A1, (1,), f, 1, 2)
+    (g,) = compared
+    v, e = g[(1,)]
+    assert e == -1 and v and not v & ((1 << k * width) - 1)
+    assert real(g, k * width)[(1,)] == hecke._encode({(1, 2): 1, (1, 3): -1}, k, width, b0)
+    monkeypatch.setattr(hecke, "_stripped", lambda g, qk: g)
+    assert not hecke._y_fixes(A1, (1,), f, 1, 2)
 
 
 def test_zero_test_with_the_empty_word():

@@ -281,14 +281,20 @@ def _eigensolve(rs, lam):
     return macdonald._result(rs, lam, basis, tuple(coeffs))
 
 
+def _clear_memos():
+    """Empty the memos of every type these tests solve E_lam on, and the oracle's: every memo of E_lam
+    lives in its root system's store."""
+    for name in _E_TABLE_BOXES:
+        root_system(name)._caches.clear()
+    _eigensolve.cache_clear()
+
+
 @pytest.fixture
 def fresh_caches():
-    """Empty the E_lam caches and the oracle's before and after, so nothing computed here leaks into other tests."""
-    macdonald._solved.clear()
-    _eigensolve.cache_clear()
+    """Empty the memos before and after, so nothing computed here leaks into other tests."""
+    _clear_memos()
     yield
-    macdonald._solved.clear()
-    _eigensolve.cache_clear()
+    _clear_memos()
 
 
 def test_e_lambda_computes_no_gcd(monkeypatch, fresh_caches):
@@ -444,7 +450,7 @@ class TestAffineStep:
     @staticmethod
     def _faulty_or_exact(rs, expected):
         """Every weight either raises a certificate error or gives the oracle's answer; the count that raised."""
-        macdonald._solved.clear()
+        rs._caches.pop("solved", None)  # the planted short_theta stays
         raised = 0
         for lam, fields in expected.items():
             try:
@@ -813,12 +819,9 @@ class TestCertificate:
 
 @pytest.mark.parametrize("name, bound", [("A1", 6), ("A2", 3), ("B2", 3), ("C2", 3), ("A3", 2)])
 def test_derived_basis_is_the_lower_set(name, bound):
-    # nonsym_e takes the basis of a weight that is not dominant from the memoized basis of its seed and the
-    # weights of the seed's orbit below it
     rs = root_system(name)
     for lam in weight_box([bound] * rs.rank):
-        if not rs.is_dominant(lam):
-            assert macdonald._lower_set(rs, lam) == rs.lower_set(lam), lam
+        assert nonsym_e(rs, lam).basis == rs.lower_set(lam), lam
 
 
 class TestFreshResults:
@@ -847,10 +850,37 @@ class TestFreshResults:
         warm = [_fields(nonsym_e(rs, lam)) for lam in box]
         cold = []
         for lam in box:
-            macdonald._solved.clear()
             rs._caches.clear()
             cold.append(_fields(nonsym_e(rs, lam)))
         assert cold == warm
+
+    def test_clearing_the_store_solves_the_seed_again(self, monkeypatch, fresh_caches):
+        # no memo of E_lam lives outside rs._caches: after it is cleared, the seed (2, 0) of (-2, 2) is
+        # solved afresh by its affine step from (0, 1)
+        real, solved = macdonald._solve_fresh, []
+        monkeypatch.setattr(macdonald, "_solve_fresh",
+                            lambda rs, lam, *args: solved.append(lam) or real(rs, lam, *args))
+        nonsym_e(A2, (-2, 2))
+        assert solved == [(2, 0)]
+        nonsym_e(A2, (-2, 2))
+        assert solved == [(2, 0)]
+        A2._caches.clear()
+        nonsym_e(A2, (-2, 2))
+        assert solved == [(2, 0), (2, 0)]
+
+    def test_seed_chain_runs_in_a_loop(self, fresh_caches):
+        # A1 (24) has 12 seeds below it; solved as a recursion, each took three frames of the stack
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            got = _fields(nonsym_e(A1, (24,)))
+        finally:
+            sys.setrecursionlimit(limit)
+        A1._caches.clear()
+        assert got == _fields(nonsym_e(A1, (24,)))
 
 
 class TestSymmetric:
